@@ -12,6 +12,12 @@ labelled streams.
 
 All operations are strictly single-pass: each sample is looked at once and
 never stored.
+
+Validation contract: every public method checks its input once, on entry
+(sample shape and finiteness, class label range); the private helpers it
+calls (``_activations``, ``_should_insert``, ``_insert``, ``_tune``,
+``_observe_label``) trust their input.  A streaming step therefore pays for
+one check per sample, and a rejected sample leaves the mixture untouched.
 """
 
 from __future__ import annotations
@@ -137,24 +143,30 @@ class AgmmModel:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dim,):
             raise ValueError(f"expected input of shape ({self.input_dim},), got {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("input contains non-finite values")
         return x
 
+    def _check_label(self, label: int) -> None:
+        if not 0 <= label < self.num_classes:
+            raise ValueError(f"label {label} outside 0..{self.num_classes - 1}")
+
     def activations(self, x: np.ndarray) -> np.ndarray:
         """Activation of every component for ``x`` (empty array when size is 0)."""
-        x = self._check_input(x)
+        return self._activations(self._check_input(x))
+
+    def _activations(self, x: np.ndarray) -> np.ndarray:
         if self.size == 0:
             return np.empty(0)
         with np.errstate(over="ignore"):
             z = (x - self.centers) / self.spreads
-            return np.exp(-0.5 * np.max(z * z, axis=1))
+            return np.exp(-0.5 * (z * z).max(axis=1))
 
     def winner(self, x: np.ndarray) -> int:
         """Index of the most activated component; ties go to the lowest index."""
         if self.size == 0:
             raise EmptyModelError("mixture has no components yet")
-        return int(np.argmax(self.activations(x)))
+        return int(self.activations(x).argmax())
 
     def prior_weights(self) -> np.ndarray:
         """Relative support of each component (sums to 1)."""
@@ -165,8 +177,8 @@ class AgmmModel:
     def _log_likelihood(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             z = (x - self.centers) / self.spreads
-            return (-0.5 * np.sum(z * z, axis=1)
-                    - np.sum(np.log(self.spreads), axis=1)
+            return (-0.5 * (z * z).sum(axis=1)
+                    - np.log(self.spreads).sum(axis=1)
                     - 0.5 * self.input_dim * LOG_2PI)
 
     def mixing_coefficients(self, x: np.ndarray) -> np.ndarray:
@@ -178,7 +190,7 @@ class AgmmModel:
         x = self._check_input(x)
         priors = self.prior_weights()
         log_lik = self._log_likelihood(x)
-        peak = np.max(log_lik)
+        peak = log_lik.max()
         if not np.isfinite(peak):
             weights = priors.copy()
         else:
@@ -208,7 +220,7 @@ class AgmmModel:
 
         priors = self.prior_weights()
         log_lik = self._log_likelihood(x)
-        peak = np.max(log_lik)
+        peak = log_lik.max()
         if np.isfinite(peak):
             weights = priors * np.exp(log_lik - peak)
             if weights.sum() <= 0.0:
@@ -225,7 +237,9 @@ class AgmmModel:
 
     def insert(self, x: np.ndarray) -> None:
         """Add a component centred on ``x`` with the initial spread."""
-        x = self._check_input(x)
+        self._insert(self._check_input(x))
+
+    def _insert(self, x: np.ndarray) -> None:
         self.centers = np.vstack([self.centers, x[None, :]])
         self.spreads = np.vstack([self.spreads, np.full((1, self.input_dim), self.init_spread)])
         self.support = np.append(self.support, 1)
@@ -258,6 +272,9 @@ class AgmmModel:
         acts = self.activations(x)
         if acts.size == 0:
             raise EmptyModelError("mixture has no components yet")
+        return self._should_insert(acts, confidence)
+
+    def _should_insert(self, acts: np.ndarray, confidence: float) -> bool:
         if acts.max() >= insertion_threshold(self.input_dim, confidence):
             return False
         return self.vigilance_passes(int(acts.argmax()))
@@ -269,7 +286,9 @@ class AgmmModel:
         distance to the already-moved centre, which keeps the variance
         estimate nonnegative-biased.
         """
-        x = self._check_input(x)
+        self._tune(win, self._check_input(x))
+
+    def _tune(self, win: int, x: np.ndarray) -> None:
         gain = 1.0 / (self.support[win] + 1.0)
         center = self.centers[win] + (x - self.centers[win]) * gain
         variance = self.spreads[win] ** 2
@@ -281,9 +300,11 @@ class AgmmModel:
 
     def observe_label(self, x: np.ndarray, label: int) -> None:
         """Credit ``label`` to the component that wins ``x``."""
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"label {label} outside 0..{self.num_classes - 1}")
+        self._check_label(label)
         self.class_counts[self.winner(x), label] += 1
+
+    def _observe_label(self, x: np.ndarray, label: int) -> None:
+        self.class_counts[int(self._activations(x).argmax()), label] += 1
 
     def prune_inactive(self) -> list[int]:
         """Retire components whose lifetime activity rate fell off the population.
@@ -316,25 +337,31 @@ class AgmmModel:
         """One full streaming step: age, insert-or-tune, prune, credit label.
 
         Returns ``(inserted, pruned_indices)`` so callers can log structural
-        events.  The very first sample bootstraps the mixture.
+        events.  The very first sample bootstraps the mixture.  The sample and
+        the label are checked before any state changes.
         """
         x = self._check_input(x)
+        if label is not None:
+            self._check_label(label)
         if self.size == 0:
-            self.insert(x)
+            self._insert(x)
             if label is not None:
-                self.observe_label(x, label)
+                self._observe_label(x, label)
             return True, []
-        acts = self.activations(x)
+        # Aging leaves centres and spreads as they are, so these activations
+        # also drive the insertion gate.
+        acts = self._activations(x)
         self.lifespan += 1
         self.activity += acts
-        inserted = self.should_insert(x, confidence)
+        inserted = self._should_insert(acts, confidence)
         if inserted:
-            self.insert(x)
+            self._insert(x)
         else:
-            self.tune(int(acts.argmax()), x)
+            self._tune(int(acts.argmax()), x)
         pruned = self.prune_inactive()
         if label is not None:
-            self.observe_label(x, label)
+            # The winner is taken again: the step above moved the mixture.
+            self._observe_label(x, label)
         return inserted, pruned
 
     # -- persistence -------------------------------------------------------

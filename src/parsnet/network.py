@@ -4,6 +4,13 @@ The decoder weight is the transpose of the encoder weight by construction
 (never stored separately), and the encoder weight and bias double as the
 first layer of the classifier.  The hidden layer can grow and shrink at
 runtime; all training is plain per-sample SGD on squared error.
+
+Validation contract: the inference and step methods check their input once,
+on entry (feature count and finiteness, learning rate, target shape); the
+gradient methods they call (``generative_gradients``,
+``discriminative_gradients``) check nothing and trust their input.  The
+step methods run once or more per sample of a stream, so each check is made
+once and in its cheapest form.
 """
 
 from __future__ import annotations
@@ -22,11 +29,13 @@ THETA_KEYS = ("w_in", "b_in", "w_out", "c_out")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -ACTIVATION_CLAMP, ACTIVATION_CLAMP)))
+    # Same values as np.clip, at a fraction of its call overhead.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -ACTIVATION_CLAMP),
+                                           ACTIVATION_CLAMP)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -123,7 +132,7 @@ class Network:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_inputs:
             raise ValueError(f"expected {self.n_inputs} features, got {x.shape[-1]}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("input contains non-finite values")
         return x
 
@@ -169,7 +178,7 @@ class Network:
         delta_out = diff * recon * (1.0 - recon)
         delta_hidden = (self.w_in @ delta_out) * hidden * (1.0 - hidden)
         grads = {
-            "w_in": np.outer(hidden, delta_out) + np.outer(delta_hidden, masked),
+            "w_in": hidden[:, None] * delta_out + delta_hidden[:, None] * masked,
             "b_in": delta_hidden,
             "d": delta_out,
         }
@@ -203,9 +212,9 @@ class Network:
             delta_logits = diff
         delta_hidden = (self.w_out @ delta_logits) * hidden * (1.0 - hidden)
         grads = {
-            "w_in": np.outer(delta_hidden, x),
+            "w_in": delta_hidden[:, None] * x,
             "b_in": delta_hidden,
-            "w_out": np.outer(hidden, delta_logits),
+            "w_out": hidden[:, None] * delta_logits,
             "c_out": delta_logits,
         }
         return loss, grads
@@ -225,10 +234,9 @@ class Network:
             raise ValueError("target must be a one-hot vector over the classes")
         loss, grads = self.discriminative_gradients(x, target)
         if lr > 0.0:
-            params = self.theta()
             for key, grad in grads.items():
-                step = grad if grad_addend is None else grad + grad_addend[key]
-                params[key] -= lr * step
+                param = getattr(self, key)  # updated in place
+                param -= lr * (grad if grad_addend is None else grad + grad_addend[key])
         return loss, grads
 
     # -- structural changes --------------------------------------------------

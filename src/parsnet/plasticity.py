@@ -118,18 +118,16 @@ def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,
     curvature of the output map and may come out slightly negative.
     """
     if phase == "discriminative":
-        def output_map(v):
-            return softmax(v @ net.w_out + net.c_out)
+        squash, weight, offset = softmax, net.w_out, net.c_out
     elif phase == "generative":
-        def output_map(v):
-            return sigmoid(v @ net.w_in + net.d)
+        squash, weight, offset = sigmoid, net.w_in, net.d
     else:
         raise ValueError(f"unknown phase {phase!r}")
-    first = output_map(e_hidden)
-    second = output_map(e_hidden * e_hidden)
+    first = squash(e_hidden @ weight + offset)
+    second = squash((e_hidden * e_hidden) @ weight + offset)
     diff = first - target
     bias_sq = float(diff @ diff)
-    variance = float(np.sum(second - first * first))
+    variance = float((second - first * first).sum())
     return bias_sq, variance
 
 

@@ -86,11 +86,16 @@ class HedgeState:
     gradient counts positive).  Dividing by the squared total movement and
     normalising jointly to unit length yields the importance weights; the
     anchor is the parameter snapshot taken after the last true-label update.
+
+    The importance weights are a pure function of the accumulators, so they
+    are recomputed only after a method that changes the accumulators marks
+    them stale; unlabelled stretches of a stream then reuse them as they are.
     """
 
     def __init__(self, theta: dict[str, np.ndarray], eps: float = 1e-8):
         self.eps = eps
         self.steps = 0
+        self._stale = True
         self.anchor = {key: theta[key].copy() for key in THETA_KEYS}
         self.importance = {key: np.zeros_like(theta[key]) for key in THETA_KEYS}
         self.loss_drop = {key: np.zeros_like(theta[key]) for key in THETA_KEYS}
@@ -109,19 +114,24 @@ class HedgeState:
             self.loss_drop[key] -= delta[key] * grad[key]
             self.movement[key] += np.abs(delta[key])
         self.steps += 1
+        self._stale = True
 
     def refresh_importance(self) -> None:
         """Recompute normalised importance from the accumulators.
 
         Left at zero while no real-label step has been recorded, which keeps
-        the pull inert.
+        the pull inert.  Returns at once when nothing changed since the last
+        recomputation.
         """
+        if not self._stale:
+            return
+        self._stale = False
         total_sq = 0.0
         raw = {}
         for key in THETA_KEYS:
             value = self.loss_drop[key] / (self.movement[key] ** 2 + self.eps)
             raw[key] = value
-            total_sq += float(np.sum(value * value))
+            total_sq += float((value * value).sum())
         norm = math.sqrt(total_sq)
         if norm == 0.0:
             for key in THETA_KEYS:
@@ -161,12 +171,15 @@ class HedgeState:
             self.anchor[key] = np.concatenate([self.anchor[key], fresh.copy()])
             for store in (self.importance, self.loss_drop, self.movement):
                 store[key] = np.concatenate([store[key], np.zeros_like(fresh)])
+        self._stale = True
 
     def prune_hidden(self, keep: np.ndarray) -> None:
         """Drop the rows of removed hidden units from every accumulator."""
         for key in HIDDEN_AXIS_KEYS:
             for store in (self.anchor, self.importance, self.loss_drop, self.movement):
                 store[key] = store[key][keep]
+        # Dropping rows changes the joint norm, so the survivors renormalise.
+        self._stale = True
 
 
 def augment(x: np.ndarray, label: int, rng: np.random.Generator,
@@ -183,5 +196,5 @@ def augment(x: np.ndarray, label: int, rng: np.random.Generator,
         std = IMAGE_NOISE_STD
     else:
         raise ValueError(f"unknown augmentation mode {mode!r}")
-    jittered = np.clip(x + rng.normal(0.0, std, x.shape), 0.0, 1.0)
+    jittered = np.minimum(np.maximum(x + rng.normal(0.0, std, x.shape), 0.0), 1.0)
     return jittered, label

@@ -9,6 +9,15 @@ supervised training (original plus augmented copy, importance bookkeeping,
 discriminative structural checks) or an attempted self-labelled step under
 the hedge pull.  Evaluation is strictly test-then-train: every batch is
 scored with the model state produced by the preceding batches only.
+
+Validation contract: each public entry point checks its input once, before
+any state changes, and private helpers trust their input.  ``train_on_batch``
+checks the shapes and every label of a batch up front and finds its
+non-finite rows with one vectorised mask (those rows are skipped and
+counted); ``train_on_sample`` checks its sample and label.  A rejected input
+raises ``ValueError`` and leaves the learner untouched.  The network and
+mixture methods the learner calls are entry points of their own modules and
+keep their own single checks.
 """
 
 from __future__ import annotations
@@ -298,8 +307,24 @@ class StreamLearner:
                                       monitor.bias_level, monitor.var_level,
                                       self.net.n_hidden, self.mixture.size])
 
+    def _check_label(self, label: int) -> None:
+        if not -1 <= label < self.net.n_classes:
+            raise ValueError(
+                f"label {label} outside -1..{self.net.n_classes - 1} (-1 means unlabelled)")
+
     def train_on_sample(self, x: np.ndarray, label: int) -> None:
-        """Single-pass treatment of one sample (label -1 means unlabelled)."""
+        """Single-pass treatment of one sample (label -1 means unlabelled).
+
+        Raises ``ValueError``, before any state changes, for a sample that is
+        not a finite vector of ``n_inputs`` features or a label outside
+        ``-1..n_classes - 1``.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.net.n_inputs,):
+            raise ValueError(f"expected a sample of shape ({self.net.n_inputs},), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("sample contains non-finite values")
+        self._check_label(label)
         cfg = self.config
         self.samples_seen += 1
         self.counters["samples"] += 1
@@ -360,14 +385,29 @@ class StreamLearner:
                     pseudo.label if pseudo is not None else "", hedge_strength])
 
     def train_on_batch(self, features: np.ndarray, labels: np.ndarray) -> dict:
-        """Train over a batch in arrival order; invalid samples are skipped."""
+        """Train over a batch in arrival order; non-finite samples are skipped
+        and counted.
+
+        Raises ``ValueError``, before any sample is trained on, when the
+        shapes do not match the learner or any label lies outside
+        ``-1..n_classes - 1``.
+        """
         features = np.asarray(features, dtype=float)
         labels = np.asarray(labels, dtype=np.int64)
-        for i in range(features.shape[0]):
-            if not np.all(np.isfinite(features[i])):
+        if features.ndim != 2 or features.shape[1] != self.net.n_inputs:
+            raise ValueError(
+                f"expected features of shape (n, {self.net.n_inputs}), got {features.shape}")
+        if labels.shape != (features.shape[0],):
+            raise ValueError("labels must align with features")
+        if labels.size:
+            self._check_label(int(labels.min()))
+            self._check_label(int(labels.max()))
+        finite = np.isfinite(features).all(axis=1)
+        for x, label, ok in zip(features, labels.tolist(), finite.tolist()):
+            if not ok:
                 self.counters["skipped"] += 1
                 continue
-            self.train_on_sample(features[i], int(labels[i]))
+            self.train_on_sample(x, label)
         return {
             "hidden_nodes": self.net.n_hidden,
             "mixture_size": self.mixture.size,

@@ -456,6 +456,59 @@ def test_update_two_clusters_matches_kmeans_oracle():
         assert gaps.min() <= 0.3, f"no component near {centroid} (best {gaps.min():.3f})"
 
 
+def composed_update(model, x, confidence, label):
+    """``update`` rebuilt from the public methods, as the reference."""
+    if model.size == 0:
+        model.insert(x)
+        if label is not None:
+            model.observe_label(x, label)
+        return True, []
+    acts = model.activations(x)
+    model.lifespan += 1
+    model.activity += acts
+    inserted = model.should_insert(x, confidence)
+    if inserted:
+        model.insert(x)
+    else:
+        model.tune(int(acts.argmax()), x)
+    pruned = model.prune_inactive()
+    if label is not None:
+        model.observe_label(x, label)
+    return inserted, pruned
+
+
+def test_update_equals_public_method_composition():
+    # a drifting 3-class stream: the centre walks and jumps, labels come and go
+    rng = np.random.default_rng(12)
+    fast, reference = AgmmModel(3, 3), AgmmModel(3, 3)
+    inserts = prunes = 0
+    for step in range(3000):
+        centre = np.full(3, 0.2 + step / 6000.0) + (0.4 if (step // 700) % 2 else 0.0)
+        x = centre + rng.normal(0.0, 0.08, 3)
+        confidence = rng.uniform(0.8, 2.0)
+        label = int(rng.integers(3)) if rng.random() < 0.5 else None
+        result = fast.update(x, confidence, label)
+        assert result == composed_update(reference, x, confidence, label), step
+        inserts += result[0]
+        prunes += bool(result[1])
+        for name in ("centers", "spreads", "support", "lifespan", "activity", "class_counts"):
+            assert np.array_equal(getattr(fast, name), getattr(reference, name)), (step, name)
+    assert inserts > 10 and prunes > 10
+
+
+@pytest.mark.parametrize("label", [2, 7, -1])
+def test_update_rejects_bad_label_before_any_change(label):
+    model = build([[0.0], [5.0]], [[1.0], [1.0]])
+    model.update(np.array([0.2]), 2.0, label=0)
+    before = {name: getattr(model, name).copy()
+              for name in ("centers", "spreads", "support", "lifespan", "activity",
+                           "class_counts")}
+    with pytest.raises(ValueError, match=str(label)):
+        model.update(np.array([0.3]), 2.0, label=label)
+    for name, value in before.items():
+        assert np.array_equal(getattr(model, name), value), name
+
+
 # -- persistence --------------------------------------------------------------------
 
 def test_snapshot_round_trip(tmp_path):

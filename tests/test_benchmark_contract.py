@@ -1,0 +1,50 @@
+"""The parts of parsnet that the benchmark in ``perfbench/`` hooks into.
+
+The benchmark times layers by replacing the functions named in
+``perfbench/spans.py`` ``TARGETS`` on their owners, and times samples by
+replacing ``StreamLearner.train_on_sample``.  A rename or a moved method
+would make it fail at run time; these tests fail first.
+"""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+
+from parsnet.stream import RunConfig, StreamLearner
+
+SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_target_exists_on_its_owner():
+    spans = load_spans()
+    assert spans.TARGETS
+    for owner, attribute, name in spans.TARGETS:
+        # Class attributes are looked up in the class's own namespace, as the
+        # benchmark does, so a method moved to a base class is caught too.
+        found = vars(owner).get(attribute) if isinstance(owner, type) else getattr(
+            owner, attribute, None)
+        assert callable(found), f"{name}: {owner!r} has no callable {attribute!r}"
+
+
+def test_train_on_batch_calls_train_on_sample_once_per_trained_sample(monkeypatch):
+    calls = []
+    original = StreamLearner.train_on_sample
+
+    def counted(self, x, label):
+        calls.append(label)
+        return original(self, x, label)
+
+    monkeypatch.setattr(StreamLearner, "train_on_sample", counted)
+    features = np.random.default_rng(0).random((20, 3))
+    features[4, 0] = np.nan
+    labels = np.arange(20) % 3 - 1
+    StreamLearner(3, 2, RunConfig(seed=0)).train_on_batch(features, labels)
+    assert calls == [label for i, label in enumerate(labels.tolist()) if i != 4]

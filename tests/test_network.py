@@ -246,6 +246,55 @@ def test_pull_only_step_moves_toward_anchor():
     assert all(after[k] < before[k] for k in anchor)
 
 
+@pytest.mark.parametrize("mask_fraction", [0.0, 0.4])
+def test_generative_step_is_sgd_on_its_gradients(mask_fraction):
+    # bit-for-bit: param - lr * grad, with the same mask drawn from a twin generator
+    rng = np.random.default_rng(31)
+    net = random_net(rng, n_inputs=6, n_hidden=4)
+    for seed in range(20):
+        x, lr = rng.random(6), 0.05
+        masked = mask_input(x, mask_fraction, np.random.default_rng(seed))
+        error, grads = net.generative_gradients(x, masked)
+        expected = {key: getattr(net, key) - lr * grads[key] for key in grads}
+        assert net.generative_step(x, lr, mask_fraction, np.random.default_rng(seed)) == error
+        for key, value in expected.items():
+            assert np.array_equal(getattr(net, key), value), key
+
+
+@pytest.mark.parametrize("with_addend", [False, True])
+@pytest.mark.parametrize("loss", ["cross_entropy", "squared"])
+def test_discriminative_step_is_sgd_on_its_gradients(with_addend, loss):
+    rng = np.random.default_rng(32)
+    net = random_net(rng)
+    net.loss = loss
+    for _ in range(20):
+        x, target, lr = rng.random(5), np.eye(3)[rng.integers(3)], 0.05
+        addend = ({key: rng.normal(0.0, 1.0, value.shape) for key, value in net.theta().items()}
+                  if with_addend else None)
+        loss_value, grads = net.discriminative_gradients(x, target)
+        expected = {key: net.theta()[key] - lr * (grads[key] + addend[key] if addend else grads[key])
+                    for key in grads}
+        step_loss, step_grads = net.discriminative_step(x, target, lr, grad_addend=addend)
+        assert step_loss == loss_value
+        for key, value in expected.items():
+            assert np.array_equal(step_grads[key], grads[key]), key
+            assert np.array_equal(net.theta()[key], value), key
+
+
+def test_weight_gradients_equal_outer_products():
+    rng = np.random.default_rng(33)
+    net = random_net(rng)
+    x, masked = rng.random(5), rng.random(5)
+    hidden = sigmoid(net.w_in @ x + net.b_in)
+    _, grads = net.discriminative_gradients(x, np.eye(3)[2])
+    assert np.array_equal(grads["w_in"], np.outer(grads["b_in"], x))
+    assert np.array_equal(grads["w_out"], np.outer(hidden, grads["c_out"]))
+    _, grads = net.generative_gradients(x, masked)
+    hidden = sigmoid(net.w_in @ masked + net.b_in)
+    assert np.array_equal(grads["w_in"],
+                          np.outer(hidden, grads["d"]) + np.outer(grads["b_in"], masked))
+
+
 # -- structural changes --------------------------------------------------------------------
 
 def test_add_nodes_counts():
@@ -370,6 +419,13 @@ def test_sigmoid_saturates_without_overflow():
     assert 0.0 < values[0] < 1e-12
     assert values[1] == 0.5
     assert 1.0 - 1e-12 < values[2] < 1.0
+
+
+def test_sigmoid_equals_clipped_reference():
+    z = np.concatenate([np.linspace(-40.0, 40.0, 801), [-np.inf, np.inf, -30.0, 30.0]])
+    reference = 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
+    assert np.array_equal(sigmoid(z), reference)
+    assert np.isnan(sigmoid(np.array([np.nan]))).all()
 
 
 def test_softmax_rows_sum_to_one():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from parsnet.network import Network, normalized_top2
+from parsnet.network import THETA_KEYS, Network, normalized_top2
 from parsnet.slash import (ACCEPTED, DISAGREEMENT, LOW_CONFIDENCE,
                            UNAVAILABLE, HedgeState, ReconScaler, augment,
                            propose_label)
@@ -215,6 +215,46 @@ def test_prune_hidden_drops_matching_rows():
     hedge.pull(net.theta(), strength=1.0)
 
 
+def importance_from_scratch(hedge):
+    """The normalised importance recomputed from copies of the accumulators."""
+    raw, total_sq = {}, 0.0
+    for key in THETA_KEYS:
+        value = hedge.loss_drop[key].copy() / (hedge.movement[key].copy() ** 2 + hedge.eps)
+        raw[key] = value
+        total_sq += float(np.sum(value * value))
+    norm = math.sqrt(total_sq)
+    return {key: np.zeros_like(value) if norm == 0.0 else value / norm
+            for key, value in raw.items()}
+
+
+def test_cached_importance_equals_recomputation_after_mixed_changes():
+    rng = np.random.default_rng(5)
+    net = Network(4, 3, 3, rng)
+    hedge = HedgeState.for_network(net)
+    ops = rng.choice(["record", "grow", "prune", "refresh"], size=400, p=[0.3, 0.1, 0.2, 0.4])
+    # every kind of change is followed by a refresh at least once
+    ops = np.concatenate([["refresh", "grow", "refresh", "record", "refresh",
+                           "prune", "refresh", "refresh"], ops])
+    for op in ops:
+        if op == "record":
+            _, grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], 0.1)
+            hedge.record_step({k: -0.1 * g for k, g in grads.items()}, grads)
+        elif op == "grow" and net.n_hidden < 12:
+            prev = net.n_hidden
+            net.add_nodes(int(rng.integers(1, 3)), rng)
+            hedge.grow_hidden(net.theta(), prev)
+        elif op == "prune" and net.n_hidden > 1:
+            doomed = [int(rng.integers(net.n_hidden))]
+            keep = np.setdiff1d(np.arange(net.n_hidden), doomed)
+            net.prune_nodes(doomed)
+            hedge.prune_hidden(keep)
+        elif op == "refresh":
+            hedge.refresh_importance()
+            expected = importance_from_scratch(hedge)
+            for key in THETA_KEYS:
+                assert np.array_equal(hedge.importance[key], expected[key]), (op, key)
+
+
 # -- augmentation ----------------------------------------------------------------------
 
 def test_augment_keeps_label_and_range():
@@ -251,6 +291,13 @@ def test_augment_clips_at_the_borders():
     jittered, _ = augment(x, 0, rng, mode="image")
     assert np.all(jittered >= 0.0)
     assert (jittered == 0.0).sum() > 10  # negative jitter clipped away
+
+
+def test_augment_equals_clipped_reference():
+    x = np.linspace(0.0, 1.0, 50)
+    jittered, _ = augment(x, 0, np.random.default_rng(4), mode="image")
+    noise = np.random.default_rng(4).normal(0.0, 33.0 / 255.0, x.shape)
+    assert np.array_equal(jittered, np.clip(x + noise, 0.0, 1.0))
 
 
 def test_augment_rejects_unknown_mode():

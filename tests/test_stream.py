@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,56 @@ def test_invalid_samples_are_skipped_and_counted():
     learner.train_on_batch(feats, labels)
     assert learner.counters["skipped"] == 2
     assert learner.counters["samples"] == 48
+
+
+def warmed_learner(**config):
+    """A learner that has trained on one mixed batch (mixture and hedge in use)."""
+    rng = np.random.default_rng(1)
+    learner = StreamLearner(3, 2, RunConfig(seed=0, **config))
+    labels = rng.integers(0, 2, 60)
+    labels[::3] = -1
+    learner.train_on_batch(rng.random((60, 3)), labels)
+    return learner
+
+
+def learner_state(learner):
+    """Every parameter, accumulator, counter and the generator state, as bytes."""
+    return pickle.dumps(learner.__dict__)
+
+
+@pytest.mark.parametrize("agmm_off", [False, True])
+@pytest.mark.parametrize("bad", [2, 9, -2])
+def test_out_of_range_label_rejected_before_any_state_change(bad, agmm_off):
+    learner = warmed_learner(agmm_off=agmm_off)
+    before = learner_state(learner)
+    labels = np.array([0, 1, -1, bad, 0])
+    with pytest.raises(ValueError, match=f"label {bad} "):
+        learner.train_on_batch(np.full((5, 3), 0.5), labels)
+    assert learner_state(learner) == before
+    with pytest.raises(ValueError, match=f"label {bad} "):
+        learner.train_on_sample(np.full(3, 0.5), bad)
+    assert learner_state(learner) == before
+
+
+@pytest.mark.parametrize("x", [np.array([0.5, np.nan, 0.5]), np.array([0.5, np.inf, 0.5]),
+                               np.full(4, 0.5), np.full((1, 3), 0.5)])
+def test_bad_sample_rejected_before_counters_move(x):
+    learner = warmed_learner()
+    before = learner_state(learner)
+    with pytest.raises(ValueError):
+        learner.train_on_sample(x, 1)
+    assert learner_state(learner) == before
+    assert learner.counters["samples"] == learner.samples_seen == 60
+
+
+def test_batch_shape_mismatch_rejected_before_any_state_change():
+    learner = warmed_learner()
+    before = learner_state(learner)
+    with pytest.raises(ValueError):
+        learner.train_on_batch(np.full((5, 4), 0.5), np.zeros(5, dtype=np.int64))
+    with pytest.raises(ValueError):
+        learner.train_on_batch(np.full((5, 3), 0.5), np.zeros(4, dtype=np.int64))
+    assert learner_state(learner) == before
 
 
 def test_seed_determinism_bit_identical():

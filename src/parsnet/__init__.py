@@ -9,11 +9,11 @@ labels.  A prequential harness covers the sporadic-label and first-batch-
 only label protocols.
 """
 
-from .agmm import (AgmmModel, EmptyModelError, GaussianComponent,
-                   NoClassEvidenceError, activation, insertion_threshold)
+from .agmm import (AgmmModel, EmptyModelError, NoClassEvidenceError,
+                   insertion_threshold)
 from .cli import (ConfigError, ExperimentConfig, gen_hyperplane, gen_sea,
                   load_csv, run_experiment)
-from .network import ForwardCache, Network, mask_input, normalized_top2
+from .network import Network, mask_input, normalized_top2
 from .plasticity import (PhaseMonitor, RunningStat, bias_variance,
                          expected_hidden, prune_candidates)
 from .slash import (HedgeState, PseudoLabel, ReconScaler, augment,
@@ -25,9 +25,8 @@ from .stream import (Batch, RunConfig, RunMetrics, StreamLearner,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgmmModel", "GaussianComponent", "EmptyModelError", "NoClassEvidenceError",
-    "activation", "insertion_threshold",
-    "Network", "ForwardCache", "mask_input", "normalized_top2",
+    "AgmmModel", "EmptyModelError", "NoClassEvidenceError", "insertion_threshold",
+    "Network", "mask_input", "normalized_top2",
     "PhaseMonitor", "RunningStat", "bias_variance", "expected_hidden",
     "prune_candidates",
     "HedgeState", "PseudoLabel", "ReconScaler", "augment", "propose_label",

@@ -22,17 +22,13 @@ one check per sample, and a rejected sample leaves the mixture untouched.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 # Variance floor: tuning on a near-constant stream collapses the spread,
 # and both activation and likelihood divide by it.
 VARIANCE_FLOOR = 1e-8
-
-SNAPSHOT_MAGIC = b"AGMM1"
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -43,36 +39,6 @@ class EmptyModelError(RuntimeError):
 
 class NoClassEvidenceError(RuntimeError):
     """Class posterior requested before any label has been observed."""
-
-
-@dataclass
-class GaussianComponent:
-    """One diagonal-covariance component of the mixture.
-
-    ``spread`` holds per-dimension standard deviations and stays strictly
-    positive.  ``activity_sum`` accumulates the component's activation over
-    its ``lifespan``, so ``0 <= activity_sum <= lifespan`` always holds.
-    """
-
-    center: np.ndarray
-    spread: np.ndarray
-    support: int = 1
-    lifespan: int = 0
-    activity_sum: float = 0.0
-    class_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-
-def activation(component: GaussianComponent, x: np.ndarray) -> float:
-    """Proximity of ``x`` to a component: the worst per-dimension Gaussian kernel.
-
-    Returns a value in (0, 1], reaching 1 exactly when ``x`` sits on the
-    centre in every dimension.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("activation: input contains non-finite values")
-    z = (x - component.center) / component.spread
-    return float(np.exp(-0.5 * np.max(z * z)))
 
 
 def insertion_threshold(dim: int, confidence: float) -> float:
@@ -92,9 +58,11 @@ def insertion_threshold(dim: int, confidence: float) -> float:
 class AgmmModel:
     """Online mixture with insertion, winner tuning and activity pruning.
 
-    Component state is stored as stacked arrays (one row per component) so
-    the per-sample operations stay vectorised; :meth:`component` exposes a
-    row as a :class:`GaussianComponent` view for inspection.
+    Component state is stored as stacked arrays, one row per component, so
+    the per-sample operations stay vectorised.  ``spreads`` holds
+    per-dimension standard deviations and stays strictly positive;
+    ``activity`` accumulates each component's activation over its
+    ``lifespan``, so ``0 <= activity <= lifespan`` always holds.
     """
 
     def __init__(self, input_dim: int, num_classes: int,
@@ -122,21 +90,6 @@ class AgmmModel:
     def size(self) -> int:
         return self.centers.shape[0]
 
-    def component(self, index: int) -> GaussianComponent:
-        """Read view of one component (arrays are row views, counters copies)."""
-        return GaussianComponent(
-            center=self.centers[index],
-            spread=self.spreads[index],
-            support=int(self.support[index]),
-            lifespan=int(self.lifespan[index]),
-            activity_sum=float(self.activity[index]),
-            class_counts=self.class_counts[index],
-        )
-
-    @property
-    def components(self) -> list[GaussianComponent]:
-        return [self.component(i) for i in range(self.size)]
-
     # -- scoring -----------------------------------------------------------
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
@@ -152,7 +105,12 @@ class AgmmModel:
             raise ValueError(f"label {label} outside 0..{self.num_classes - 1}")
 
     def activations(self, x: np.ndarray) -> np.ndarray:
-        """Activation of every component for ``x`` (empty array when size is 0)."""
+        """Activation of every component for ``x`` (empty array when size is 0).
+
+        A component's activation is its worst per-dimension Gaussian kernel,
+        a value in (0, 1] that reaches 1 exactly when ``x`` sits on the
+        centre in every dimension.
+        """
         return self._activations(self._check_input(x))
 
     def _activations(self, x: np.ndarray) -> np.ndarray:
@@ -181,22 +139,26 @@ class AgmmModel:
                     - np.log(self.spreads).sum(axis=1)
                     - 0.5 * self.input_dim * LOG_2PI)
 
+    def _weighted_likelihoods(self, x: np.ndarray) -> np.ndarray:
+        """Prior-weighted likelihoods of ``x``, unnormalised, scaled by the
+        largest likelihood; the support-based priors when every likelihood
+        underflows to zero."""
+        priors = self.prior_weights()
+        log_lik = self._log_likelihood(x)
+        peak = log_lik.max()
+        if not np.isfinite(peak):
+            return priors
+        # The largest term is its prior times exp(0), so the sum stays positive.
+        return priors * np.exp(log_lik - peak)
+
     def mixing_coefficients(self, x: np.ndarray) -> np.ndarray:
         """Posterior component responsibilities for ``x``; always sums to 1.
 
         When every likelihood underflows to zero the support-based priors
         are returned instead, preserving the partition of unity.
         """
-        x = self._check_input(x)
-        priors = self.prior_weights()
-        log_lik = self._log_likelihood(x)
-        peak = log_lik.max()
-        if not np.isfinite(peak):
-            weights = priors.copy()
-        else:
-            weights = priors * np.exp(log_lik - peak)
-            total = weights.sum()
-            weights = weights / total if total > 0.0 else priors.copy()
+        weights = self._weighted_likelihoods(self._check_input(x))
+        weights = weights / weights.sum()
         if abs(weights.sum() - 1.0) > 1e-9:
             raise AssertionError("mixing coefficients lost the partition of unity")
         return weights
@@ -218,16 +180,7 @@ class AgmmModel:
         seen = totals > 0
         conditionals[seen] = self.class_counts[seen] / totals[seen, None]
 
-        priors = self.prior_weights()
-        log_lik = self._log_likelihood(x)
-        peak = log_lik.max()
-        if np.isfinite(peak):
-            weights = priors * np.exp(log_lik - peak)
-            if weights.sum() <= 0.0:
-                weights = priors
-        else:
-            weights = priors
-        scores = weights @ conditionals
+        scores = self._weighted_likelihoods(x) @ conditionals
         posterior = scores / scores.sum()
         if abs(posterior.sum() - 1.0) > 1e-9:
             raise AssertionError("class posterior lost the partition of unity")
@@ -363,37 +316,3 @@ class AgmmModel:
             # The winner is taken again: the step above moved the mixture.
             self._observe_label(x, label)
         return inserted, pruned
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write a versioned snapshot that round-trips bit-exactly."""
-        meta = {
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "init_spread": self.init_spread,
-            "prune_grace": self.prune_grace,
-        }
-        with open(path, "wb") as fh:
-            fh.write(SNAPSHOT_MAGIC + b"\n")
-            fh.write(json.dumps(meta).encode() + b"\n")
-            for arr in (self.centers, self.spreads, self.support,
-                        self.lifespan, self.activity, self.class_counts):
-                np.save(fh, arr)
-
-    @classmethod
-    def load(cls, path) -> "AgmmModel":
-        with open(path, "rb") as fh:
-            magic = fh.readline().strip()
-            if magic != SNAPSHOT_MAGIC:
-                raise ValueError(f"not a mixture snapshot (magic {magic!r})")
-            meta = json.loads(fh.readline().decode())
-            model = cls(meta["input_dim"], meta["num_classes"],
-                        meta["init_spread"], meta["prune_grace"])
-            model.centers = np.load(fh, allow_pickle=False)
-            model.spreads = np.load(fh, allow_pickle=False)
-            model.support = np.load(fh, allow_pickle=False)
-            model.lifespan = np.load(fh, allow_pickle=False)
-            model.activity = np.load(fh, allow_pickle=False)
-            model.class_counts = np.load(fh, allow_pickle=False)
-        return model

@@ -30,7 +30,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment needs; every field has a flag."""
+    """Everything one experiment needs.
+
+    Every field but ``run`` has a flag.  In ``run``, the learner's
+    hyperparameters have flags too; its seed, ablation switches and log
+    paths are set per seed from ``seeds``, ``ablate``, ``trace`` and
+    ``audit``, and ``freeze_after_first`` keeps its default.
+    """
 
     data: str | None = None
     gen: str | None = None
@@ -44,21 +50,17 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     ablate: list[str] = field(default_factory=list)
     out: str = "runs"
-    agmm_conf: float = 0.55
-    net_conf: float = 0.6
-    init_spread: float = 0.1
-    lr_gen: float = 0.01
-    lr_disc: float = 0.001
-    loss: str = "cross_entropy"
-    mask_frac: float = 0.1
-    prune_grace: int = 40
-    prune_holdoff: int = 1000
-    hedge_eps: float = 1e-8
-    init_nodes: int = 1
-    max_hidden: int = 1024
-    augment_mode: str = "tabular"
     trace: bool = False
     audit: bool = False
+    run: RunConfig = field(default_factory=RunConfig)
+
+
+# The RunConfig field that each hyperparameter flag and config key sets.
+_RUN_FLAGS = {name: name for name in (
+    "agmm_conf", "net_conf", "init_spread", "lr_gen", "lr_disc", "loss",
+    "prune_grace", "prune_holdoff", "hedge_eps", "init_nodes", "max_hidden",
+    "augment_mode")} | {"mask_frac": "mask_fraction"}
+_EXPERIMENT_KEYS = {entry.name for entry in fields(ExperimentConfig)} - {"run"}
 
 
 # -- data sources ------------------------------------------------------------
@@ -150,27 +152,14 @@ def _scenario_for_seed(cfg: ExperimentConfig, batches: list[Batch], seed: int):
 
 
 def _run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
-    out = cfg.out
-    return RunConfig(
+    return replace(
+        cfg.run,
         seed=seed,
-        agmm_conf=cfg.agmm_conf,
-        net_conf=cfg.net_conf,
-        init_spread=cfg.init_spread,
-        lr_gen=cfg.lr_gen,
-        lr_disc=cfg.lr_disc,
-        loss=cfg.loss,
-        mask_fraction=cfg.mask_frac,
-        prune_grace=cfg.prune_grace,
-        prune_holdoff=cfg.prune_holdoff,
-        hedge_eps=cfg.hedge_eps,
-        init_nodes=cfg.init_nodes,
-        max_hidden=cfg.max_hidden,
-        augment_mode=cfg.augment_mode,
         agmm_off="agmm" in cfg.ablate,
         evolve_off="evolve" in cfg.ablate,
         slash_off="slash" in cfg.ablate,
-        trace_path=os.path.join(out, f"trace_seed{seed}.csv") if cfg.trace else None,
-        audit_path=os.path.join(out, f"audit_seed{seed}.csv") if cfg.audit else None,
+        trace_path=os.path.join(cfg.out, f"trace_seed{seed}.csv") if cfg.trace else None,
+        audit_path=os.path.join(cfg.out, f"audit_seed{seed}.csv") if cfg.audit else None,
     )
 
 
@@ -285,10 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_BOOL_FIELDS = {"trace", "audit"}
-_LIST_FIELDS = {"seeds", "ablate"}
-
-
 def parse_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -305,58 +290,63 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+# Keys whose default is None, which names no type.
+_NONE_DEFAULT_TYPES = {"data": str, "gen": str, "gen_size": int}
+
+
+def _slot(cfg: ExperimentConfig, name: str):
+    """The object and the attribute that a flag or config key sets."""
+    if name in _RUN_FLAGS:
+        return cfg.run, _RUN_FLAGS[name]
+    if name in _EXPERIMENT_KEYS:
+        return cfg, name
+    raise ConfigError(f"unknown config key {name!r}")
+
+
+def _parse(name: str, kind, text: str):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: malformed value {text!r}") from exc
+
+
 def _coerce(name: str, value):
-    """Turn a config-file string into the field's type."""
+    """Turn a string from the config file or a flag into the type of the
+    field that the key sets."""
     if not isinstance(value, str):
         return value
-    if name in _LIST_FIELDS:
-        parts = [p for p in value.replace(",", " ").split() if p]
-        return [int(p) for p in parts] if name == "seeds" else parts
-    if name in _BOOL_FIELDS:
+    default = getattr(*_slot(ExperimentConfig(), name))
+    if isinstance(default, list):
+        parts = value.replace(",", " ").split()
+        return [_parse(name, int, p) for p in parts] if name == "seeds" else parts
+    if isinstance(default, bool):
         return value.lower() in ("1", "true", "yes", "on")
-    for entry in fields(ExperimentConfig):
-        if entry.name == name:
-            kind = {"data": str, "gen": str, "gen_size": int, "scenario": str,
-                    "out": str, "augment_mode": str}.get(name)
-            if kind is None:
-                kind = type(entry.default) if entry.default is not None else str
-            return kind(value)
-    raise ConfigError(f"unknown config key {name!r}")
+    return _parse(name, _NONE_DEFAULT_TYPES.get(name, type(default)), value)
 
 
 def merge_config(file_values: dict, cli_values: dict) -> ExperimentConfig:
     """Defaults, overridden by config-file values, overridden by flags."""
     cfg = ExperimentConfig()
-    known = {entry.name for entry in fields(ExperimentConfig)}
-    for name, value in file_values.items():
-        if name not in known:
-            raise ConfigError(f"unknown config key {name!r}")
-        cfg = replace(cfg, **{name: _coerce(name, value)})
-    for name, value in cli_values.items():
-        if value is None:
-            continue
-        if name == "seeds" and isinstance(value, str):
-            value = _coerce("seeds", value)
-        cfg = replace(cfg, **{name: value})
+    flags = {name: value for name, value in cli_values.items() if value is not None}
+    for name, value in {**file_values, **flags}.items():
+        target, attribute = _slot(cfg, name)
+        setattr(target, attribute, _coerce(name, value))
     if not cli_values.get("seeds") and "seeds" not in file_values:
         env_seed = os.environ.get("PARSNET_SEED")
         if env_seed:
-            cfg = replace(cfg, seeds=[int(env_seed)])
+            cfg.seeds = [_parse("PARSNET_SEED", int, env_seed)]
     return cfg
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cli_values = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        file_values = parse_config_file(args.config) if args.config else {}
-        cli_values = {name: getattr(args, name.replace("-", "_"), None)
-                      for name in (entry.name for entry in fields(ExperimentConfig))}
-        if args.ablate:
-            cli_values["ablate"] = list(args.ablate)
+        config_path = cli_values.pop("config")
+        file_values = parse_config_file(config_path) if config_path else {}
         cfg = merge_config(file_values, cli_values)
         status, _ = run_experiment(cfg)
         return status

@@ -15,12 +15,7 @@ once and in its cheapest form.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
-
-SNAPSHOT_MAGIC = b"PNET1"
 
 # Pre-activation clamp before exponentiation; saturates without overflow.
 ACTIVATION_CLAMP = 30.0
@@ -66,17 +61,6 @@ def normalized_top2(probs: np.ndarray) -> float:
     return float(top[1] / (top[0] + top[1]))
 
 
-@dataclass
-class ForwardCache:
-    """Intermediate results of one forward pass."""
-
-    masked: np.ndarray        # corrupted input fed to the generative path
-    hidden: np.ndarray        # encoder activations of the masked input
-    recon: np.ndarray         # decoded reconstruction
-    probs: np.ndarray         # class probabilities (computed on the clean input)
-    hidden_clean: np.ndarray  # encoder activations of the clean input
-
-
 LOSSES = ("cross_entropy", "squared")
 
 
@@ -88,8 +72,7 @@ class Network:
     """
 
     def __init__(self, n_inputs: int, n_classes: int, n_hidden: int = 1,
-                 rng: np.random.Generator | None = None, loss: str = "cross_entropy",
-                 check_finite: bool = False):
+                 rng: np.random.Generator | None = None, loss: str = "cross_entropy"):
         if n_inputs < 1:
             raise ValueError("n_inputs must be >= 1")
         if n_classes < 2:
@@ -102,7 +85,6 @@ class Network:
         self.n_inputs = n_inputs
         self.n_classes = n_classes
         self.loss = loss
-        self.check_finite = check_finite
         self.w_in = self._xavier(rng, (n_hidden, n_inputs), n_inputs, n_hidden)
         self.b_in = np.zeros(n_hidden)
         self.d = np.zeros(n_inputs)
@@ -123,9 +105,6 @@ class Network:
         return {"w_in": self.w_in, "b_in": self.b_in,
                 "w_out": self.w_out, "c_out": self.c_out}
 
-    def theta_copy(self) -> dict[str, np.ndarray]:
-        return {key: value.copy() for key, value in self.theta().items()}
-
     # -- inference ---------------------------------------------------------
 
     def _check_input(self, x) -> np.ndarray:
@@ -135,23 +114,6 @@ class Network:
         if not np.isfinite(x).all():
             raise ValueError("input contains non-finite values")
         return x
-
-    def forward(self, x: np.ndarray, mask_fraction: float = 0.0,
-                rng: np.random.Generator | None = None) -> ForwardCache:
-        x = self._check_input(x)
-        masked = mask_input(x, mask_fraction, rng) if mask_fraction > 0.0 else x
-        hidden = sigmoid(self.w_in @ masked + self.b_in)
-        recon = sigmoid(hidden @ self.w_in + self.d)
-        if masked is x:
-            hidden_clean = hidden
-        else:
-            hidden_clean = sigmoid(self.w_in @ x + self.b_in)
-        probs = softmax(hidden_clean @ self.w_out + self.c_out)
-        if self.check_finite:
-            for name, value in (("hidden", hidden), ("recon", recon), ("probs", probs)):
-                if not np.all(np.isfinite(value)):
-                    raise FloatingPointError(f"non-finite values in {name} layer")
-        return ForwardCache(masked, hidden, recon, probs, hidden_clean)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = self._check_input(x)
@@ -265,33 +227,3 @@ class Network:
         self.w_in = self.w_in[keep]
         self.b_in = self.b_in[keep]
         self.w_out = self.w_out[keep]
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        meta = {"n_inputs": self.n_inputs, "n_classes": self.n_classes,
-                "loss": self.loss}
-        with open(path, "wb") as fh:
-            fh.write(SNAPSHOT_MAGIC + b"\n")
-            fh.write(json.dumps(meta).encode() + b"\n")
-            for arr in (self.w_in, self.b_in, self.d, self.w_out, self.c_out):
-                np.save(fh, arr)
-
-    @classmethod
-    def load(cls, path) -> "Network":
-        with open(path, "rb") as fh:
-            magic = fh.readline().strip()
-            if magic != SNAPSHOT_MAGIC:
-                raise ValueError(f"not a network snapshot (magic {magic!r})")
-            meta = json.loads(fh.readline().decode())
-            net = cls.__new__(cls)
-            net.n_inputs = meta["n_inputs"]
-            net.n_classes = meta["n_classes"]
-            net.loss = meta.get("loss", "cross_entropy")
-            net.check_finite = False
-            net.w_in = np.load(fh, allow_pickle=False)
-            net.b_in = np.load(fh, allow_pickle=False)
-            net.d = np.load(fh, allow_pickle=False)
-            net.w_out = np.load(fh, allow_pickle=False)
-            net.c_out = np.load(fh, allow_pickle=False)
-        return net

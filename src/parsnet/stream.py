@@ -266,9 +266,6 @@ class StreamLearner:
 
     # -- inference -----------------------------------------------------------
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return self.net.predict_batch(features)
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.argmax(self.net.predict_batch(features), axis=1)
 
@@ -424,20 +421,22 @@ def prequential_run(config: RunConfig, scenario: StreamScenario) -> RunMetrics:
     confusion = np.zeros((scenario.num_classes, scenario.num_classes), dtype=np.int64)
     batch_accuracy, hidden, sizes, pseudo, cumtime = [], [], [], [], []
     started = time.perf_counter()
-    for index, batch in enumerate(batches):
-        if batch.features.shape[1] != n_inputs:
-            raise ValueError(
-                f"batch {index} has {batch.features.shape[1]} features, expected {n_inputs}")
-        predictions = learner.predict(batch.features)
-        batch_accuracy.append(float(np.mean(predictions == batch.truth)))
-        np.add.at(confusion, (batch.truth, predictions), 1)
-        if not (config.freeze_after_first and index >= 1):
-            learner.train_on_batch(batch.features, batch.labels)
-        hidden.append(learner.net.n_hidden)
-        sizes.append(learner.mixture.size)
-        pseudo.append(learner.pseudo_count)
-        cumtime.append(time.perf_counter() - started)
-    learner.close()
+    try:
+        for index, batch in enumerate(batches):
+            if batch.features.shape[1] != n_inputs:
+                raise ValueError(
+                    f"batch {index} has {batch.features.shape[1]} features, expected {n_inputs}")
+            predictions = learner.predict(batch.features)
+            batch_accuracy.append(float(np.mean(predictions == batch.truth)))
+            np.add.at(confusion, (batch.truth, predictions), 1)
+            if not (config.freeze_after_first and index >= 1):
+                learner.train_on_batch(batch.features, batch.labels)
+            hidden.append(learner.net.n_hidden)
+            sizes.append(learner.mixture.size)
+            pseudo.append(learner.pseudo_count)
+            cumtime.append(time.perf_counter() - started)
+    finally:
+        learner.close()
     precision, recall = precision_recall(confusion)
     return RunMetrics(
         batch_accuracy=batch_accuracy,

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.cluster.vq import kmeans2
 
-from parsnet.agmm import (AgmmModel, EmptyModelError, GaussianComponent,
-                          NoClassEvidenceError, activation,
+from parsnet.agmm import (AgmmModel, EmptyModelError, NoClassEvidenceError,
                           insertion_threshold)
-
-
-def comp(center, spread, **kw):
-    return GaussianComponent(np.asarray(center, float), np.asarray(spread, float), **kw)
 
 
 def build(centers, spreads, support=None, num_classes=2, **kw):
@@ -30,24 +25,30 @@ def build(centers, spreads, support=None, num_classes=2, **kw):
 
 # -- activation ---------------------------------------------------------------
 
+def activation(center, spread, x):
+    """Activation of ``x`` on a one-component mixture."""
+    (value,) = build([center], [spread]).activations(np.asarray(x, float))
+    return value
+
+
 def test_activation_at_center_is_one():
-    assert activation(comp([0.3, -1.0], [0.2, 2.0]), np.array([0.3, -1.0])) == 1.0
+    assert activation([0.3, -1.0], [0.2, 2.0], [0.3, -1.0]) == 1.0
 
 
 def test_activation_one_dim():
-    assert activation(comp([0.0], [1.0]), np.array([1.0])) == pytest.approx(math.exp(-0.5))
+    assert activation([0.0], [1.0], [1.0]) == pytest.approx(math.exp(-0.5))
 
 
 def test_activation_takes_worst_dimension():
     # per-dimension factors exp(-0.5) and exp(-0.125); the min wins
-    value = activation(comp([0.0, 0.0], [1.0, 2.0]), np.array([1.0, 1.0]))
+    value = activation([0.0, 0.0], [1.0, 2.0], [1.0, 1.0])
     assert value == pytest.approx(math.exp(-0.5))
     assert value < math.exp(-0.125)
 
 
 def test_activation_rejects_non_finite():
     with pytest.raises(ValueError):
-        activation(comp([0.0], [1.0]), np.array([np.nan]))
+        activation([0.0], [1.0], [np.nan])
 
 
 @settings(max_examples=100, deadline=None)
@@ -57,7 +58,7 @@ def test_activation_rejects_non_finite():
     spread_exp=arrays(float, 3, elements=st.floats(-0.5, 1)),
 )
 def test_activation_bounds(center, x, spread_exp):
-    value = activation(comp(center, 10.0 ** spread_exp), x)
+    value = activation(center, 10.0 ** spread_exp, x)
     assert 0.0 < value <= 1.0
     if np.array_equal(x, center):
         assert value == 1.0
@@ -178,7 +179,7 @@ def test_insert_then_activation_is_one():
     model = AgmmModel(2, 2)
     x = np.array([0.7, -0.1])
     model.insert(x)
-    assert activation(model.component(0), x) == 1.0
+    assert model.activations(x).tolist() == [1.0]
 
 
 def test_tune_midpoint_of_two_samples():
@@ -294,6 +295,13 @@ def test_class_posterior_two_components_matches_direct_formula():
     expected = raw / raw.sum()
     assert model.class_posterior(x) == pytest.approx(expected.tolist())
     assert model.class_posterior(x)[0] > 0.99
+
+
+def test_class_posterior_underflow_falls_back_to_priors():
+    model = build([[0.0], [1.0]], [[1e-300], [1e-300]], support=[3, 1])
+    model.class_counts[0] = [4, 0]
+    model.class_counts[1] = [0, 4]
+    assert model.class_posterior(np.array([0.5])) == pytest.approx([0.75, 0.25])
 
 
 def test_class_posterior_uniform_for_unlabelled_component():
@@ -507,27 +515,3 @@ def test_update_rejects_bad_label_before_any_change(label):
         model.update(np.array([0.3]), 2.0, label=label)
     for name, value in before.items():
         assert np.array_equal(getattr(model, name), value), name
-
-
-# -- persistence --------------------------------------------------------------------
-
-def test_snapshot_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    model = AgmmModel(3, 4, init_spread=0.2, prune_grace=15)
-    for _ in range(200):
-        model.update(rng.normal(size=3), 1.5,
-                     label=int(rng.integers(0, 4)) if rng.random() < 0.3 else None)
-    path = tmp_path / "mixture.bin"
-    model.save(path)
-    clone = AgmmModel.load(path)
-    assert clone.input_dim == 3 and clone.num_classes == 4
-    assert clone.init_spread == 0.2 and clone.prune_grace == 15
-    for name in ("centers", "spreads", "support", "lifespan", "activity", "class_counts"):
-        assert np.array_equal(getattr(clone, name), getattr(model, name)), name
-
-
-def test_snapshot_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bogus.bin"
-    path.write_bytes(b"NOPE1\n{}\n")
-    with pytest.raises(ValueError):
-        AgmmModel.load(path)

@@ -1,30 +1,35 @@
 """The parts of parsnet that the benchmark in ``perfbench/`` hooks into.
 
 The benchmark times layers by replacing the functions named in
-``perfbench/spans.py`` ``TARGETS`` on their owners, and times samples by
-replacing ``StreamLearner.train_on_sample``.  A rename or a moved method
-would make it fail at run time; these tests fail first.
+``perfbench/spans.py`` ``TARGETS`` on their owners, times samples by
+replacing ``StreamLearner.train_on_sample``, and builds its streams in
+``perfbench/workloads.py`` from the generators and scenarios of
+``parsnet.cli`` and ``parsnet.stream``.  A rename, a moved method or a
+deleted name would make it fail at run time; these tests fail first.
 """
 
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 
 from parsnet.stream import RunConfig, StreamLearner
 
-SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # Registered before it runs: dataclasses look their module up by name.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_span_target_exists_on_its_owner():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     assert spans.TARGETS
     for owner, attribute, name in spans.TARGETS:
         # Class attributes are looked up in the class's own namespace, as the
@@ -48,3 +53,12 @@ def test_train_on_batch_calls_train_on_sample_once_per_trained_sample(monkeypatc
     labels = np.arange(20) % 3 - 1
     StreamLearner(3, 2, RunConfig(seed=0)).train_on_batch(features, labels)
     assert calls == [label for i, label in enumerate(labels.tolist()) if i != 4]
+
+
+def test_every_workload_builds_its_streams():
+    workloads = load_perfbench("workloads")
+    assert workloads.BUILDERS
+    for name in workloads.BUILDERS:
+        (stream,) = workloads.build_streams(name, seed=0, streams=1, length=1000)
+        assert stream.samples == 1000, name
+        assert 0 < stream.labelled < stream.samples, name

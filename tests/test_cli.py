@@ -8,6 +8,7 @@ import pytest
 from parsnet.cli import (ConfigError, ExperimentConfig, gen_hyperplane,
                          gen_sea, load_csv, main, merge_config,
                          parse_config_file, run_experiment)
+from parsnet.stream import RunConfig
 
 # -- generators -----------------------------------------------------------------
 
@@ -159,13 +160,13 @@ def test_three_layer_flag_precedence(tmp_path):
     file_values = parse_config_file(str(config))
 
     # default only
-    assert merge_config({}, {}).lr_disc == 0.001
+    assert merge_config({}, {}).run.lr_disc == 0.001
     # file overrides default
     cfg = merge_config(file_values, {})
-    assert cfg.lr_disc == 0.5 and cfg.batch == 250 and cfg.seeds == [7, 8]
+    assert cfg.run.lr_disc == 0.5 and cfg.batch == 250 and cfg.seeds == [7, 8]
     # flag overrides file
     cfg = merge_config(file_values, {"lr_disc": 0.25, "seeds": "9"})
-    assert cfg.lr_disc == 0.25 and cfg.seeds == [9] and cfg.batch == 250
+    assert cfg.run.lr_disc == 0.25 and cfg.seeds == [9] and cfg.batch == 250
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -173,6 +174,20 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     config.write_text("warp_speed=9\n")
     with pytest.raises(ConfigError, match="warp_speed"):
         merge_config(parse_config_file(str(config)), {})
+
+
+def test_malformed_value_is_a_config_error_naming_the_key(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "bad")
+    for key, text in (("lr_disc", "abc"), ("seeds", "1,x")):
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nout={out}\n{key}={text}\n")
+        assert main(["--config", str(config)]) == 1
+        assert key in capsys.readouterr().err
+    assert main(["--gen", "sea", "--seeds", "1,x", "--out", out]) == 1
+    assert "seeds" in capsys.readouterr().err
+    monkeypatch.setenv("PARSNET_SEED", "x")
+    assert main(["--gen", "sea", "--out", out]) == 1
+    assert "PARSNET_SEED" in capsys.readouterr().err
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):
@@ -290,3 +305,86 @@ def test_trace_and_audit_flags(tmp_path):
     assert code == 0
     assert (tmp_path / "tr" / "trace_seed2.csv").exists()
     assert (tmp_path / "tr" / "audit_seed2.csv").exists()
+
+
+# -- hyperparameter plumbing ------------------------------------------------------------
+
+# Every hyperparameter flag, its config-file key and the RunConfig field it sets,
+# each with a value that differs from the default.
+HYPERPARAMETERS = [
+    ("--agmm-conf", "agmm_conf", "agmm_conf", 0.61),
+    ("--net-conf", "net_conf", "net_conf", 0.72),
+    ("--init-spread", "init_spread", "init_spread", 0.3),
+    ("--lr-gen", "lr_gen", "lr_gen", 0.02),
+    ("--lr-disc", "lr_disc", "lr_disc", 0.004),
+    ("--loss", "loss", "loss", "squared"),
+    ("--mask-frac", "mask_frac", "mask_fraction", 0.2),
+    ("--prune-grace", "prune_grace", "prune_grace", 17),
+    ("--prune-holdoff", "prune_holdoff", "prune_holdoff", 333),
+    ("--hedge-eps", "hedge_eps", "hedge_eps", 1e-6),
+    ("--init-nodes", "init_nodes", "init_nodes", 3),
+    ("--max-hidden", "max_hidden", "max_hidden", 64),
+    ("--augment-mode", "augment_mode", "augment_mode", "image"),
+]
+
+
+def captured_run_configs(monkeypatch):
+    """Record every RunConfig that the CLI hands to ``prequential_run``."""
+    import parsnet.cli as cli
+
+    seen = []
+    original = cli.prequential_run
+
+    def capture(config, scenario):
+        seen.append(config)
+        return original(config, scenario)
+
+    monkeypatch.setattr(cli, "prequential_run", capture)
+    return seen
+
+
+def hyperparameter_run_config(seed):
+    return RunConfig(seed=seed, **{run_field: value
+                                   for _, _, run_field, value in HYPERPARAMETERS})
+
+
+def test_every_hyperparameter_flag_reaches_the_run_config(tmp_path, monkeypatch):
+    for _, _, run_field, value in HYPERPARAMETERS:
+        # A value equal to its default would hide a flag that is dropped.
+        assert getattr(RunConfig(), run_field) != value, run_field
+    seen = captured_run_configs(monkeypatch)
+    argv = ["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "5,6",
+            "--out", str(tmp_path / "flags")]
+    for flag, _, _, value in HYPERPARAMETERS:
+        argv += [flag, str(value)]
+    assert main(argv) == 0
+    assert seen == [hyperparameter_run_config(5), hyperparameter_run_config(6)]
+
+
+def test_every_hyperparameter_key_reaches_the_run_config(tmp_path, monkeypatch):
+    seen = captured_run_configs(monkeypatch)
+    lines = ["gen=sea", "gen_size=600", "batch=300", "seeds=5",
+             f"out={tmp_path / 'keys'}"]
+    lines += [f"{key}={value}" for _, key, _, value in HYPERPARAMETERS]
+    config = tmp_path / "exp.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    assert main(["--config", str(config)]) == 0
+    assert seen == [hyperparameter_run_config(5)]
+
+
+def test_ablations_and_logs_reach_the_run_config(tmp_path, monkeypatch):
+    seen = captured_run_configs(monkeypatch)
+    out = tmp_path / "abl"
+    assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "4",
+                 "--out", str(out), "--ablate", "agmm", "--ablate", "slash",
+                 "--trace", "--audit"]) == 0
+    assert seen == [RunConfig(seed=4, agmm_off=True, slash_off=True,
+                              trace_path=str(out / "trace_seed4.csv"),
+                              audit_path=str(out / "audit_seed4.csv"))]
+    seen.clear()
+    config = tmp_path / "abl.cfg"
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=4\nout={out}\n"
+                      "ablate=evolve\ntrace=true\n")
+    assert main(["--config", str(config)]) == 0
+    assert seen == [RunConfig(seed=4, evolve_off=True,
+                              trace_path=str(out / "trace_seed4.csv"))]

@@ -95,47 +95,37 @@ def test_mask_validates_fraction():
         mask_input(np.ones(3), 1.0, np.random.default_rng(0))
 
 
-# -- forward -----------------------------------------------------------------------
+# -- forward pass ------------------------------------------------------------------
 
 def test_forward_all_zero_parameters_is_symmetric():
     net = Network(4, 5, 2, np.random.default_rng(0))
     net.w_in[:] = 0.0
     net.w_out[:] = 0.0
-    cache = net.forward(np.array([0.1, 0.9, 0.4, 0.2]))
-    assert cache.hidden == pytest.approx([0.5, 0.5])
-    assert cache.recon == pytest.approx([0.5] * 4)
-    assert cache.probs == pytest.approx([0.2] * 5)
+    x = np.array([0.1, 0.9, 0.4, 0.2])
+    assert net.predict_proba(x) == pytest.approx([0.2] * 5)
+    # With w_in = 0 every hidden unit and every reconstruction is sigmoid(0).
+    error, grads = net.generative_gradients(x, x)
+    recon_diff = 0.5 - x
+    assert error == pytest.approx(0.5 * float(recon_diff @ recon_diff))
+    assert grads["d"] == pytest.approx(recon_diff * 0.25)
+    assert grads["w_in"] == pytest.approx(0.5 * np.tile(grads["d"], (2, 1)))
 
 
 def test_forward_probs_sum_to_one():
     rng = np.random.default_rng(9)
     for _ in range(25):
         net = random_net(rng, jitter=2.0)
-        cache = net.forward(rng.normal(size=5))
-        assert abs(cache.probs.sum() - 1.0) <= 1e-9
-        assert np.all(cache.hidden > 0.0) and np.all(cache.hidden < 1.0)
+        x = rng.normal(size=5)
+        probs = net.predict_proba(x)
+        assert abs(probs.sum() - 1.0) <= 1e-9
+        assert np.all(probs > 0.0) and np.all(probs < 1.0)
+        assert np.abs(net.predict_batch(x[None, :]).sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_forward_rejects_non_finite():
     net = Network(3, 2, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        net.forward(np.array([1.0, np.inf, 0.0]))
-
-
-def test_forward_debug_check_names_offending_layer():
-    net = Network(3, 2, 2, np.random.default_rng(0), check_finite=True)
-    net.w_out[0, 0] = np.nan
-    with pytest.raises(FloatingPointError, match="probs"):
-        net.forward(np.array([0.1, 0.2, 0.3]))
-
-
-def test_forward_masked_classifies_clean_input():
-    rng = np.random.default_rng(4)
-    net = random_net(rng, n_inputs=6, n_hidden=4)
-    x = rng.random(6)
-    cache = net.forward(x, mask_fraction=0.5, rng=np.random.default_rng(1))
-    assert (cache.masked == 0).sum() == 3
-    assert cache.probs == pytest.approx(net.predict_proba(x))
+        net.predict_proba(np.array([1.0, np.inf, 0.0]))
 
 
 # -- gradient checks against the oracle -----------------------------------------------
@@ -168,13 +158,10 @@ def test_discriminative_gradients_match_finite_differences(loss):
             assert relative_gap(grads[name], numeric) <= 1e-5, (trial, name)
 
 
-def test_loss_choice_validated_and_persisted(tmp_path):
+def test_loss_choice_validated():
     with pytest.raises(ValueError):
         Network(3, 2, loss="hinge")
-    net = Network(3, 2, 2, np.random.default_rng(0), loss="squared")
-    path = tmp_path / "net.bin"
-    net.save(path)
-    assert Network.load(path).loss == "squared"
+    assert Network(3, 2, 2, np.random.default_rng(0), loss="squared").loss == "squared"
 
 
 # -- SGD steps --------------------------------------------------------------------------
@@ -203,7 +190,7 @@ def test_step_with_positive_lr_moves_parameters():
     for _ in range(10):
         net = random_net(rng)
         x, target = rng.random(5), np.eye(3)[1]
-        before = net.theta_copy()
+        before = {k: v.copy() for k, v in net.theta().items()}
         net.discriminative_step(x, target, lr=0.01)
         assert any(not np.array_equal(before[k], net.theta()[k]) for k in before)
 
@@ -238,7 +225,7 @@ def test_pull_only_step_moves_toward_anchor():
     x = rng.random(5)
     # a target equal to the current prediction zeroes the data gradient
     target = net.predict_proba(x)
-    anchor = {k: v - 1.0 for k, v in net.theta_copy().items()}
+    anchor = {k: v - 1.0 for k, v in net.theta().items()}
     addend = {k: (net.theta()[k] - anchor[k]) for k in anchor}  # importance 1, strength 1
     before = {k: np.linalg.norm(net.theta()[k] - anchor[k]) for k in anchor}
     net.discriminative_step(x, target, lr=0.1, grad_addend=addend)
@@ -389,27 +376,6 @@ def test_top2_permutation_invariant(raw, order):
     probs = raw / raw.sum()
     assert normalized_top2(probs) == pytest.approx(normalized_top2(probs[list(order)]))
     assert 0.5 <= normalized_top2(probs) <= 1.0
-
-
-# -- persistence --------------------------------------------------------------------------------
-
-def test_network_snapshot_round_trip(tmp_path):
-    rng = np.random.default_rng(19)
-    net = random_net(rng, n_inputs=7, n_classes=4, n_hidden=5)
-    path = tmp_path / "net.bin"
-    net.save(path)
-    clone = Network.load(path)
-    for key in ("w_in", "b_in", "d", "w_out", "c_out"):
-        assert np.array_equal(getattr(clone, key), getattr(net, key))
-    x = rng.random(7)
-    assert np.array_equal(clone.predict_proba(x), net.predict_proba(x))
-
-
-def test_network_snapshot_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bogus.bin"
-    path.write_bytes(b"AGMM1\n{}\n")
-    with pytest.raises(ValueError):
-        Network.load(path)
 
 
 # -- numeric helpers ------------------------------------------------------------------------------

@@ -367,6 +367,20 @@ def test_mean_shift_triggers_mixture_insertion_and_growth():
 
 # -- trace and audit files -------------------------------------------------------------------
 
+def test_learner_closed_when_a_batch_raises(monkeypatch):
+    closed = []
+
+    def boom(self, features, labels):
+        raise RuntimeError("induced failure")
+
+    monkeypatch.setattr(StreamLearner, "train_on_batch", boom)
+    monkeypatch.setattr(StreamLearner, "close", lambda self: closed.append(self))
+    scenario = make_sporadic(blob_batches(n_batches=2), 0.5, np.random.default_rng(0))
+    with pytest.raises(RuntimeError, match="induced"):
+        prequential_run(RunConfig(seed=0), scenario)
+    assert len(closed) == 1
+
+
 def test_trace_and_audit_files(tmp_path):
     trace = tmp_path / "trace.csv"
     audit = tmp_path / "audit.csv"

@@ -18,6 +18,21 @@ Validation contract: every public method checks its input once, on entry
 calls (``_activations``, ``_should_insert``, ``_insert``, ``_tune``,
 ``_observe_label``) trust their input.  A streaming step therefore pays for
 one check per sample, and a rejected sample leaves the mixture untouched.
+
+Cached class conditionals: ``class_posterior`` needs, per component, the
+class frequencies normalised by the component's label total (uniform for a
+component that has seen no label).  They depend on ``class_counts`` alone,
+which changes only when a label is credited or a component is added or
+removed, while the posterior is asked for on every unlabelled sample.  The
+matrix is therefore kept in ``_conditionals`` and rebuilt on the next
+``class_posterior`` after ``_insert``, ``_observe_label`` (and through it
+``observe_label``) or a ``prune_inactive`` that removes a component clears
+it.  Code that writes ``class_counts`` directly must clear it too.
+
+The hot-path reductions call the ufuncs (``np.add.reduce`` and friends)
+rather than the ``ndarray.sum``/``max``/``all`` methods, which in numpy 2 go
+through a Python wrapper around the same ufunc: same arithmetic, fewer
+calls.
 """
 
 from __future__ import annotations
@@ -41,6 +56,15 @@ class NoClassEvidenceError(RuntimeError):
     """Class posterior requested before any label has been observed."""
 
 
+def _threshold_denominator(dim: int) -> float:
+    return 4.0 - 2.0 * math.exp(-dim / 20.0)
+
+
+def _check_confidence(confidence: float) -> None:
+    if confidence <= 0.0:
+        raise ValueError("insertion_threshold: confidence must be positive")
+
+
 def insertion_threshold(dim: int, confidence: float) -> float:
     """Proximity level below which a sample counts as uncovered input space.
 
@@ -50,9 +74,20 @@ def insertion_threshold(dim: int, confidence: float) -> float:
     """
     if dim < 1:
         raise ValueError("insertion_threshold: dim must be >= 1")
-    if confidence <= 0.0:
-        raise ValueError("insertion_threshold: confidence must be positive")
-    return math.exp(-(dim * confidence) / (4.0 - 2.0 * math.exp(-dim / 20.0)))
+    _check_confidence(confidence)
+    return math.exp(-(dim * confidence) / _threshold_denominator(dim))
+
+
+def _activity_cutoff(rate: np.ndarray) -> float:
+    """``abs(rate.mean() - 0.5 * rate.std())`` for a 1-d ``rate``.
+
+    Written out in numpy's own order of operations for ``mean`` and ``var``,
+    so it is bit for bit the same without their Python-level wrappers.
+    """
+    n = rate.shape[0]
+    mean = np.add.reduce(rate) / n
+    dev = rate - mean
+    return abs(mean - 0.5 * math.sqrt(np.add.reduce(dev * dev) / n))
 
 
 class AgmmModel:
@@ -83,6 +118,8 @@ class AgmmModel:
         self.lifespan = np.empty(0, dtype=np.int64)
         self.activity = np.empty(0)
         self.class_counts = np.empty((0, num_classes), dtype=np.int64)
+        self._conditionals: np.ndarray | None = None
+        self._threshold_denominator = _threshold_denominator(input_dim)
 
     # -- structure ---------------------------------------------------------
 
@@ -96,7 +133,7 @@ class AgmmModel:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dim,):
             raise ValueError(f"expected input of shape ({self.input_dim},), got {x.shape}")
-        if not np.isfinite(x).all():
+        if not np.logical_and.reduce(np.isfinite(x)):
             raise ValueError("input contains non-finite values")
         return x
 
@@ -118,7 +155,7 @@ class AgmmModel:
             return np.empty(0)
         with np.errstate(over="ignore"):
             z = (x - self.centers) / self.spreads
-            return np.exp(-0.5 * (z * z).max(axis=1))
+            return np.exp(-0.5 * np.maximum.reduce(z * z, axis=1))
 
     def winner(self, x: np.ndarray) -> int:
         """Index of the most activated component; ties go to the lowest index."""
@@ -130,13 +167,13 @@ class AgmmModel:
         """Relative support of each component (sums to 1)."""
         if self.size == 0:
             raise EmptyModelError("mixture has no components yet")
-        return self.support / self.support.sum()
+        return self.support / np.add.reduce(self.support)
 
     def _log_likelihood(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             z = (x - self.centers) / self.spreads
-            return (-0.5 * (z * z).sum(axis=1)
-                    - np.log(self.spreads).sum(axis=1)
+            return (-0.5 * np.add.reduce(z * z, axis=1)
+                    - np.add.reduce(np.log(self.spreads), axis=1)
                     - 0.5 * self.input_dim * LOG_2PI)
 
     def _weighted_likelihoods(self, x: np.ndarray) -> np.ndarray:
@@ -145,8 +182,8 @@ class AgmmModel:
         underflows to zero."""
         priors = self.prior_weights()
         log_lik = self._log_likelihood(x)
-        peak = log_lik.max()
-        if not np.isfinite(peak):
+        peak = np.maximum.reduce(log_lik)
+        if not math.isfinite(peak):
             return priors
         # The largest term is its prior times exp(0), so the sum stays positive.
         return priors * np.exp(log_lik - peak)
@@ -173,18 +210,24 @@ class AgmmModel:
         x = self._check_input(x)
         if self.size == 0:
             raise EmptyModelError("mixture has no components yet")
-        totals = self.class_counts.sum(axis=1)
-        if totals.sum() == 0:
-            raise NoClassEvidenceError("no labelled observations recorded")
-        conditionals = np.full((self.size, self.num_classes), 1.0 / self.num_classes)
-        seen = totals > 0
-        conditionals[seen] = self.class_counts[seen] / totals[seen, None]
-
+        conditionals = self._class_conditionals()
         scores = self._weighted_likelihoods(x) @ conditionals
-        posterior = scores / scores.sum()
-        if abs(posterior.sum() - 1.0) > 1e-9:
+        posterior = scores / np.add.reduce(scores)
+        if abs(np.add.reduce(posterior) - 1.0) > 1e-9:
             raise AssertionError("class posterior lost the partition of unity")
         return posterior
+
+    def _class_conditionals(self) -> np.ndarray:
+        """Per-component class frequencies, cached until ``class_counts`` changes."""
+        if self._conditionals is None:
+            totals = np.add.reduce(self.class_counts, axis=1)
+            if np.add.reduce(totals) == 0:
+                raise NoClassEvidenceError("no labelled observations recorded")
+            conditionals = np.full((self.size, self.num_classes), 1.0 / self.num_classes)
+            seen = totals > 0
+            conditionals[seen] = self.class_counts[seen] / totals[seen, None]
+            self._conditionals = conditionals
+        return self._conditionals
 
     # -- adaptation --------------------------------------------------------
 
@@ -200,6 +243,7 @@ class AgmmModel:
         self.activity = np.append(self.activity, 0.0)
         self.class_counts = np.vstack(
             [self.class_counts, np.zeros((1, self.num_classes), dtype=np.int64)])
+        self._conditionals = None
 
     def vigilance_passes(self, win: int) -> bool:
         """Whether the winner has run out of room to absorb more samples.
@@ -228,7 +272,10 @@ class AgmmModel:
         return self._should_insert(acts, confidence)
 
     def _should_insert(self, acts: np.ndarray, confidence: float) -> bool:
-        if acts.max() >= insertion_threshold(self.input_dim, confidence):
+        # insertion_threshold with its dimension-only denominator precomputed.
+        _check_confidence(confidence)
+        threshold = math.exp(-(self.input_dim * confidence) / self._threshold_denominator)
+        if np.maximum.reduce(acts) >= threshold:
             return False
         return self.vigilance_passes(int(acts.argmax()))
 
@@ -242,8 +289,9 @@ class AgmmModel:
         self._tune(win, self._check_input(x))
 
     def _tune(self, win: int, x: np.ndarray) -> None:
-        gain = 1.0 / (self.support[win] + 1.0)
-        center = self.centers[win] + (x - self.centers[win]) * gain
+        gain = 1.0 / (int(self.support[win]) + 1.0)
+        old = self.centers[win]
+        center = old + (x - old) * gain
         variance = self.spreads[win] ** 2
         variance = variance + ((x - center) ** 2 - variance) * gain
         np.maximum(variance, VARIANCE_FLOOR, out=variance)
@@ -254,10 +302,13 @@ class AgmmModel:
     def observe_label(self, x: np.ndarray, label: int) -> None:
         """Credit ``label`` to the component that wins ``x``."""
         self._check_label(label)
-        self.class_counts[self.winner(x), label] += 1
+        if self.size == 0:
+            raise EmptyModelError("mixture has no components yet")
+        self._observe_label(self._check_input(x), label)
 
     def _observe_label(self, x: np.ndarray, label: int) -> None:
         self.class_counts[int(self._activations(x).argmax()), label] += 1
+        self._conditionals = None
 
     def prune_inactive(self) -> list[int]:
         """Retire components whose lifetime activity rate fell off the population.
@@ -266,14 +317,14 @@ class AgmmModel:
         least one component always survives (the most active one is kept when
         the rule would empty the model).  Returns the removed indices.
         """
-        if self.size < 2:
+        # With every component inside its grace period nothing can be doomed.
+        if self.size < 2 or np.maximum.reduce(self.lifespan) < self.prune_grace:
             return []
         rate = self.activity / np.maximum(self.lifespan, 1)
-        cutoff = abs(rate.mean() - 0.5 * rate.std())
-        doomed = (self.lifespan >= self.prune_grace) & (rate <= cutoff)
-        if doomed.all():
+        doomed = (self.lifespan >= self.prune_grace) & (rate <= _activity_cutoff(rate))
+        if np.logical_and.reduce(doomed):
             doomed[int(rate.argmax())] = False
-        if not doomed.any():
+        if not np.logical_or.reduce(doomed):
             return []
         removed = np.flatnonzero(doomed)
         keep = ~doomed
@@ -283,6 +334,7 @@ class AgmmModel:
         self.lifespan = self.lifespan[keep]
         self.activity = self.activity[keep]
         self.class_counts = self.class_counts[keep]
+        self._conditionals = None
         return removed.tolist()
 
     def update(self, x: np.ndarray, confidence: float,

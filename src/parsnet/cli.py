@@ -292,6 +292,8 @@ def parse_config_file(path: str) -> dict:
 
 # Keys whose default is None, which names no type.
 _NONE_DEFAULT_TYPES = {"data": str, "gen": str, "gen_size": int}
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _slot(cfg: ExperimentConfig, name: str):
@@ -320,17 +322,38 @@ def _coerce(name: str, value):
         parts = value.replace(",", " ").split()
         return [_parse(name, int, p) for p in parts] if name == "seeds" else parts
     if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes", "on")
+        word = value.lower()
+        if word not in _TRUE_WORDS + _FALSE_WORDS:
+            raise ConfigError(f"{name}: malformed value {value!r} "
+                              f"(expected one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)})")
+        return word in _TRUE_WORDS
     return _parse(name, _NONE_DEFAULT_TYPES.get(name, type(default)), value)
+
+
+def _flag_choices() -> dict[str, tuple]:
+    """The allowed values of each key whose flag declares ``choices``."""
+    return {action.dest: tuple(action.choices)
+            for action in build_parser()._actions if action.choices}
+
+
+def _check_choice(name: str, value, allowed: tuple | None) -> None:
+    if allowed is None:
+        return
+    for item in value if isinstance(value, list) else [value]:
+        if item not in allowed:
+            raise ConfigError(f"{name}: {item!r} is not one of {', '.join(allowed)}")
 
 
 def merge_config(file_values: dict, cli_values: dict) -> ExperimentConfig:
     """Defaults, overridden by config-file values, overridden by flags."""
     cfg = ExperimentConfig()
+    choices = _flag_choices()
     flags = {name: value for name, value in cli_values.items() if value is not None}
     for name, value in {**file_values, **flags}.items():
         target, attribute = _slot(cfg, name)
-        setattr(target, attribute, _coerce(name, value))
+        value = _coerce(name, value)
+        _check_choice(name, value, choices.get(name))
+        setattr(target, attribute, value)
     if not cli_values.get("seeds") and "seeds" not in file_values:
         env_seed = os.environ.get("PARSNET_SEED")
         if env_seed:

@@ -30,8 +30,9 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # The ufunc reductions skip the Python wrapper of ndarray.max/sum.
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def mask_input(x: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -57,8 +58,9 @@ def normalized_top2(probs: np.ndarray) -> float:
     probs = np.asarray(probs, dtype=float)
     if probs.shape[-1] < 2:
         raise ValueError("need at least two classes")
-    top = np.partition(probs, -2)[-2:]
-    return float(top[1] / (top[0] + top[1]))
+    # A Python sort of a handful of floats beats np.partition's call overhead.
+    *_, second, first = sorted(probs.tolist())
+    return first / (second + first)
 
 
 LOSSES = ("cross_entropy", "squared")
@@ -111,7 +113,7 @@ class Network:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_inputs:
             raise ValueError(f"expected {self.n_inputs} features, got {x.shape[-1]}")
-        if not np.isfinite(x).all():
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
             raise ValueError("input contains non-finite values")
         return x
 

@@ -127,7 +127,7 @@ def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,
     second = squash((e_hidden * e_hidden) @ weight + offset)
     diff = first - target
     bias_sq = float(diff @ diff)
-    variance = float((second - first * first).sum())
+    variance = float(np.add.reduce(second - first * first))
     return bias_sq, variance
 
 

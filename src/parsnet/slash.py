@@ -53,8 +53,9 @@ def propose_label(net_probs: np.ndarray, agmm_probs: np.ndarray | None,
     agmm_conf = normalized_top2(agmm_probs)
     if agmm_conf < agmm_threshold or net_conf < net_threshold:
         return None, LOW_CONFIDENCE
-    net_class = int(np.argmax(net_probs))
-    if net_class != int(np.argmax(agmm_probs)):
+    # asarray(...).argmax() is np.argmax without its Python-level wrapper.
+    net_class = int(np.asarray(net_probs).argmax())
+    if net_class != int(np.asarray(agmm_probs).argmax()):
         return None, DISAGREEMENT
     return PseudoLabel(net_class, agmm_conf, net_conf), ACCEPTED
 
@@ -107,12 +108,18 @@ class HedgeState:
 
     # -- accumulation (real labels only) ------------------------------------
 
-    def record_step(self, delta: dict[str, np.ndarray],
-                    grad: dict[str, np.ndarray]) -> None:
-        """Fold one true-label (or augmented) SGD step into the accumulators."""
+    def record_step(self, lr: float, grads: dict[str, np.ndarray]) -> None:
+        """Fold one true-label (or augmented) SGD step into the accumulators.
+
+        ``lr`` is the step's learning rate and ``grads`` its data gradients,
+        keyed like :data:`THETA_KEYS`; the step moved each parameter by
+        ``delta = (-lr) * grad``.
+        """
         for key in THETA_KEYS:
-            self.loss_drop[key] -= delta[key] * grad[key]
-            self.movement[key] += np.abs(delta[key])
+            grad = grads[key]
+            delta = (-lr) * grad
+            self.loss_drop[key] -= delta * grad
+            self.movement[key] += np.abs(delta)
         self.steps += 1
         self._stale = True
 
@@ -131,7 +138,7 @@ class HedgeState:
         for key in THETA_KEYS:
             value = self.loss_drop[key] / (self.movement[key] ** 2 + self.eps)
             raw[key] = value
-            total_sq += float((value * value).sum())
+            total_sq += float(np.add.reduce(value * value, axis=None))
         norm = math.sqrt(total_sq)
         if norm == 0.0:
             for key in THETA_KEYS:

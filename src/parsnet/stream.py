@@ -319,7 +319,7 @@ class StreamLearner:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.net.n_inputs,):
             raise ValueError(f"expected a sample of shape ({self.net.n_inputs},), got {x.shape}")
-        if not np.isfinite(x).all():
+        if not np.logical_and.reduce(np.isfinite(x)):
             raise ValueError("sample contains non-finite values")
         self._check_label(label)
         cfg = self.config
@@ -347,13 +347,11 @@ class StreamLearner:
             _, grads = self.net.discriminative_step(x, target, cfg.lr_disc)
             self.counters["disc_label_steps"] += 1
             if not cfg.slash_off:
-                self.hedge.record_step(
-                    {k: -cfg.lr_disc * g for k, g in grads.items()}, grads)
+                self.hedge.record_step(cfg.lr_disc, grads)
                 jittered, same = augment(x, label, self.rng, cfg.augment_mode)
                 _, grads = self.net.discriminative_step(jittered, self._eye[same], cfg.lr_disc)
                 self.counters["disc_aug_steps"] += 1
-                self.hedge.record_step(
-                    {k: -cfg.lr_disc * g for k, g in grads.items()}, grads)
+                self.hedge.record_step(cfg.lr_disc, grads)
                 self.hedge.set_anchor(self.net.theta())
             # Structural checks run on originally labelled samples only.
             if self.mixture.size:

@@ -238,7 +238,7 @@ def test_criterion_5_hedge_containment():
             y = int(rng.integers(0, 2))
             x = np.clip(means[y] + rng.normal(0.0, 0.1, 8), 0.0, 1.0)
             _, grads = net.discriminative_step(x, np.eye(2)[y], lr)
-            hedge.record_step({k: -lr * g for k, g in grads.items()}, grads)
+            hedge.record_step(lr, grads)
         hedge.set_anchor(net.theta())
         hedge.refresh_importance()
 

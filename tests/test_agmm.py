@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.cluster.vq import kmeans2
 
 from parsnet.agmm import (AgmmModel, EmptyModelError, NoClassEvidenceError,
-                          insertion_threshold)
+                          _activity_cutoff, insertion_threshold)
 
 
 def build(centers, spreads, support=None, num_classes=2, **kw):
@@ -406,6 +406,51 @@ def test_prune_never_empties_model():
         assert not any(before_grace[i] for i in removed)
 
 
+unit_rates = st.floats(0.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rate=st.one_of(
+    arrays(float, st.integers(2, 64), elements=unit_rates),
+    st.builds(np.full, st.integers(2, 64), unit_rates)))  # all-equal rates
+def test_activity_cutoff_is_numpy_mean_and_std_bit_for_bit(rate):
+    expected = abs(rate.mean() - 0.5 * rate.std())
+    assert np.float64(_activity_cutoff(rate)).tobytes() == np.float64(expected).tobytes()
+
+
+def reference_prune(model):
+    """``prune_inactive``'s rule with numpy's own mean and std and no early exit;
+    returns the indices it would remove."""
+    if model.size < 2:
+        return []
+    rate = model.activity / np.maximum(model.lifespan, 1)
+    doomed = (model.lifespan >= model.prune_grace) & (rate <= abs(rate.mean() - 0.5 * rate.std()))
+    if doomed.all():
+        doomed[int(rate.argmax())] = False
+    return np.flatnonzero(doomed).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(2, 12), young=st.booleans())
+def test_prune_equals_the_reference_rule(data, m, young):
+    # ``young`` keeps every component inside its grace period, the early exit.
+    model = build(np.arange(m, dtype=float)[:, None], np.ones((m, 1)))
+    grace = model.prune_grace
+    top = grace - 1 if young else 2 * grace
+    edges = st.sampled_from([age for age in (grace - 1, grace, grace + 1) if age <= top])
+    model.lifespan[:] = data.draw(arrays(np.int64, m,
+                                         elements=st.one_of(st.integers(0, top), edges)))
+    fractions = data.draw(arrays(float, m, elements=unit_rates))
+    model.activity[:] = fractions * model.lifespan
+    expected = reference_prune(model)
+    survivors = np.setdiff1d(np.arange(m), expected)
+    before = {name: getattr(model, name)[survivors]
+              for name in ("centers", "spreads", "support", "lifespan", "activity")}
+    assert model.prune_inactive() == expected
+    for name, value in before.items():
+        assert np.array_equal(getattr(model, name), value), name
+
+
 # -- update orchestration ---------------------------------------------------------------
 
 def test_update_bootstraps_from_first_sample():
@@ -502,6 +547,44 @@ def test_update_equals_public_method_composition():
         for name in ("centers", "spreads", "support", "lifespan", "activity", "class_counts"):
             assert np.array_equal(getattr(fast, name), getattr(reference, name)), (step, name)
     assert inserts > 10 and prunes > 10
+
+
+def posterior_or_error(model, x):
+    try:
+        return model.class_posterior(x).tobytes()
+    except NoClassEvidenceError as exc:
+        return type(exc)
+
+
+def test_class_posterior_equals_recomputation_after_every_update():
+    # A fresh model given the same state computes the class conditionals from
+    # scratch, so a stale cache on the streaming model shows as a mismatch.
+    rng = np.random.default_rng(21)
+    model = AgmmModel(3, 3)
+    unlabelled_inserts = unlabelled_prunes = labels = 0
+    for step in range(3000):
+        centre = np.full(3, 0.2 + step / 6000.0) + (0.4 if (step // 700) % 2 else 0.0)
+        x = centre + rng.normal(0.0, 0.08, 3)
+        label = int(rng.integers(3)) if step < 40 or rng.random() < 0.3 else None
+        inserted, pruned = model.update(x, rng.uniform(0.8, 2.0), label)
+        unlabelled_inserts += inserted and label is None
+        unlabelled_prunes += bool(pruned) and label is None
+        labels += label is not None
+        fresh = AgmmModel(3, 3, model.init_spread, model.prune_grace)
+        for name in ("centers", "spreads", "support", "lifespan", "activity", "class_counts"):
+            setattr(fresh, name, getattr(model, name).copy())
+        probe = x + rng.normal(0.0, 0.05, 3)
+        assert posterior_or_error(model, probe) == posterior_or_error(fresh, probe), step
+    assert unlabelled_inserts > 10 and unlabelled_prunes > 10 and labels > 500
+
+
+def test_observe_label_refreshes_the_class_posterior():
+    model = build([[0.0], [5.0]], [[1.0], [1.0]])
+    model.observe_label(np.array([0.0]), 0)
+    before = model.class_posterior(np.array([0.0]))
+    model.observe_label(np.array([0.0]), 1)
+    assert model.class_posterior(np.array([0.0])) == pytest.approx([0.5, 0.5], abs=1e-3)
+    assert before[0] > 0.99
 
 
 @pytest.mark.parametrize("label", [2, 7, -1])

@@ -13,8 +13,9 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
-from parsnet.stream import RunConfig, StreamLearner
+from parsnet.stream import RunConfig, StreamLearner, prequential_run
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,3 +63,21 @@ def test_every_workload_builds_its_streams():
         (stream,) = workloads.build_streams(name, seed=0, streams=1, length=1000)
         assert stream.samples == 1000, name
         assert 0 < stream.labelled < stream.samples, name
+
+
+def test_stream_zero_of_every_workload_matches_its_recorded_digest(monkeypatch):
+    # A speed change must leave every output bit-identical; this replays one
+    # recorded stream per benchmark workload so that a change which is not
+    # fails here, not only in a benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # bench imports its siblings by name
+    import bench
+    import workloads
+
+    for name in bench.benchmark_workloads():
+        recorded, note = bench.recorded_digests(name, 0, workloads.STREAM_LENGTH)
+        if recorded is None and "another platform" in note:
+            pytest.skip(note)
+        assert recorded is not None, f"{name}: {note}"
+        (stream,) = workloads.build_streams(name, seed=0, streams=1)
+        metrics = prequential_run(stream.config, stream.scenario)
+        assert bench.digest(metrics) == recorded[0], name

@@ -190,6 +190,37 @@ def test_malformed_value_is_a_config_error_naming_the_key(tmp_path, monkeypatch,
     assert "PARSNET_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("false", False), ("No", False), ("OFF", False)])
+def test_boolean_key_words(text, expected):
+    assert merge_config({"trace": text, "audit": text}, {}).trace is expected
+
+
+def test_misspelt_boolean_is_a_config_error_naming_the_key(tmp_path, capsys):
+    out = tmp_path / "misspelt"
+    config = tmp_path / "trace.cfg"
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nout={out}\ntrace=ture\n")
+    assert main(["--config", str(config)]) == 1
+    assert "trace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, text", [("loss", "squard"), ("augment_mode", "imag"),
+                                       ("gen", "seas"), ("scenario", "delayed"),
+                                       ("ablate", "agmm,slsh")])
+def test_config_value_outside_the_flag_choices_is_a_config_error(tmp_path, capsys, key, text):
+    out = tmp_path / "choices"
+    values = {"gen": "sea", "gen_size": "600", "batch": "300", "seeds": "1", "out": str(out),
+              key: text}
+    config = tmp_path / "choices.cfg"
+    config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    assert main(["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and repr(text.split(",")[-1]) in err
+    assert not out.exists()
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PARSNET_SEED", "123")
     cfg = merge_config({}, {})

@@ -369,6 +369,18 @@ def test_top2_needs_two_classes():
         normalized_top2(np.array([1.0]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(probs=st.integers(2, 10).flatmap(lambda k: st.one_of(
+    arrays(float, k, elements=st.floats(0.0, 1.0, exclude_min=True)),
+    # few distinct values, so ties between the two largest are common
+    arrays(float, k, elements=st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])).filter(
+        lambda p: p.max() > 0.0))))
+def test_top2_equals_the_partition_form_bit_for_bit(probs):
+    top = np.partition(probs, -2)[-2:]
+    expected = float(top[1] / (top[0] + top[1]))
+    assert np.float64(normalized_top2(probs)).tobytes() == np.float64(expected).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(raw=arrays(float, 4, elements=st.floats(1e-6, 1.0)),
        order=st.permutations(range(4)))

@@ -95,7 +95,7 @@ def test_scaler_monotone_given_fixed_extrema():
 
 def test_record_step_zero_delta_only_counts():
     hedge = HedgeState(tiny_theta())
-    hedge.record_step(tiny_theta(0.0), tiny_theta(1.0))
+    hedge.record_step(0.0, tiny_theta(1.0))
     assert hedge.steps == 1
     assert all(not hedge.loss_drop[k].any() for k in hedge.loss_drop)
     assert all(not hedge.movement[k].any() for k in hedge.movement)
@@ -104,7 +104,7 @@ def test_record_step_zero_delta_only_counts():
 def test_record_step_scalar_arithmetic():
     # movement against the gradient books a positive loss drop
     hedge = HedgeState(tiny_theta())
-    hedge.record_step(tiny_theta(-0.1), tiny_theta(1.0))
+    hedge.record_step(0.1, tiny_theta(1.0))
     assert hedge.loss_drop["w_in"][0, 0] == pytest.approx(0.1)
     assert hedge.movement["w_in"][0, 0] == pytest.approx(0.1)
 
@@ -112,9 +112,30 @@ def test_record_step_scalar_arithmetic():
 def test_record_step_is_additive():
     hedge = HedgeState(tiny_theta())
     for _ in range(2):
-        hedge.record_step(tiny_theta(-0.1), tiny_theta(1.0))
+        hedge.record_step(0.1, tiny_theta(1.0))
     assert hedge.loss_drop["b_in"][0] == pytest.approx(0.2)
     assert hedge.steps == 2
+
+
+def test_record_step_equals_the_delta_dict_form():
+    # The accumulators as they were fed before record_step took the rate:
+    # a {key: -lr * grad} dict of parameter moves next to the gradients.
+    rng = np.random.default_rng(8)
+    net = Network(4, 3, 5, rng)
+    hedge = HedgeState.for_network(net)
+    loss_drop = {k: np.zeros_like(v) for k, v in hedge.loss_drop.items()}
+    movement = {k: np.zeros_like(v) for k, v in hedge.movement.items()}
+    for lr in rng.uniform(0.0, 0.2, 50):
+        _, grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], lr)
+        hedge.record_step(lr, grads)
+        delta = {k: -lr * g for k, g in grads.items()}
+        for key in THETA_KEYS:
+            loss_drop[key] -= delta[key] * grads[key]
+            movement[key] += np.abs(delta[key])
+    for key in THETA_KEYS:
+        assert hedge.loss_drop[key].tobytes() == loss_drop[key].tobytes(), key
+        assert hedge.movement[key].tobytes() == movement[key].tobytes(), key
+    assert hedge.steps == 50
 
 
 def test_importance_inert_without_history():
@@ -174,7 +195,7 @@ def test_pull_and_refresh_leave_accumulators_untouched():
     hedge = HedgeState.for_network(net)
     for _ in range(5):
         _, grads = net.discriminative_step(rng.random(4), np.eye(2)[0], 0.05)
-        hedge.record_step({k: -0.05 * g for k, g in grads.items()}, grads)
+        hedge.record_step(0.05, grads)
     hedge.set_anchor(net.theta())
     snapshot = {k: v.copy() for k, v in hedge.loss_drop.items()}
     moves = {k: v.copy() for k, v in hedge.movement.items()}
@@ -238,7 +259,7 @@ def test_cached_importance_equals_recomputation_after_mixed_changes():
     for op in ops:
         if op == "record":
             _, grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], 0.1)
-            hedge.record_step({k: -0.1 * g for k, g in grads.items()}, grads)
+            hedge.record_step(0.1, grads)
         elif op == "grow" and net.n_hidden < 12:
             prev = net.n_hidden
             net.add_nodes(int(rng.integers(1, 3)), rng)
@@ -323,7 +344,7 @@ def test_hedge_contains_flipped_pseudo_labels():
             y = int(rng.integers(0, 2))
             x = np.clip(means[y] + rng.normal(0.0, 0.1, 8), 0.0, 1.0)
             _, grads = net.discriminative_step(x, np.eye(2)[y], lr)
-            hedge.record_step({k: -lr * g for k, g in grads.items()}, grads)
+            hedge.record_step(lr, grads)
         hedge.set_anchor(net.theta())
         hedge.refresh_importance()
 

@@ -29,6 +29,13 @@ matrix is therefore kept in ``_conditionals`` and rebuilt on the next
 ``observe_label``) or a ``prune_inactive`` that removes a component clears
 it.  Code that writes ``class_counts`` directly must clear it too.
 
+Overflow: the standardised distance ``z = (x - centre) / spread`` is
+squared without an ``np.errstate`` guard, whose context costs more than the
+arithmetic on every call.  Inputs on the normalised [0, 1] scale cannot
+overflow it.  A sample far outside that range can: ``z * z`` becomes
+``inf``, so the activation is 0 and the log-likelihood ``-inf``, as with the
+guard, but numpy now emits its overflow ``RuntimeWarning``.
+
 The hot-path reductions call the ufuncs (``np.add.reduce`` and friends)
 rather than the ``ndarray.sum``/``max``/``all`` methods, which in numpy 2 go
 through a Python wrapper around the same ufunc: same arithmetic, fewer
@@ -153,9 +160,8 @@ class AgmmModel:
     def _activations(self, x: np.ndarray) -> np.ndarray:
         if self.size == 0:
             return np.empty(0)
-        with np.errstate(over="ignore"):
-            z = (x - self.centers) / self.spreads
-            return np.exp(-0.5 * np.maximum.reduce(z * z, axis=1))
+        z = (x - self.centers) / self.spreads
+        return np.exp(-0.5 * np.maximum.reduce(z * z, axis=1))
 
     def winner(self, x: np.ndarray) -> int:
         """Index of the most activated component; ties go to the lowest index."""
@@ -170,11 +176,10 @@ class AgmmModel:
         return self.support / np.add.reduce(self.support)
 
     def _log_likelihood(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            z = (x - self.centers) / self.spreads
-            return (-0.5 * np.add.reduce(z * z, axis=1)
-                    - np.add.reduce(np.log(self.spreads), axis=1)
-                    - 0.5 * self.input_dim * LOG_2PI)
+        z = (x - self.centers) / self.spreads
+        return (-0.5 * np.add.reduce(z * z, axis=1)
+                - np.add.reduce(np.log(self.spreads), axis=1)
+                - 0.5 * self.input_dim * LOG_2PI)
 
     def _weighted_likelihoods(self, x: np.ndarray) -> np.ndarray:
         """Prior-weighted likelihoods of ``x``, unnormalised, scaled by the

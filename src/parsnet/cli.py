@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -314,9 +315,15 @@ def _parse(name: str, kind, text: str):
 
 def _coerce(name: str, value):
     """Turn a string from the config file or a flag into the type of the
-    field that the key sets."""
-    if not isinstance(value, str):
-        return value
+    field that the key sets; a float must be finite, whatever its source."""
+    if isinstance(value, str):
+        value = _from_text(name, value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}: value must be finite, got {value!r}")
+    return value
+
+
+def _from_text(name: str, value: str):
     default = getattr(*_slot(ExperimentConfig(), name))
     if isinstance(default, list):
         parts = value.replace(",", " ").split()

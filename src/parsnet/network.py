@@ -5,15 +5,38 @@ The decoder weight is the transpose of the encoder weight by construction
 first layer of the classifier.  The hidden layer can grow and shrink at
 runtime; all training is plain per-sample SGD on squared error.
 
+Parameter layout: the classifier parameters ``w_in``, ``b_in``, ``w_out``
+and ``c_out`` live back to back, in :data:`THETA_KEYS` order, in one float64
+vector, ``Network.params``, and the four attributes are views into it
+(:func:`theta_views` owns the layout, :func:`flatten_theta` builds a vector in
+it).  The classifier gradients, the hedge's pull addend and its stores share
+the layout, so one SGD step or one accumulator update is one vector
+operation.  The decoder bias ``d`` is stored on its own.  A structural
+change builds a new vector and rebinds the views; code that keeps a view
+across ``add_nodes`` or ``prune_nodes`` holds the old parameters.
+
 Validation contract: the inference and step methods check their input once,
-on entry (feature count and finiteness, learning rate, target shape); the
-gradient methods they call (``generative_gradients``,
+on entry (sample or batch shape and finiteness, learning rate, target
+shape); the gradient methods they call (``generative_gradients``,
 ``discriminative_gradients``) check nothing and trust their input.  The
 step methods run once or more per sample of a stream, so each check is made
 once and in its cheapest form.
+
+Forward reuse: ``predict_proba`` keeps its checked sample with the hidden
+layer and the probabilities it computed in ``_forward``.  The next
+``discriminative_step`` whose checked sample is that same object takes them
+instead of recomputing them, which saves the self-labelled step its encoder
+and softmax pass.  Every method that writes parameters (``generative_step``,
+``discriminative_step``, ``add_nodes``, ``prune_nodes``) clears them, so
+they are used at most once and only with the parameters that made them.
+Code that writes the parameters directly, or modifies the sample or the
+returned probabilities in place, between the two calls must clear
+``_forward`` too.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,10 +46,36 @@ ACTIVATION_CLAMP = 30.0
 THETA_KEYS = ("w_in", "b_in", "w_out", "c_out")
 
 
+def theta_views(flat: np.ndarray, n_inputs: int, n_classes: int) -> dict[str, np.ndarray]:
+    """The named segments of a flat classifier vector, keyed like :data:`THETA_KEYS`.
+
+    The vector holds ``w_in`` (hidden x inputs, row-major), ``b_in``,
+    ``w_out`` (hidden x classes, row-major) and ``c_out``, in that order; the
+    hidden size follows from its length.  Each segment is a C-contiguous
+    view, so writing to it writes to ``flat``.
+    """
+    n_hidden, rest = divmod(flat.shape[0] - n_classes, n_inputs + 1 + n_classes)
+    if rest or n_hidden < 1:
+        raise ValueError(f"a vector of length {flat.shape[0]} is no classifier layout "
+                         f"for {n_inputs} inputs and {n_classes} classes")
+    w_in_end = n_hidden * n_inputs
+    b_in_end = w_in_end + n_hidden
+    w_out_end = b_in_end + n_hidden * n_classes
+    return {"w_in": flat[:w_in_end].reshape(n_hidden, n_inputs),
+            "b_in": flat[w_in_end:b_in_end],
+            "w_out": flat[b_in_end:w_out_end].reshape(n_hidden, n_classes),
+            "c_out": flat[w_out_end:]}
+
+
+def flatten_theta(w_in, b_in, w_out, c_out) -> np.ndarray:
+    """A fresh flat vector holding the four parts in the :func:`theta_views` layout."""
+    return np.concatenate((w_in, b_in, w_out, c_out), axis=None)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # Same values as np.clip, at a fraction of its call overhead.
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -ACTIVATION_CLAMP),
-                                           ACTIVATION_CLAMP)))
+    # Same values as np.clip and 1.0 / (...), at a fraction of their call overhead.
+    return np.reciprocal(1.0 + np.exp(-np.minimum(np.maximum(z, -ACTIVATION_CLAMP),
+                                                  ACTIVATION_CLAMP)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -87,11 +136,28 @@ class Network:
         self.n_inputs = n_inputs
         self.n_classes = n_classes
         self.loss = loss
-        self.w_in = self._xavier(rng, (n_hidden, n_inputs), n_inputs, n_hidden)
-        self.b_in = np.zeros(n_hidden)
+        w_in = self._xavier(rng, (n_hidden, n_inputs), n_inputs, n_hidden)
+        w_out = self._xavier(rng, (n_hidden, n_classes), n_hidden, n_classes)
         self.d = np.zeros(n_inputs)
-        self.w_out = self._xavier(rng, (n_hidden, n_classes), n_hidden, n_classes)
-        self.c_out = np.zeros(n_classes)
+        self._bind(flatten_theta(w_in, np.zeros(n_hidden), w_out, np.zeros(n_classes)))
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Make ``params`` the classifier vector and its segments the named
+        attributes; drops the kept forward pass."""
+        self.params = params
+        self.w_in, self.b_in, self.w_out, self.c_out = theta_views(
+            params, self.n_inputs, self.n_classes).values()
+        self._forward = None
+
+    # Copies and pickles carry ``params`` alone: copied one by one, the views
+    # would come back as arrays of their own, cut loose from the vector.
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items()
+                if key not in THETA_KEYS and key != "_forward"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind(state["params"])
 
     @staticmethod
     def _xavier(rng, shape, fan_in, fan_out):
@@ -103,27 +169,41 @@ class Network:
         return self.w_in.shape[0]
 
     def theta(self) -> dict[str, np.ndarray]:
-        """Live references to the classifier-relevant parameters."""
+        """The classifier parameters by name: live views into ``params``."""
         return {"w_in": self.w_in, "b_in": self.b_in,
                 "w_out": self.w_out, "c_out": self.c_out}
 
     # -- inference ---------------------------------------------------------
 
-    def _check_input(self, x) -> np.ndarray:
+    def _check_sample(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n_inputs:
-            raise ValueError(f"expected {self.n_inputs} features, got {x.shape[-1]}")
-        if not np.logical_and.reduce(np.isfinite(x), axis=None):
+        if x.shape != (self.n_inputs,):
+            raise ValueError(f"expected a sample of shape ({self.n_inputs},), got {x.shape}")
+        if not np.logical_and.reduce(np.isfinite(x)):
             raise ValueError("input contains non-finite values")
         return x
 
+    def _classify(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden layer and class probabilities of one clean sample."""
+        hidden = sigmoid(self.w_in @ x + self.b_in)
+        return hidden, softmax(hidden @ self.w_out + self.c_out)
+
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        return softmax(sigmoid(self.w_in @ x + self.b_in) @ self.w_out + self.c_out)
+        """Class probabilities of one sample, kept for the next
+        ``discriminative_step`` on the same sample (see the module docstring)."""
+        x = self._check_sample(x)
+        hidden, probs = self._classify(x)
+        self._forward = (x, hidden, probs)
+        return probs
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         """Class probabilities for a whole batch (clean inputs, vectorised)."""
-        features = self._check_input(features)
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != self.n_inputs:
+            raise ValueError(
+                f"expected a batch of shape (n, {self.n_inputs}), got {features.shape}")
+        if not np.logical_and.reduce(np.isfinite(features), axis=None):
+            raise ValueError("input contains non-finite values")
         hidden = sigmoid(features @ self.w_in.T + self.b_in)
         return softmax(hidden @ self.w_out + self.c_out)
 
@@ -152,9 +232,10 @@ class Network:
                         rng: np.random.Generator | None = None) -> float:
         """One SGD step on the reconstruction of the clean input; returns the
         pre-update error."""
-        if lr < 0.0:
-            raise ValueError("learning rate must be nonnegative")
-        x = self._check_input(x)
+        if not 0.0 <= lr < math.inf:  # false for NaN too
+            raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
+        x = self._check_sample(x)
+        self._forward = None
         masked = mask_input(x, mask_fraction, rng) if mask_fraction > 0.0 else x
         error, grads = self.generative_gradients(x, masked)
         if lr > 0.0:
@@ -164,9 +245,14 @@ class Network:
         return error
 
     def discriminative_gradients(self, x: np.ndarray, target: np.ndarray):
-        """Classification loss and its gradients under the configured loss."""
-        hidden = sigmoid(self.w_in @ x + self.b_in)
-        probs = softmax(hidden @ self.w_out + self.c_out)
+        """Classification loss and its gradients under the configured loss.
+
+        The gradients come as one fresh flat vector in the layout of
+        ``params``; :func:`theta_views` names its segments.
+        """
+        return self._classifier_gradients(x, target, *self._classify(x))
+
+    def _classifier_gradients(self, x, target, hidden, probs):
         diff = probs - target
         if self.loss == "squared":
             loss = 0.5 * float(diff @ diff)
@@ -175,32 +261,31 @@ class Network:
             loss = -float(target @ np.log(np.maximum(probs, 1e-300)))
             delta_logits = diff
         delta_hidden = (self.w_out @ delta_logits) * hidden * (1.0 - hidden)
-        grads = {
-            "w_in": delta_hidden[:, None] * x,
-            "b_in": delta_hidden,
-            "w_out": hidden[:, None] * delta_logits,
-            "c_out": delta_logits,
-        }
+        grads = flatten_theta(delta_hidden[:, None] * x, delta_hidden,
+                              hidden[:, None] * delta_logits, delta_logits)
         return loss, grads
 
     def discriminative_step(self, x: np.ndarray, target: np.ndarray, lr: float,
-                            grad_addend: dict[str, np.ndarray] | None = None):
+                            grad_addend: np.ndarray | None = None):
         """One SGD step on the classifier; returns ``(loss, data_gradients)``.
 
         ``grad_addend`` is added to the data gradient before the step (used
-        for the anchored importance pull on self-labelled samples).
+        for the anchored importance pull on self-labelled samples).  Both
+        are flat vectors in the layout of ``params``.
         """
-        if lr < 0.0:
-            raise ValueError("learning rate must be nonnegative")
-        x = self._check_input(x)
+        if not 0.0 <= lr < math.inf:  # false for NaN too
+            raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
+        x = self._check_sample(x)
         target = np.asarray(target, dtype=float)
         if target.shape != (self.n_classes,):
             raise ValueError("target must be a one-hot vector over the classes")
-        loss, grads = self.discriminative_gradients(x, target)
+        forward, self._forward = self._forward, None
+        if forward is not None and forward[0] is x:
+            loss, grads = self._classifier_gradients(x, target, forward[1], forward[2])
+        else:
+            loss, grads = self.discriminative_gradients(x, target)
         if lr > 0.0:
-            for key, grad in grads.items():
-                param = getattr(self, key)  # updated in place
-                param -= lr * (grad if grad_addend is None else grad + grad_addend[key])
+            self.params -= lr * (grads if grad_addend is None else grads + grad_addend)
         return loss, grads
 
     # -- structural changes --------------------------------------------------
@@ -212,9 +297,9 @@ class Network:
         total = self.n_hidden + count
         new_w_in = self._xavier(rng, (count, self.n_inputs), self.n_inputs, total)
         new_w_out = self._xavier(rng, (count, self.n_classes), total, self.n_classes)
-        self.w_in = np.vstack([self.w_in, new_w_in])
-        self.b_in = np.append(self.b_in, np.zeros(count))
-        self.w_out = np.vstack([self.w_out, new_w_out])
+        self._bind(flatten_theta(np.vstack([self.w_in, new_w_in]),
+                                 np.append(self.b_in, np.zeros(count)),
+                                 np.vstack([self.w_out, new_w_out]), self.c_out))
 
     def prune_nodes(self, indexes) -> None:
         """Remove the listed hidden units, preserving the order of survivors."""
@@ -226,6 +311,5 @@ class Network:
         if indexes.size >= self.n_hidden:
             raise ValueError("refusing to prune every hidden unit")
         keep = np.setdiff1d(np.arange(self.n_hidden), indexes)
-        self.w_in = self.w_in[keep]
-        self.b_in = self.b_in[keep]
-        self.w_out = self.w_out[keep]
+        self._bind(flatten_theta(self.w_in[keep], self.b_in[keep], self.w_out[keep],
+                                 self.c_out))

@@ -123,8 +123,10 @@ def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,
         squash, weight, offset = sigmoid, net.w_in, net.d
     else:
         raise ValueError(f"unknown phase {phase!r}")
-    first = squash(e_hidden @ weight + offset)
-    second = squash((e_hidden * e_hidden) @ weight + offset)
+    # One squash for both moments; the two products stay apart, because a
+    # stacked product could sum in another order.
+    first, second = squash(np.array((e_hidden @ weight + offset,
+                                     (e_hidden * e_hidden) @ weight + offset)))
     diff = first - target
     bias_sq = float(diff @ diff)
     variance = float(np.add.reduce(second - first * first))

@@ -7,6 +7,13 @@ the parameters anchored at the last true label, weighted per parameter by
 how much that parameter mattered while learning from real labels, and
 scaled by how badly the current sample reconstructs.  Real labels are
 additionally echoed once as a noise-augmented copy.
+
+The hedge keeps its stores in the flat layout of ``Network.params``: the
+gradients that ``record_step`` folds in, the parameters that ``set_anchor``
+and ``pull`` take and the addend that ``pull`` returns are all flat vectors
+in that layout, so each is one vector operation.  The self-labelled step
+that consumes the addend reuses the forward pass of the ``predict_proba``
+call that scored the sample (the contract is in the ``network`` docstring).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import THETA_KEYS, Network, normalized_top2
+from .network import Network, flatten_theta, normalized_top2, theta_views
 
 # Pseudo-label decision outcomes, as written to the audit log.
 ACCEPTED = "accepted"
@@ -88,6 +95,12 @@ class HedgeState:
     normalising jointly to unit length yields the importance weights; the
     anchor is the parameter snapshot taken after the last true-label update.
 
+    The four stores are flat vectors in the layout of ``Network.params``
+    (see :func:`~parsnet.network.theta_views`), so ``record_step``, ``pull``
+    and ``set_anchor`` each work on whole vectors.  The ``anchor``,
+    ``importance``, ``loss_drop`` and ``movement`` properties name their
+    segments, for reading and for writing in place.
+
     The importance weights are a pure function of the accumulators, so they
     are recomputed only after a method that changes the accumulators marks
     them stale; unlabelled stretches of a stream then reuse them as they are.
@@ -97,29 +110,47 @@ class HedgeState:
         self.eps = eps
         self.steps = 0
         self._stale = True
-        self.anchor = {key: theta[key].copy() for key in THETA_KEYS}
-        self.importance = {key: np.zeros_like(theta[key]) for key in THETA_KEYS}
-        self.loss_drop = {key: np.zeros_like(theta[key]) for key in THETA_KEYS}
-        self.movement = {key: np.zeros_like(theta[key]) for key in THETA_KEYS}
+        self.n_inputs = theta["w_in"].shape[1]
+        self.n_classes = theta["c_out"].shape[0]
+        self._anchor = flatten_theta(**theta)
+        self._importance = np.zeros_like(self._anchor)
+        self._loss_drop = np.zeros_like(self._anchor)
+        self._movement = np.zeros_like(self._anchor)
 
     @classmethod
     def for_network(cls, net: Network, eps: float = 1e-8) -> "HedgeState":
         return cls(net.theta(), eps)
 
+    def _named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return theta_views(flat, self.n_inputs, self.n_classes)
+
+    @property
+    def anchor(self) -> dict[str, np.ndarray]:
+        return self._named(self._anchor)
+
+    @property
+    def importance(self) -> dict[str, np.ndarray]:
+        return self._named(self._importance)
+
+    @property
+    def loss_drop(self) -> dict[str, np.ndarray]:
+        return self._named(self._loss_drop)
+
+    @property
+    def movement(self) -> dict[str, np.ndarray]:
+        return self._named(self._movement)
+
     # -- accumulation (real labels only) ------------------------------------
 
-    def record_step(self, lr: float, grads: dict[str, np.ndarray]) -> None:
+    def record_step(self, lr: float, grads: np.ndarray) -> None:
         """Fold one true-label (or augmented) SGD step into the accumulators.
 
-        ``lr`` is the step's learning rate and ``grads`` its data gradients,
-        keyed like :data:`THETA_KEYS`; the step moved each parameter by
-        ``delta = (-lr) * grad``.
+        ``lr`` is the step's learning rate and ``grads`` its flat data
+        gradient; the step moved each parameter by ``delta = (-lr) * grad``.
         """
-        for key in THETA_KEYS:
-            grad = grads[key]
-            delta = (-lr) * grad
-            self.loss_drop[key] -= delta * grad
-            self.movement[key] += np.abs(delta)
+        delta = (-lr) * grads
+        self._loss_drop -= delta * grads
+        self._movement += np.abs(delta)
         self.steps += 1
         self._stale = True
 
@@ -133,58 +164,55 @@ class HedgeState:
         if not self._stale:
             return
         self._stale = False
+        raw = self._loss_drop / (self._movement ** 2 + self.eps)
+        # The squared norm is summed key by key, in THETA_KEYS order: one
+        # reduction over the whole vector would add in another order.
         total_sq = 0.0
-        raw = {}
-        for key in THETA_KEYS:
-            value = self.loss_drop[key] / (self.movement[key] ** 2 + self.eps)
-            raw[key] = value
-            total_sq += float(np.add.reduce(value * value, axis=None))
+        for part in self._named(raw * raw).values():
+            total_sq += float(np.add.reduce(part, axis=None))
         norm = math.sqrt(total_sq)
         if norm == 0.0:
-            for key in THETA_KEYS:
-                self.importance[key].fill(0.0)
+            self._importance.fill(0.0)
         else:
-            for key in THETA_KEYS:
-                self.importance[key] = raw[key] / norm
+            self._importance = raw / norm
 
-    def set_anchor(self, theta: dict[str, np.ndarray]) -> None:
-        """Snapshot the current parameters as the pull-back target."""
-        for key in THETA_KEYS:
-            self.anchor[key] = theta[key].copy()
+    def set_anchor(self, params: np.ndarray) -> None:
+        """Snapshot the current flat parameters as the pull-back target."""
+        self._anchor = params.copy()
 
     # -- the pull ------------------------------------------------------------
 
-    def pull(self, theta: dict[str, np.ndarray], strength: float) -> dict[str, np.ndarray]:
-        """Gradient addend ``strength * importance * (theta - anchor)``."""
-        addend = {}
-        for key in THETA_KEYS:
-            if theta[key].shape != self.anchor[key].shape:
-                raise ValueError(
-                    f"hedge state for {key!r} is stale after a structural change; "
-                    "resize it first")
-            addend[key] = strength * self.importance[key] * (theta[key] - self.anchor[key])
-        return addend
+    def pull(self, params: np.ndarray, strength: float) -> np.ndarray:
+        """Flat gradient addend ``strength * importance * (params - anchor)``."""
+        if params.shape != self._anchor.shape:
+            raise ValueError("hedge state is stale after a structural change; "
+                             "resize it first")
+        return strength * self._importance * (params - self._anchor)
 
     # -- structural resizes ----------------------------------------------------
 
-    def grow_hidden(self, theta: dict[str, np.ndarray], prev_hidden: int) -> None:
-        """Extend the state after hidden units were appended.
+    def grow_hidden(self, params: np.ndarray, prev_hidden: int) -> None:
+        """Extend the state after hidden units were appended to ``params``.
 
         New rows enter the anchor at their freshly initialised values and the
         accumulators at zero: new units have no history to protect.
         """
-        for key in HIDDEN_AXIS_KEYS:
-            fresh = theta[key][prev_hidden:]
-            self.anchor[key] = np.concatenate([self.anchor[key], fresh.copy()])
-            for store in (self.importance, self.loss_drop, self.movement):
-                store[key] = np.concatenate([store[key], np.zeros_like(fresh)])
+        for name in ("_anchor", "_importance", "_loss_drop", "_movement"):
+            old = self._named(getattr(self, name))
+            grown = params.copy() if name == "_anchor" else np.zeros_like(params)
+            new = self._named(grown)
+            for key in HIDDEN_AXIS_KEYS:
+                new[key][:prev_hidden] = old[key]
+            new["c_out"][:] = old["c_out"]
+            setattr(self, name, grown)
         self._stale = True
 
     def prune_hidden(self, keep: np.ndarray) -> None:
-        """Drop the rows of removed hidden units from every accumulator."""
-        for key in HIDDEN_AXIS_KEYS:
-            for store in (self.anchor, self.importance, self.loss_drop, self.movement):
-                store[key] = store[key][keep]
+        """Drop the rows of removed hidden units from every store."""
+        for name in ("_anchor", "_importance", "_loss_drop", "_movement"):
+            old = self._named(getattr(self, name))
+            setattr(self, name, flatten_theta(old["w_in"][keep], old["b_in"][keep],
+                                              old["w_out"][keep], old["c_out"]))
         # Dropping rows changes the joint norm, so the survivors renormalise.
         self._stale = True
 

@@ -18,6 +18,10 @@ counted); ``train_on_sample`` checks its sample and label.  A rejected input
 raises ``ValueError`` and leaves the learner untouched.  The network and
 mixture methods the learner calls are entry points of their own modules and
 keep their own single checks.
+
+The self-labelled step passes ``discriminative_step`` the very sample object
+that ``predict_proba`` scored, with no parameter write in between, so the
+step reuses that forward pass (see the ``network`` docstring).
 """
 
 from __future__ import annotations
@@ -288,7 +292,7 @@ class StreamLearner:
             if not cfg.evolve_off and self.net.n_hidden < cfg.max_hidden:
                 prev = self.net.n_hidden
                 self.net.add_nodes(self.mixture.size, self.rng)
-                self.hedge.grow_hidden(self.net.theta(), prev)
+                self.hedge.grow_hidden(self.net.params, prev)
                 self.events.append((self.samples_seen, "node_grow"))
                 self._last_growth = self.samples_seen
         elif monitor.observe_variance(variance) and not cfg.evolve_off:
@@ -352,7 +356,7 @@ class StreamLearner:
                 _, grads = self.net.discriminative_step(jittered, self._eye[same], cfg.lr_disc)
                 self.counters["disc_aug_steps"] += 1
                 self.hedge.record_step(cfg.lr_disc, grads)
-                self.hedge.set_anchor(self.net.theta())
+                self.hedge.set_anchor(self.net.params)
             # Structural checks run on originally labelled samples only.
             if self.mixture.size:
                 self._evolve(self.disc_monitor, target, "discriminative")
@@ -368,7 +372,7 @@ class StreamLearner:
             pseudo, reason = propose_label(net_probs, agmm_probs,
                                            cfg.agmm_conf, cfg.net_conf)
             if pseudo is not None:
-                addend = self.hedge.pull(self.net.theta(), hedge_strength)
+                addend = self.hedge.pull(self.net.params, hedge_strength)
                 self.net.discriminative_step(x, self._eye[pseudo.label], cfg.lr_disc,
                                              grad_addend=addend)
                 self.pseudo_count += 1

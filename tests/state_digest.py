@@ -1,0 +1,133 @@
+"""A digest of a stream learner's full state after a prequential run.
+
+``RunMetrics.signature()`` holds accuracies, counts and events, so a change
+that moves the learner's floats in their last bits can keep it.  This digest
+hashes the state itself, by name: the network parameters, the mixture
+arrays, the hedge stores key by key, both phase monitors, the error scaler,
+the random generator, the counters and the events.  Reading every array
+through its name keeps the digest independent of how the arrays are laid
+out in memory.
+
+    PYTHONPATH=src python3 tests/state_digest.py
+
+replays streams 0-2 of seed 0 of every ``BENCHMARK.json`` workload and
+writes their digests to ``tests/state_digests.json`` under this machine's
+platform key, next to any other platform's record.  Record only from a
+commit whose outputs are the reference; a change meant to keep outputs
+bit-identical must leave the file alone.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+from parsnet.network import THETA_KEYS
+from parsnet.stream import StreamLearner, prequential_run
+
+HERE = pathlib.Path(__file__).resolve().parent
+PERFBENCH = HERE.parent / "perfbench"
+DIGEST_FILE = HERE / "state_digests.json"
+SEED = 0
+STREAMS = 3
+
+MIXTURE_ARRAYS = ("centers", "spreads", "support", "lifespan", "activity",
+                  "class_counts", "_conditionals")
+HEDGE_STORES = ("anchor", "importance", "loss_drop", "movement")
+STAT_SLOTS = ("n", "mean", "m2", "min_mean", "min_std")
+
+
+def _named_state(learner: StreamLearner):
+    """Yield ``(name, value)`` for every piece of the learner's state."""
+    net, mixture, hedge = learner.net, learner.mixture, learner.hedge
+    for key in ("w_in", "b_in", "d", "w_out", "c_out"):
+        yield f"net.{key}", getattr(net, key)
+    for key in MIXTURE_ARRAYS:
+        yield f"mixture.{key}", getattr(mixture, key)
+    for store in HEDGE_STORES:
+        named = getattr(hedge, store)
+        for key in THETA_KEYS:
+            yield f"hedge.{store}.{key}", named[key]
+    yield "hedge.steps", hedge.steps
+    for phase in ("gen_monitor", "disc_monitor"):
+        monitor = getattr(learner, phase)
+        yield f"{phase}.levels", (monitor.bias_level, monitor.var_level)
+        for stat in ("bias_stat", "var_stat"):
+            running = getattr(monitor, stat)
+            yield f"{phase}.{stat}", tuple(getattr(running, slot) for slot in STAT_SLOTS)
+    yield "scaler", (learner.scaler.e_min, learner.scaler.e_max)
+    yield "rng", learner.rng.bit_generator.state
+    yield "counts", (learner.pseudo_count, learner.samples_seen, learner._last_growth)
+    yield "counters", sorted(learner.counters.items())
+    yield "events", learner.events
+
+
+def learner_state_digest(learner: StreamLearner) -> str:
+    h = hashlib.sha256()
+    for name, value in _named_state(learner):
+        h.update(name.encode() + b"\0")
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            # repr of a Python float round-trips exactly.
+            h.update(repr(value).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def replay_state_digest(stream) -> str:
+    """Run one benchmark stream prequentially; the digest of the final learner."""
+    learners = []
+    close = StreamLearner.close
+
+    def capturing_close(self):
+        learners.append(self)
+        close(self)
+
+    StreamLearner.close = capturing_close
+    try:
+        prequential_run(stream.config, stream.scenario)
+    finally:
+        StreamLearner.close = close
+    (learner,) = learners
+    return learner_state_digest(learner)
+
+
+def perfbench_modules():
+    """The benchmark's ``bench`` and ``workloads`` modules."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))  # bench imports its siblings by name
+    import bench
+    import workloads
+    return bench, workloads
+
+
+def recorded_state_digests() -> tuple[dict | None, str]:
+    """This platform's recorded digests, keyed by workload, and a note."""
+    bench, _ = perfbench_modules()
+    record = json.loads(DIGEST_FILE.read_text())
+    mine = record.get(bench.platform_key())
+    if mine is None:
+        return None, f"{DIGEST_FILE.name} holds no record for this platform"
+    return mine, "checked"
+
+
+def main() -> None:
+    bench, workloads = perfbench_modules()
+    digests = {}
+    for name in bench.benchmark_workloads():
+        streams = workloads.build_streams(name, seed=SEED, streams=STREAMS)
+        digests[name] = [replay_state_digest(stream) for stream in streams]
+        print(name, digests[name], flush=True)
+    record = json.loads(DIGEST_FILE.read_text()) if DIGEST_FILE.exists() else {}
+    record[bench.platform_key()] = digests
+    DIGEST_FILE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,7 @@ from scipy.cluster.vq import kmeans2
 
 from parsnet.agmm import AgmmModel
 from parsnet.cli import gen_hyperplane, gen_sea
-from parsnet.network import Network, sigmoid
+from parsnet.network import Network, sigmoid, theta_views
 from parsnet.plasticity import expected_hidden
 from parsnet.slash import HedgeState
 from parsnet.stream import (Batch, RunConfig, make_infinite_delay,
@@ -108,14 +108,15 @@ def test_criterion_1_gradient_correctness():
 
         # classifier gradients, without and with the anchored pull
         hedge = HedgeState.for_network(net)
-        hedge.importance = {k: rng.normal(0.0, 0.3, v.shape)
-                            for k, v in net.theta().items()}
-        hedge.anchor = {k: v + rng.normal(0.0, 0.2, v.shape)
-                        for k, v in net.theta().items()}
+        for part in hedge.importance.values():
+            part[...] = rng.normal(0.0, 0.3, part.shape)
+        for key, part in hedge.anchor.items():
+            part[...] = net.theta()[key] + rng.normal(0.0, 0.2, part.shape)
         strength = 0.7
 
         _, grads = net.discriminative_gradients(x, target)
-        pull = hedge.pull(net.theta(), strength)
+        pull = hedge.pull(net.params, strength)
+        grads, pull = (theta_views(flat, u, c) for flat in (grads, pull))
 
         def total_objective():
             loss_value, _ = net.discriminative_gradients(x, target)
@@ -239,18 +240,18 @@ def test_criterion_5_hedge_containment():
             x = np.clip(means[y] + rng.normal(0.0, 0.1, 8), 0.0, 1.0)
             _, grads = net.discriminative_step(x, np.eye(2)[y], lr)
             hedge.record_step(lr, grads)
-        hedge.set_anchor(net.theta())
+        hedge.set_anchor(net.params)
         hedge.refresh_importance()
 
         flips = [(int(rng.integers(0, 2)), rng.normal(0.0, 0.1, 8))
                  for _ in range(50)]
-        start = copy.deepcopy(net.__dict__)
+        start = copy.deepcopy(net)
         for y, noise in flips:
             x = np.clip(means[y] + noise, 0.0, 1.0)
-            pull = hedge.pull(net.theta(), strength=1.0)
+            pull = hedge.pull(net.params, strength=1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr, grad_addend=pull)
         hedged = gap(net, hedge.anchor)
-        net.__dict__.update(copy.deepcopy(start))
+        net = copy.deepcopy(start)
         for y, noise in flips:
             x = np.clip(means[y] + noise, 0.0, 1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr)

@@ -51,6 +51,24 @@ def test_activation_rejects_non_finite():
         activation([0.0], [1.0], [np.nan])
 
 
+def test_far_out_sample_keeps_its_activation_and_likelihood():
+    # Far outside the normalised range z * z overflows to inf: the activation
+    # is 0 and the log-likelihood -inf, as they were under np.errstate, and
+    # numpy's overflow warning now shows.
+    model = build([[0.5, 0.5], [0.2, 0.9]], [[0.1, 0.1], [0.05, 0.2]])
+    x = np.array([1e200, 0.5])
+    with np.errstate(over="ignore"):
+        z = (x - model.centers) / model.spreads
+        acts = np.exp(-0.5 * np.max(z * z, axis=1))
+        log_lik = (-0.5 * np.sum(z * z, axis=1) - np.sum(np.log(model.spreads), axis=1)
+                   - 0.5 * 2 * math.log(2.0 * math.pi))
+    assert acts.tolist() == [0.0, 0.0] and log_lik.tolist() == [-math.inf, -math.inf]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert model.activations(x).tobytes() == acts.tobytes()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert model._log_likelihood(x).tobytes() == log_lik.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     center=arrays(float, 3, elements=st.floats(-5, 5)),

@@ -81,3 +81,23 @@ def test_stream_zero_of_every_workload_matches_its_recorded_digest(monkeypatch):
         (stream,) = workloads.build_streams(name, seed=0, streams=1)
         metrics = prequential_run(stream.config, stream.scenario)
         assert bench.digest(metrics) == recorded[0], name
+
+
+def test_full_learner_state_of_every_workload_matches_its_recorded_digest(monkeypatch):
+    # The signature digests above see accuracies, counts and events only; a
+    # change that moves the learner's floats can keep them.  This replays
+    # streams 0-2 of seed 0 of each workload and compares a digest of the
+    # learner's whole state, by name, with the one recorded from the
+    # reference outputs (tests/state_digest.py records it).
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import state_digest
+
+    recorded, note = state_digest.recorded_state_digests()
+    if recorded is None:
+        pytest.skip(note)
+    bench, workloads = state_digest.perfbench_modules()
+    for name in bench.benchmark_workloads():
+        streams = workloads.build_streams(name, seed=state_digest.SEED,
+                                          streams=state_digest.STREAMS)
+        found = [state_digest.replay_state_digest(stream) for stream in streams]
+        assert found == recorded[name], name

@@ -190,6 +190,29 @@ def test_malformed_value_is_a_config_error_naming_the_key(tmp_path, monkeypatch,
     assert "PARSNET_SEED" in capsys.readouterr().err
 
 
+FLOAT_KEYS = ("label_noise", "drift", "label_frac", "agmm_conf", "net_conf",
+              "init_spread", "lr_gen", "lr_disc", "mask_frac", "hedge_eps")
+
+
+def test_non_finite_float_is_a_config_error_naming_the_key(tmp_path, capsys):
+    # A NaN learning rate used to train nothing and exit 0.
+    out = tmp_path / "nan"
+    for key in FLOAT_KEYS:
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=key):
+                merge_config({key: text}, {})
+            with pytest.raises(ConfigError, match=key):
+                merge_config({}, {key: float(text)})
+    config = tmp_path / "lr.cfg"
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nout={out}\nlr_disc=nan\n")
+    assert main(["--config", str(config)]) == 1
+    assert "lr_disc" in capsys.readouterr().err
+    assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "1",
+                 "--out", str(out), "--lr-gen", "nan", "--lr-disc", "nan"]) == 1
+    assert "lr_gen" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, expected", [
     ("1", True), ("true", True), ("Yes", True), ("ON", True),
     ("0", False), ("false", False), ("No", False), ("OFF", False)])

@@ -1,4 +1,7 @@
 import copy
+import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from parsnet.network import (Network, mask_input, normalized_top2, sigmoid,
-                             softmax)
+from parsnet.network import (THETA_KEYS, Network, flatten_theta, mask_input,
+                             normalized_top2, sigmoid, softmax, theta_views)
 
 # -- finite-difference oracle ---------------------------------------------------
 
@@ -29,6 +32,11 @@ def fd_gradient(loss_fn, param, eps=1e-6):
 def relative_gap(analytic, numeric):
     scale = max(np.abs(numeric).max(), 1e-8)
     return np.abs(analytic - numeric).max() / scale
+
+
+def named(net, flat):
+    """The segments of a flat classifier vector of ``net``, by name."""
+    return theta_views(flat, net.n_inputs, net.n_classes)
 
 
 def random_net(rng, n_inputs=5, n_classes=3, n_hidden=3, jitter=0.5):
@@ -151,7 +159,7 @@ def test_discriminative_gradients_match_finite_differences(loss):
         net.loss = loss
         x = rng.random(5)
         target = np.eye(3)[rng.integers(0, 3)]
-        _, grads = net.discriminative_gradients(x, target)
+        grads = named(net, net.discriminative_gradients(x, target)[1])
         for name in ("w_in", "b_in", "w_out", "c_out"):
             param = getattr(net, name)
             numeric = fd_gradient(lambda: net.discriminative_gradients(x, target)[0], param)
@@ -226,7 +234,7 @@ def test_pull_only_step_moves_toward_anchor():
     # a target equal to the current prediction zeroes the data gradient
     target = net.predict_proba(x)
     anchor = {k: v - 1.0 for k, v in net.theta().items()}
-    addend = {k: (net.theta()[k] - anchor[k]) for k in anchor}  # importance 1, strength 1
+    addend = net.params - flatten_theta(**anchor)  # importance 1, strength 1
     before = {k: np.linalg.norm(net.theta()[k] - anchor[k]) for k in anchor}
     net.discriminative_step(x, target, lr=0.1, grad_addend=addend)
     after = {k: np.linalg.norm(net.theta()[k] - anchor[k]) for k in anchor}
@@ -258,13 +266,16 @@ def test_discriminative_step_is_sgd_on_its_gradients(with_addend, loss):
         x, target, lr = rng.random(5), np.eye(3)[rng.integers(3)], 0.05
         addend = ({key: rng.normal(0.0, 1.0, value.shape) for key, value in net.theta().items()}
                   if with_addend else None)
-        loss_value, grads = net.discriminative_gradients(x, target)
+        loss_value, flat_grads = net.discriminative_gradients(x, target)
+        grads = named(net, flat_grads)
+        # The step's one vector update equals the per-parameter updates.
         expected = {key: net.theta()[key] - lr * (grads[key] + addend[key] if addend else grads[key])
-                    for key in grads}
-        step_loss, step_grads = net.discriminative_step(x, target, lr, grad_addend=addend)
+                    for key in THETA_KEYS}
+        step_loss, step_grads = net.discriminative_step(
+            x, target, lr, grad_addend=flatten_theta(**addend) if addend else None)
         assert step_loss == loss_value
+        assert np.array_equal(step_grads, flat_grads)
         for key, value in expected.items():
-            assert np.array_equal(step_grads[key], grads[key]), key
             assert np.array_equal(net.theta()[key], value), key
 
 
@@ -273,13 +284,82 @@ def test_weight_gradients_equal_outer_products():
     net = random_net(rng)
     x, masked = rng.random(5), rng.random(5)
     hidden = sigmoid(net.w_in @ x + net.b_in)
-    _, grads = net.discriminative_gradients(x, np.eye(3)[2])
+    grads = named(net, net.discriminative_gradients(x, np.eye(3)[2])[1])
     assert np.array_equal(grads["w_in"], np.outer(grads["b_in"], x))
     assert np.array_equal(grads["w_out"], np.outer(hidden, grads["c_out"]))
     _, grads = net.generative_gradients(x, masked)
     hidden = sigmoid(net.w_in @ masked + net.b_in)
     assert np.array_equal(grads["w_in"],
                           np.outer(hidden, grads["d"]) + np.outer(grads["b_in"], masked))
+
+
+@pytest.mark.parametrize("between", ["nothing", "generative_step", "add_nodes", "prune_nodes",
+                                     "another sample"])
+def test_step_after_predict_proba_equals_the_step_on_a_fresh_copy(between):
+    # predict_proba's forward pass may serve the next step on the same sample
+    # only while no parameter has changed since.
+    rng = np.random.default_rng(41)
+    for trial in range(10):
+        net = random_net(rng, n_hidden=4)
+        twin = copy.deepcopy(net)
+        x, target, seed = rng.random(5), np.eye(3)[rng.integers(3)], 100 + trial
+        net.predict_proba(rng.random(5) if between == "another sample" else x)
+        for model in (net, twin):
+            change = np.random.default_rng(seed)
+            if between == "generative_step":
+                model.generative_step(x, 0.3, 0.2, change)
+            elif between == "add_nodes":
+                model.add_nodes(2, change)
+            elif between == "prune_nodes":
+                model.prune_nodes([1])
+        loss, _ = net.discriminative_step(x, target, 0.2)
+        twin_loss, _ = twin.discriminative_step(x, target, 0.2)
+        assert loss == twin_loss, trial
+        for key, value in twin.theta().items():
+            assert np.array_equal(net.theta()[key], value), (trial, key)
+
+
+def test_params_is_one_vector_behind_the_named_views():
+    rng = np.random.default_rng(42)
+    net = random_net(rng, n_hidden=3)
+    for model in (net, copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+        assert np.array_equal(flatten_theta(**model.theta()), model.params)
+        for key, value in model.theta().items():
+            assert np.shares_memory(value, model.params), key
+            assert value.flags.c_contiguous, key
+    net.add_nodes(2, rng)
+    net.prune_nodes([0])
+    assert named(net, net.params)["w_in"].shape == (4, 5)
+    assert all(np.shares_memory(value, net.params) for value in net.theta().values())
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -0.1])
+def test_steps_reject_a_rate_that_is_not_finite_and_nonnegative(lr):
+    rng = np.random.default_rng(43)
+    net = random_net(rng)
+    before = copy.deepcopy(net)
+    with pytest.raises(ValueError, match="learning rate"):
+        net.generative_step(rng.random(5), lr, 0.4, rng)
+    with pytest.raises(ValueError, match="learning rate"):
+        net.discriminative_step(rng.random(5), np.eye(3)[0], lr)
+    for key in THETA_KEYS + ("d",):
+        assert np.array_equal(getattr(net, key), getattr(before, key)), key
+
+
+def test_single_sample_methods_require_a_vector_of_the_inputs():
+    # With as many hidden units as inputs a matrix used to pass as a sample.
+    net = Network(3, 2, 3, np.random.default_rng(44))
+    for bad in (np.full((3, 3), 0.5), np.float64(0.5), np.full(4, 0.5), np.full((1, 3), 0.5)):
+        shape = np.shape(bad)
+        for call in (lambda: net.predict_proba(bad),
+                     lambda: net.generative_step(bad, 0.1),
+                     lambda: net.discriminative_step(bad, np.eye(2)[0], 0.1)):
+            with pytest.raises(ValueError, match=re.escape(f"(3,), got {shape}")):
+                call()
+    for bad in (np.full(3, 0.5), np.full((2, 4), 0.5), np.full((2, 3, 1), 0.5)):
+        with pytest.raises(ValueError, match=re.escape(f"(n, 3), got {np.shape(bad)}")):
+            net.predict_batch(bad)
+    assert net.predict_batch(np.full((2, 3), 0.5)).shape == (2, 2)
 
 
 # -- structural changes --------------------------------------------------------------------

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from parsnet.network import THETA_KEYS, Network, normalized_top2
+from parsnet.network import (THETA_KEYS, Network, flatten_theta,
+                             normalized_top2, theta_views)
 from parsnet.slash import (ACCEPTED, DISAGREEMENT, LOW_CONFIDENCE,
                            UNAVAILABLE, HedgeState, ReconScaler, augment,
                            propose_label)
@@ -17,6 +18,11 @@ def tiny_theta(value=0.0):
         "w_out": np.full((2, 2), value),
         "c_out": np.full(2, value),
     }
+
+
+def tiny_params(value=0.0):
+    """``tiny_theta`` as one flat vector."""
+    return flatten_theta(**tiny_theta(value))
 
 
 # -- self-labelling gate ---------------------------------------------------------
@@ -95,7 +101,7 @@ def test_scaler_monotone_given_fixed_extrema():
 
 def test_record_step_zero_delta_only_counts():
     hedge = HedgeState(tiny_theta())
-    hedge.record_step(0.0, tiny_theta(1.0))
+    hedge.record_step(0.0, tiny_params(1.0))
     assert hedge.steps == 1
     assert all(not hedge.loss_drop[k].any() for k in hedge.loss_drop)
     assert all(not hedge.movement[k].any() for k in hedge.movement)
@@ -104,7 +110,7 @@ def test_record_step_zero_delta_only_counts():
 def test_record_step_scalar_arithmetic():
     # movement against the gradient books a positive loss drop
     hedge = HedgeState(tiny_theta())
-    hedge.record_step(0.1, tiny_theta(1.0))
+    hedge.record_step(0.1, tiny_params(1.0))
     assert hedge.loss_drop["w_in"][0, 0] == pytest.approx(0.1)
     assert hedge.movement["w_in"][0, 0] == pytest.approx(0.1)
 
@@ -112,7 +118,7 @@ def test_record_step_scalar_arithmetic():
 def test_record_step_is_additive():
     hedge = HedgeState(tiny_theta())
     for _ in range(2):
-        hedge.record_step(0.1, tiny_theta(1.0))
+        hedge.record_step(0.1, tiny_params(1.0))
     assert hedge.loss_drop["b_in"][0] == pytest.approx(0.2)
     assert hedge.steps == 2
 
@@ -126,8 +132,9 @@ def test_record_step_equals_the_delta_dict_form():
     loss_drop = {k: np.zeros_like(v) for k, v in hedge.loss_drop.items()}
     movement = {k: np.zeros_like(v) for k, v in hedge.movement.items()}
     for lr in rng.uniform(0.0, 0.2, 50):
-        _, grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], lr)
-        hedge.record_step(lr, grads)
+        _, flat_grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], lr)
+        hedge.record_step(lr, flat_grads)
+        grads = theta_views(flat_grads, 4, 3)
         delta = {k: -lr * g for k, g in grads.items()}
         for key in THETA_KEYS:
             loss_drop[key] -= delta[key] * grads[key]
@@ -141,8 +148,7 @@ def test_record_step_equals_the_delta_dict_form():
 def test_importance_inert_without_history():
     hedge = HedgeState(tiny_theta())
     hedge.refresh_importance()
-    pull = hedge.pull(tiny_theta(5.0), strength=1.0)
-    assert all(not pull[k].any() for k in pull)
+    assert not hedge.pull(tiny_params(5.0), strength=1.0).any()
 
 
 def test_importance_scalar_normalisation():
@@ -165,20 +171,20 @@ def test_importance_keeps_accumulator_sign():
 
 
 def test_pull_zero_at_anchor():
-    theta = tiny_theta(0.7)
-    hedge = HedgeState(theta)
-    hedge.importance = tiny_theta(1.0)
-    hedge.set_anchor(theta)
-    pull = hedge.pull(theta, strength=1.0)
-    assert all(not pull[k].any() for k in pull)
+    hedge = HedgeState(tiny_theta(0.7))
+    for part in hedge.importance.values():
+        part[...] = 1.0
+    hedge.set_anchor(tiny_params(0.7))
+    assert not hedge.pull(tiny_params(0.7), strength=1.0).any()
 
 
 def test_pull_arithmetic():
     hedge = HedgeState(tiny_theta(0.0))
-    hedge.importance = tiny_theta(0.5)
-    pull = hedge.pull(tiny_theta(2.0), strength=1.0)
+    for part in hedge.importance.values():
+        part[...] = 0.5
+    pull = theta_views(hedge.pull(tiny_params(2.0), strength=1.0), 3, 2)
     assert pull["w_out"][0, 0] == pytest.approx(1.0)
-    assert not hedge.pull(tiny_theta(2.0), strength=0.0)["w_out"].any()
+    assert not hedge.pull(tiny_params(2.0), strength=0.0).any()
 
 
 def test_pull_demands_resize_after_structural_change():
@@ -186,7 +192,7 @@ def test_pull_demands_resize_after_structural_change():
     hedge = HedgeState.for_network(net)
     net.add_nodes(1, np.random.default_rng(1))
     with pytest.raises(ValueError, match="resize"):
-        hedge.pull(net.theta(), strength=1.0)
+        hedge.pull(net.params, strength=1.0)
 
 
 def test_pull_and_refresh_leave_accumulators_untouched():
@@ -196,13 +202,13 @@ def test_pull_and_refresh_leave_accumulators_untouched():
     for _ in range(5):
         _, grads = net.discriminative_step(rng.random(4), np.eye(2)[0], 0.05)
         hedge.record_step(0.05, grads)
-    hedge.set_anchor(net.theta())
+    hedge.set_anchor(net.params)
     snapshot = {k: v.copy() for k, v in hedge.loss_drop.items()}
     moves = {k: v.copy() for k, v in hedge.movement.items()}
     steps = hedge.steps
     for _ in range(10):  # pseudo-label-style traffic: scoring only
         hedge.refresh_importance()
-        hedge.pull(net.theta(), strength=0.7)
+        hedge.pull(net.params, strength=0.7)
     assert hedge.steps == steps
     for key in snapshot:
         assert np.array_equal(snapshot[key], hedge.loss_drop[key])
@@ -215,14 +221,14 @@ def test_grow_hidden_anchors_fresh_units_at_initial_values():
     hedge = HedgeState.for_network(net)
     hedge.loss_drop["w_in"][:] = 1.0
     net.add_nodes(2, rng)
-    hedge.grow_hidden(net.theta(), prev_hidden=2)
+    hedge.grow_hidden(net.params, prev_hidden=2)
     assert hedge.anchor["w_in"].shape == (4, 3)
     assert np.array_equal(hedge.anchor["w_in"][2:], net.w_in[2:])
     assert not hedge.importance["w_in"][2:].any()
     assert not hedge.loss_drop["w_in"][2:].any()
     assert hedge.loss_drop["w_in"][:2].all()
     # pull works again after the resize
-    hedge.pull(net.theta(), strength=1.0)
+    hedge.pull(net.params, strength=1.0)
 
 
 def test_prune_hidden_drops_matching_rows():
@@ -233,7 +239,7 @@ def test_prune_hidden_drops_matching_rows():
     net.prune_nodes([1, 3])
     hedge.prune_hidden(keep)
     assert hedge.movement["b_in"].tolist() == [1.0, 3.0]
-    hedge.pull(net.theta(), strength=1.0)
+    hedge.pull(net.params, strength=1.0)
 
 
 def importance_from_scratch(hedge):
@@ -263,7 +269,7 @@ def test_cached_importance_equals_recomputation_after_mixed_changes():
         elif op == "grow" and net.n_hidden < 12:
             prev = net.n_hidden
             net.add_nodes(int(rng.integers(1, 3)), rng)
-            hedge.grow_hidden(net.theta(), prev)
+            hedge.grow_hidden(net.params, prev)
         elif op == "prune" and net.n_hidden > 1:
             doomed = [int(rng.integers(net.n_hidden))]
             keep = np.setdiff1d(np.arange(net.n_hidden), doomed)
@@ -274,6 +280,85 @@ def test_cached_importance_equals_recomputation_after_mixed_changes():
             expected = importance_from_scratch(hedge)
             for key in THETA_KEYS:
                 assert np.array_equal(hedge.importance[key], expected[key]), (op, key)
+
+
+def test_flat_steps_and_hedge_equal_their_per_key_forms():
+    # The per-parameter arithmetic that the flat vectors replaced, run in
+    # lockstep with them over labelled steps, hedged pseudo steps, growth and
+    # pruning; every store must agree bit for bit after every operation.
+    rng = np.random.default_rng(11)
+    net = Network(4, 3, 3, rng)
+    hedge = HedgeState.for_network(net)
+    ref = {key: value.copy() for key, value in net.theta().items()}
+    anchor = {key: value.copy() for key, value in ref.items()}
+    importance = {key: np.zeros_like(value) for key, value in ref.items()}
+    loss_drop = {key: np.zeros_like(value) for key, value in ref.items()}
+    movement = {key: np.zeros_like(value) for key, value in ref.items()}
+    hidden_keys = ("w_in", "b_in", "w_out")
+    ops = rng.choice(["label", "pseudo", "grow", "prune"], size=400, p=[0.35, 0.35, 0.15, 0.15])
+    counts = dict.fromkeys(["label", "pseudo", "grow", "prune"], 0)
+    for op in ops:
+        x, target = rng.random(4), np.eye(3)[rng.integers(3)]
+        lr = float(rng.uniform(0.01, 0.5))
+        if op == "label":
+            for _ in range(2):  # the true label and its augmented copy
+                _, flat = net.discriminative_step(x, target, lr)
+                hedge.record_step(lr, flat)
+                grads = theta_views(flat, 4, 3)
+                for key in THETA_KEYS:
+                    ref[key] -= lr * grads[key]
+                    delta = (-lr) * grads[key]
+                    loss_drop[key] -= delta * grads[key]
+                    movement[key] += np.abs(delta)
+            hedge.set_anchor(net.params)
+            anchor = {key: value.copy() for key, value in ref.items()}
+        elif op == "pseudo":
+            strength = float(rng.random())
+            hedge.refresh_importance()
+            net.predict_proba(x)
+            addend = hedge.pull(net.params, strength)
+            _, flat = net.discriminative_step(x, target, lr, grad_addend=addend)
+            raw = {key: loss_drop[key] / (movement[key] ** 2 + hedge.eps) for key in THETA_KEYS}
+            total_sq = 0.0
+            for key in THETA_KEYS:
+                total_sq += float(np.sum(raw[key] * raw[key]))
+            norm = math.sqrt(total_sq)
+            importance = {key: np.zeros_like(value) if norm == 0.0 else value / norm
+                          for key, value in raw.items()}
+            grads, named_addend = theta_views(flat, 4, 3), theta_views(addend, 4, 3)
+            for key in THETA_KEYS:
+                pull = strength * importance[key] * (ref[key] - anchor[key])
+                assert named_addend[key].tobytes() == pull.tobytes(), key
+                ref[key] -= lr * (grads[key] + pull)
+            for key in THETA_KEYS:
+                assert hedge.importance[key].tobytes() == importance[key].tobytes(), key
+        elif op == "grow" and net.n_hidden < 10:
+            prev = net.n_hidden
+            net.add_nodes(int(rng.integers(1, 3)), rng)
+            hedge.grow_hidden(net.params, prev)
+            for key in hidden_keys:
+                fresh = net.theta()[key][prev:]
+                ref[key] = np.concatenate([ref[key], fresh])
+                anchor[key] = np.concatenate([anchor[key], fresh])
+                for store in (importance, loss_drop, movement):
+                    store[key] = np.concatenate([store[key], np.zeros_like(fresh)])
+        elif op == "prune" and net.n_hidden > 1:
+            doomed = [int(rng.integers(net.n_hidden))]
+            keep = np.setdiff1d(np.arange(net.n_hidden), doomed)
+            net.prune_nodes(doomed)
+            hedge.prune_hidden(keep)
+            for key in hidden_keys:
+                for store in (ref, anchor, importance, loss_drop, movement):
+                    store[key] = store[key][keep]
+        else:
+            continue
+        counts[op] += 1
+        for key in THETA_KEYS:
+            assert net.theta()[key].tobytes() == ref[key].tobytes(), (op, key)
+            assert hedge.anchor[key].tobytes() == anchor[key].tobytes(), (op, key)
+            assert hedge.loss_drop[key].tobytes() == loss_drop[key].tobytes(), (op, key)
+            assert hedge.movement[key].tobytes() == movement[key].tobytes(), (op, key)
+    assert min(counts.values()) >= 30, counts
 
 
 # -- augmentation ----------------------------------------------------------------------
@@ -345,18 +430,18 @@ def test_hedge_contains_flipped_pseudo_labels():
             x = np.clip(means[y] + rng.normal(0.0, 0.1, 8), 0.0, 1.0)
             _, grads = net.discriminative_step(x, np.eye(2)[y], lr)
             hedge.record_step(lr, grads)
-        hedge.set_anchor(net.theta())
+        hedge.set_anchor(net.params)
         hedge.refresh_importance()
 
         flips = [(int(rng.integers(0, 2)), rng.normal(0.0, 0.1, 8)) for _ in range(50)]
-        start = copy.deepcopy(net.__dict__)
+        start = copy.deepcopy(net)
         for y, noise in flips:
             x = np.clip(means[y] + noise, 0.0, 1.0)
-            addend = hedge.pull(net.theta(), strength=1.0)
+            addend = hedge.pull(net.params, strength=1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr, grad_addend=addend)
         hedged = theta_gap(net, hedge.anchor)
 
-        net.__dict__.update(copy.deepcopy(start))
+        net = copy.deepcopy(start)
         for y, noise in flips:
             x = np.clip(means[y] + noise, 0.0, 1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr)

@@ -14,10 +14,12 @@ All operations are strictly single-pass: each sample is looked at once and
 never stored.
 
 Validation contract: every public method checks its input once, on entry
-(sample shape and finiteness, class label range); the private helpers it
-calls (``_activations``, ``_should_insert``, ``_insert``, ``_tune``,
-``_observe_label``) trust their input.  A streaming step therefore pays for
-one check per sample, and a rejected sample leaves the mixture untouched.
+(a sample through :func:`~parsnet.network.check_sample`, the check the
+network and the stream learner share, and the class label range); the
+private helpers it calls (``_activations``, ``_should_insert``, ``_insert``,
+``_tune``, ``_observe_label``) trust their input.  A streaming step
+therefore pays for one check per sample, and a rejected sample leaves the
+mixture untouched.
 
 Cached class conditionals: ``class_posterior`` needs, per component, the
 class frequencies normalised by the component's label total (uniform for a
@@ -25,9 +27,9 @@ component that has seen no label).  They depend on ``class_counts`` alone,
 which changes only when a label is credited or a component is added or
 removed, while the posterior is asked for on every unlabelled sample.  The
 matrix is therefore kept in ``_conditionals`` and rebuilt on the next
-``class_posterior`` after ``_insert``, ``_observe_label`` (and through it
-``observe_label``) or a ``prune_inactive`` that removes a component clears
-it.  Code that writes ``class_counts`` directly must clear it too.
+``class_posterior`` after ``_insert``, ``_observe_label`` or a
+``prune_inactive`` that removes a component clears it.  Code that writes
+``class_counts`` directly must clear it too.
 
 Overflow: the standardised distance ``z = (x - centre) / spread`` is
 squared without an ``np.errstate`` guard, whose context costs more than the
@@ -37,9 +39,9 @@ overflow it.  A sample far outside that range can: ``z * z`` becomes
 guard, but numpy now emits its overflow ``RuntimeWarning``.
 
 The hot-path reductions call the ufuncs (``np.add.reduce`` and friends)
-rather than the ``ndarray.sum``/``max``/``all`` methods, which in numpy 2 go
-through a Python wrapper around the same ufunc: same arithmetic, fewer
-calls.
+rather than the ``ndarray.sum``/``mean``/``max``/``all`` methods, which in
+numpy 2 go through a Python wrapper around the same ufunc: same arithmetic,
+fewer calls.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .network import check_sample
 
 # Variance floor: tuning on a near-constant stream collapses the spread,
 # and both activation and likelihood divide by it.
@@ -136,38 +140,22 @@ class AgmmModel:
 
     # -- scoring -----------------------------------------------------------
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dim,):
-            raise ValueError(f"expected input of shape ({self.input_dim},), got {x.shape}")
-        if not np.logical_and.reduce(np.isfinite(x)):
-            raise ValueError("input contains non-finite values")
-        return x
-
     def _check_label(self, label: int) -> None:
         if not 0 <= label < self.num_classes:
             raise ValueError(f"label {label} outside 0..{self.num_classes - 1}")
 
-    def activations(self, x: np.ndarray) -> np.ndarray:
+    def _activations(self, x: np.ndarray) -> np.ndarray:
         """Activation of every component for ``x`` (empty array when size is 0).
 
         A component's activation is its worst per-dimension Gaussian kernel,
         a value in (0, 1] that reaches 1 exactly when ``x`` sits on the
-        centre in every dimension.
+        centre in every dimension.  The winner is the most activated
+        component, the first one on a tie.
         """
-        return self._activations(self._check_input(x))
-
-    def _activations(self, x: np.ndarray) -> np.ndarray:
         if self.size == 0:
             return np.empty(0)
         z = (x - self.centers) / self.spreads
         return np.exp(-0.5 * np.maximum.reduce(z * z, axis=1))
-
-    def winner(self, x: np.ndarray) -> int:
-        """Index of the most activated component; ties go to the lowest index."""
-        if self.size == 0:
-            raise EmptyModelError("mixture has no components yet")
-        return int(self.activations(x).argmax())
 
     def prior_weights(self) -> np.ndarray:
         """Relative support of each component (sums to 1)."""
@@ -199,7 +187,7 @@ class AgmmModel:
         When every likelihood underflows to zero the support-based priors
         are returned instead, preserving the partition of unity.
         """
-        weights = self._weighted_likelihoods(self._check_input(x))
+        weights = self._weighted_likelihoods(check_sample(x, self.input_dim))
         weights = weights / weights.sum()
         if abs(weights.sum() - 1.0) > 1e-9:
             raise AssertionError("mixing coefficients lost the partition of unity")
@@ -212,7 +200,7 @@ class AgmmModel:
         conditional.  Raises :class:`NoClassEvidenceError` when no label has
         been observed anywhere, signalling the caller to skip self-labelling.
         """
-        x = self._check_input(x)
+        x = check_sample(x, self.input_dim)
         if self.size == 0:
             raise EmptyModelError("mixture has no components yet")
         conditionals = self._class_conditionals()
@@ -238,7 +226,7 @@ class AgmmModel:
 
     def insert(self, x: np.ndarray) -> None:
         """Add a component centred on ``x`` with the initial spread."""
-        self._insert(self._check_input(x))
+        self._insert(check_sample(x, self.input_dim))
 
     def _insert(self, x: np.ndarray) -> None:
         self.centers = np.vstack([self.centers, x[None, :]])
@@ -265,18 +253,12 @@ class AgmmModel:
         others = np.ones(self.size, dtype=bool)
         others[win] = False
         outside = (self.centers[others] < low) | (self.centers[others] > high)
-        rho = outside.sum() / ((self.size - 1) * self.input_dim)
-        span = self.spreads.mean(axis=1)
-        return bool(span[win] >= rho * (span.sum() - span[win]))
-
-    def should_insert(self, x: np.ndarray, confidence: float) -> bool:
-        """Insertion gate: uncovered by every component AND vigilance passes."""
-        acts = self.activations(x)
-        if acts.size == 0:
-            raise EmptyModelError("mixture has no components yet")
-        return self._should_insert(acts, confidence)
+        rho = np.count_nonzero(outside) / ((self.size - 1) * self.input_dim)
+        span = np.add.reduce(self.spreads, axis=1) / self.input_dim
+        return bool(span[win] >= rho * (np.add.reduce(span) - span[win]))
 
     def _should_insert(self, acts: np.ndarray, confidence: float) -> bool:
+        """Insertion gate: uncovered by every component AND vigilance passes."""
         # insertion_threshold with its dimension-only denominator precomputed.
         _check_confidence(confidence)
         threshold = math.exp(-(self.input_dim * confidence) / self._threshold_denominator)
@@ -284,16 +266,13 @@ class AgmmModel:
             return False
         return self.vigilance_passes(int(acts.argmax()))
 
-    def tune(self, win: int, x: np.ndarray) -> None:
+    def _tune(self, win: int, x: np.ndarray) -> None:
         """Pull the winning component toward ``x`` with support-weighted moments.
 
         The centre moves first; the spread update then measures the squared
         distance to the already-moved centre, which keeps the variance
         estimate nonnegative-biased.
         """
-        self._tune(win, self._check_input(x))
-
-    def _tune(self, win: int, x: np.ndarray) -> None:
         gain = 1.0 / (int(self.support[win]) + 1.0)
         old = self.centers[win]
         center = old + (x - old) * gain
@@ -304,14 +283,8 @@ class AgmmModel:
         self.spreads[win] = np.sqrt(variance)
         self.support[win] += 1
 
-    def observe_label(self, x: np.ndarray, label: int) -> None:
-        """Credit ``label`` to the component that wins ``x``."""
-        self._check_label(label)
-        if self.size == 0:
-            raise EmptyModelError("mixture has no components yet")
-        self._observe_label(self._check_input(x), label)
-
     def _observe_label(self, x: np.ndarray, label: int) -> None:
+        """Credit ``label`` to the component that wins ``x``."""
         self.class_counts[int(self._activations(x).argmax()), label] += 1
         self._conditionals = None
 
@@ -350,7 +323,7 @@ class AgmmModel:
         events.  The very first sample bootstraps the mixture.  The sample and
         the label are checked before any state changes.
         """
-        x = self._check_input(x)
+        x = check_sample(x, self.input_dim)
         if label is not None:
             self._check_label(label)
         if self.size == 0:

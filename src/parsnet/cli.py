@@ -14,12 +14,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .stream import (Batch, RunConfig, as_batches, make_infinite_delay,
-                     make_sporadic, prequential_run)
+                     make_sporadic, option, prequential_run)
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)  # concept per quartile of the stream
 GENERATOR_SIZES = {"sea": 120_000, "hyperplane": 25_000}
@@ -33,35 +33,36 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything one experiment needs.
 
-    Every field but ``run`` has a flag.  In ``run``, the learner's
-    hyperparameters have flags too; its seed, ablation switches and log
-    paths are set per seed from ``seeds``, ``ablate``, ``trace`` and
-    ``audit``, and ``freeze_after_first`` keeps its default.
+    Every field but ``run`` is an :func:`~parsnet.stream.option`, as are the
+    hyperparameters in ``run``; its seed, ablation switches and log paths are
+    set per seed from ``seeds``, ``ablate``, ``trace`` and ``audit``, and
+    ``freeze_after_first`` keeps its default.
     """
 
-    data: str | None = None
-    gen: str | None = None
-    gen_size: int | None = None
-    gen_seed: int = 99
-    label_noise: float = 0.0     # sea generator only
-    drift: float = 2e-5          # hyperplane weight drift per sample
-    scenario: str = "sporadic"
-    label_frac: float = 0.5
-    batch: int = 1000
-    seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
-    ablate: list[str] = field(default_factory=list)
-    out: str = "runs"
-    trace: bool = False
-    audit: bool = False
+    data: str | None = option(None, "CSV dataset (feature columns + 'label')", type=str)
+    gen: str | None = option(None, "synthetic stream", type=str,
+                             choices=tuple(GENERATOR_SIZES))
+    gen_size: int | None = option(None, "samples to generate", type=int, range="[1, inf)")
+    gen_seed: int = option(99, "generator seed (dataset identity)")
+    label_noise: float = option(0.0, "sea label flip probability")
+    drift: float = option(2e-5, "hyperplane weight drift per sample")
+    scenario: str = option("sporadic", "labels in a fraction of each batch, or the first only",
+                           choices=("sporadic", "delay"))
+    label_frac: float = option(0.5, "labelled fraction per batch")
+    batch: int = option(1000, "batch size", range="[1, inf)")
+    seeds: list[int] = option([1, 2, 3, 4, 5], "comma-separated run seeds", type=int)
+    ablate: list[str] = option([], "learner piece to switch off (repeatable)",
+                               choices=("agmm", "evolve", "slash"), action="append")
+    out: str = option("runs", "output directory")
+    trace: bool = option(False, "write per-sample bias/variance traces")
+    audit: bool = option(False, "write per-sample self-labelling decisions")
     run: RunConfig = field(default_factory=RunConfig)
 
 
-# The RunConfig field that each hyperparameter flag and config key sets.
-_RUN_FLAGS = {name: name for name in (
-    "agmm_conf", "net_conf", "init_spread", "lr_gen", "lr_disc", "loss",
-    "prune_grace", "prune_holdoff", "hedge_eps", "init_nodes", "max_hidden",
-    "augment_mode")} | {"mask_frac": "mask_fraction"}
-_EXPERIMENT_KEYS = {entry.name for entry in fields(ExperimentConfig)} - {"run"}
+# Every flag and config key, with the field it sets (True: a field of ``run``).
+_OPTIONS = {entry.metadata.get("key", entry.name): (in_run, entry)
+            for in_run, owner in ((False, ExperimentConfig), (True, RunConfig))
+            for entry in fields(owner) if "help" in entry.metadata}
 
 
 # -- data sources ------------------------------------------------------------
@@ -136,20 +137,10 @@ def _build_batches(cfg: ExperimentConfig) -> tuple[list[Batch], str]:
         raise ConfigError("exactly one of --data and --gen is required")
     if cfg.data is not None:
         return load_csv(cfg.data, cfg.batch), cfg.data
-    if cfg.gen not in GENERATOR_SIZES:
-        raise ConfigError(f"unknown generator {cfg.gen!r} (choose sea or hyperplane)")
     size = cfg.gen_size if cfg.gen_size is not None else GENERATOR_SIZES[cfg.gen]
     if cfg.gen == "sea":
         return gen_sea(size, cfg.gen_seed, cfg.batch, cfg.label_noise), "sea"
     return gen_hyperplane(size, cfg.gen_seed, cfg.batch, cfg.drift), "hyperplane"
-
-
-def _scenario_for_seed(cfg: ExperimentConfig, batches: list[Batch], seed: int):
-    if cfg.scenario == "sporadic":
-        return make_sporadic(batches, cfg.label_frac, np.random.default_rng(seed))
-    if cfg.scenario == "delay":
-        return make_infinite_delay(batches)
-    raise ConfigError(f"unknown scenario {cfg.scenario!r} (choose sporadic or delay)")
 
 
 def _run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
@@ -172,11 +163,30 @@ def _mean_ignoring_none(rows: list[list[float | None]]) -> list[float | None]:
     return out
 
 
+def _check_options(cfg: ExperimentConfig) -> None:
+    """Reject a value outside its option's choices or range, naming the key."""
+    for key, (_, entry) in _OPTIONS.items():
+        value = getattr(*_slot(cfg, key))
+        if value is None:  # unset (data, gen, gen_size): nothing to check
+            continue
+        allowed, interval = entry.metadata.get("choices"), entry.metadata.get("range")
+        for item in value if isinstance(value, list) else [value]:
+            if allowed is not None and item not in allowed:
+                raise ConfigError(f"{key}: {item!r} is not one of {', '.join(allowed)}")
+            if interval is not None and not _within(item, interval):
+                raise ConfigError(f"{key}: {item!r} is outside {interval}")
+
+
+def _within(value, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``, written like ``"[0, 1)"``."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return ((low <= value if interval[0] == "[" else low < value)
+            and (value <= high if interval[-1] == "]" else value < high))
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Execute the configured runs, write reports, print the headline."""
-    for name in cfg.ablate:
-        if name not in ("agmm", "evolve", "slash"):
-            raise ConfigError(f"unknown ablation {name!r} (choose agmm, evolve, slash)")
+    """Check the options, execute the configured runs, write reports, print the headline."""
+    _check_options(cfg)
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
     if cfg.scenario == "sporadic" and not 0.0 < cfg.label_frac < 1.0:
@@ -187,7 +197,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     cr, final_hidden, final_mixture, pseudo, precisions, recalls = [], [], [], [], [], []
     label_fraction = None
     for seed in cfg.seeds:
-        scenario = _scenario_for_seed(cfg, batches, seed)
+        scenario = (make_sporadic(batches, cfg.label_frac, np.random.default_rng(seed))
+                    if cfg.scenario == "sporadic" else make_infinite_delay(batches))
         label_fraction = scenario.label_fraction
         metrics = prequential_run(_run_config(cfg, seed), scenario)
         cr.append(metrics.classification_rate)
@@ -239,39 +250,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per option; a flag that is not given parses as ``None``."""
     parser = _Parser(prog="parsnet", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--data", help="CSV dataset (feature columns + 'label')")
-    parser.add_argument("--gen", choices=("sea", "hyperplane"), help="synthetic stream")
-    parser.add_argument("--gen-size", type=int, help="samples to generate")
-    parser.add_argument("--gen-seed", type=int, help="generator seed (dataset identity)")
-    parser.add_argument("--label-noise", type=float, help="sea label flip probability")
-    parser.add_argument("--drift", type=float, help="hyperplane weight drift per sample")
-    parser.add_argument("--scenario", choices=("sporadic", "delay"))
-    parser.add_argument("--label-frac", type=float, help="labelled fraction per batch")
-    parser.add_argument("--batch", type=int, help="batch size")
-    parser.add_argument("--seeds", help="comma-separated run seeds")
-    parser.add_argument("--ablate", action="append", choices=("agmm", "evolve", "slash"))
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--agmm-conf", type=float, help="mixture confidence gate")
-    parser.add_argument("--net-conf", type=float, help="network confidence gate")
-    parser.add_argument("--init-spread", type=float, help="new mixture component spread")
-    parser.add_argument("--lr-gen", type=float, help="generative learning rate")
-    parser.add_argument("--lr-disc", type=float, help="discriminative learning rate")
-    parser.add_argument("--loss", choices=("cross_entropy", "squared"),
-                        help="classifier training loss")
-    parser.add_argument("--mask-frac", type=float, help="masked fraction of input features")
-    parser.add_argument("--prune-grace", type=int, help="mixture pruning grace period")
-    parser.add_argument("--prune-holdoff", type=int,
-                        help="samples after hidden growth before pruning may act")
-    parser.add_argument("--hedge-eps", type=float, help="importance division guard")
-    parser.add_argument("--init-nodes", type=int, help="initial hidden units")
-    parser.add_argument("--max-hidden", type=int, help="hidden growth cap")
-    parser.add_argument("--augment-mode", choices=("tabular", "image"))
-    parser.add_argument("--trace", action="store_true", default=None,
-                        help="write per-sample bias/variance traces")
-    parser.add_argument("--audit", action="store_true", default=None,
-                        help="write per-sample self-labelling decisions")
+    for key, (_, entry) in _OPTIONS.items():
+        meta = entry.metadata
+        if meta["type"] is bool:
+            how = {"action": "store_true", "default": None}
+        elif entry.default is MISSING:  # a list: repeated, or one comma-separated text
+            how = {"action": meta.get("action"), "choices": meta.get("choices")}
+        else:
+            how = {"type": meta["type"], "choices": meta.get("choices")}
+        parser.add_argument("--" + key.replace("_", "-"), help=meta["help"], **how)
     return parser
 
 
@@ -291,19 +281,16 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-# Keys whose default is None, which names no type.
-_NONE_DEFAULT_TYPES = {"data": str, "gen": str, "gen_size": int}
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _slot(cfg: ExperimentConfig, name: str):
     """The object and the attribute that a flag or config key sets."""
-    if name in _RUN_FLAGS:
-        return cfg.run, _RUN_FLAGS[name]
-    if name in _EXPERIMENT_KEYS:
-        return cfg, name
-    raise ConfigError(f"unknown config key {name!r}")
+    if name not in _OPTIONS:
+        raise ConfigError(f"unknown config key {name!r}")
+    in_run, entry = _OPTIONS[name]
+    return (cfg.run if in_run else cfg), entry.name
 
 
 def _parse(name: str, kind, text: str):
@@ -324,43 +311,26 @@ def _coerce(name: str, value):
 
 
 def _from_text(name: str, value: str):
-    default = getattr(*_slot(ExperimentConfig(), name))
-    if isinstance(default, list):
-        parts = value.replace(",", " ").split()
-        return [_parse(name, int, p) for p in parts] if name == "seeds" else parts
-    if isinstance(default, bool):
+    entry = _OPTIONS[name][1]
+    kind = entry.metadata["type"]
+    if entry.default is MISSING:  # a list
+        return [_parse(name, kind, p) for p in value.replace(",", " ").split()]
+    if kind is bool:
         word = value.lower()
         if word not in _TRUE_WORDS + _FALSE_WORDS:
             raise ConfigError(f"{name}: malformed value {value!r} "
                               f"(expected one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)})")
         return word in _TRUE_WORDS
-    return _parse(name, _NONE_DEFAULT_TYPES.get(name, type(default)), value)
-
-
-def _flag_choices() -> dict[str, tuple]:
-    """The allowed values of each key whose flag declares ``choices``."""
-    return {action.dest: tuple(action.choices)
-            for action in build_parser()._actions if action.choices}
-
-
-def _check_choice(name: str, value, allowed: tuple | None) -> None:
-    if allowed is None:
-        return
-    for item in value if isinstance(value, list) else [value]:
-        if item not in allowed:
-            raise ConfigError(f"{name}: {item!r} is not one of {', '.join(allowed)}")
+    return _parse(name, kind, value)
 
 
 def merge_config(file_values: dict, cli_values: dict) -> ExperimentConfig:
     """Defaults, overridden by config-file values, overridden by flags."""
     cfg = ExperimentConfig()
-    choices = _flag_choices()
     flags = {name: value for name, value in cli_values.items() if value is not None}
     for name, value in {**file_values, **flags}.items():
         target, attribute = _slot(cfg, name)
-        value = _coerce(name, value)
-        _check_choice(name, value, choices.get(name))
-        setattr(target, attribute, value)
+        setattr(target, attribute, _coerce(name, value))
     if not cli_values.get("seeds") and "seeds" not in file_values:
         env_seed = os.environ.get("PARSNET_SEED")
         if env_seed:

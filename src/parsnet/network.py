@@ -16,11 +16,11 @@ change builds a new vector and rebinds the views; code that keeps a view
 across ``add_nodes`` or ``prune_nodes`` holds the old parameters.
 
 Validation contract: the inference and step methods check their input once,
-on entry (sample or batch shape and finiteness, learning rate, target
-shape); the gradient methods they call (``generative_gradients``,
-``discriminative_gradients``) check nothing and trust their input.  The
-step methods run once or more per sample of a stream, so each check is made
-once and in its cheapest form.
+on entry (batch, or sample with :func:`check_sample`, shape and finiteness,
+learning rate, target shape); the gradient methods they call
+(``generative_gradients``, ``discriminative_gradients``) check nothing and
+trust their input.  The step methods run once or more per sample of a
+stream, so each check is made once and in its cheapest form.
 
 Forward reuse: ``predict_proba`` keeps its checked sample with the hidden
 layer and the probabilities it computed in ``_forward``.  The next
@@ -96,6 +96,17 @@ def mask_input(x: np.ndarray, fraction: float, rng: np.random.Generator) -> np.n
     masked = x.copy()
     masked[rng.choice(x.shape[0], size=count, replace=False)] = 0.0
     return masked
+
+
+def check_sample(x, n_inputs: int) -> np.ndarray:
+    """``x`` as a float vector of shape ``(n_inputs,)`` with finite entries,
+    or ``ValueError``: the sample check of the network, mixture and learner."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n_inputs,):
+        raise ValueError(f"expected a sample of shape ({n_inputs},), got {x.shape}")
+    if not np.logical_and.reduce(np.isfinite(x)):
+        raise ValueError("sample contains non-finite values")
+    return x
 
 
 def normalized_top2(probs: np.ndarray) -> float:
@@ -175,14 +186,6 @@ class Network:
 
     # -- inference ---------------------------------------------------------
 
-    def _check_sample(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_inputs,):
-            raise ValueError(f"expected a sample of shape ({self.n_inputs},), got {x.shape}")
-        if not np.logical_and.reduce(np.isfinite(x)):
-            raise ValueError("input contains non-finite values")
-        return x
-
     def _classify(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden layer and class probabilities of one clean sample."""
         hidden = sigmoid(self.w_in @ x + self.b_in)
@@ -191,7 +194,7 @@ class Network:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities of one sample, kept for the next
         ``discriminative_step`` on the same sample (see the module docstring)."""
-        x = self._check_sample(x)
+        x = check_sample(x, self.n_inputs)
         hidden, probs = self._classify(x)
         self._forward = (x, hidden, probs)
         return probs
@@ -234,7 +237,7 @@ class Network:
         pre-update error."""
         if not 0.0 <= lr < math.inf:  # false for NaN too
             raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
-        x = self._check_sample(x)
+        x = check_sample(x, self.n_inputs)
         self._forward = None
         masked = mask_input(x, mask_fraction, rng) if mask_fraction > 0.0 else x
         error, grads = self.generative_gradients(x, masked)
@@ -275,7 +278,7 @@ class Network:
         """
         if not 0.0 <= lr < math.inf:  # false for NaN too
             raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
-        x = self._check_sample(x)
+        x = check_sample(x, self.n_inputs)
         target = np.asarray(target, dtype=float)
         if target.shape != (self.n_classes,):
             raise ValueError("target must be a one-hot vector over the classes")
@@ -301,11 +304,11 @@ class Network:
                                  np.append(self.b_in, np.zeros(count)),
                                  np.vstack([self.w_out, new_w_out]), self.c_out))
 
-    def prune_nodes(self, indexes) -> None:
-        """Remove the listed hidden units, preserving the order of survivors."""
+    def prune_nodes(self, indexes) -> np.ndarray:
+        """Remove the listed hidden units; returns the survivors' old indices, in order."""
         indexes = np.unique(np.asarray(indexes, dtype=int))
         if indexes.size == 0:
-            return
+            return np.arange(self.n_hidden)
         if indexes.min() < 0 or indexes.max() >= self.n_hidden:
             raise IndexError("hidden-unit index out of range")
         if indexes.size >= self.n_hidden:
@@ -313,3 +316,4 @@ class Network:
         keep = np.setdiff1d(np.arange(self.n_hidden), indexes)
         self._bind(flatten_theta(self.w_in[keep], self.b_in[keep], self.w_out[keep],
                                  self.c_out))
+        return keep

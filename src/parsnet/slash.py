@@ -31,8 +31,8 @@ UNAVAILABLE = "unavailable"       # mixture has no class evidence yet
 LOW_CONFIDENCE = "low_confidence"
 DISAGREEMENT = "disagreement"
 
-TABULAR_NOISE_STD = math.sqrt(1e-3)
-IMAGE_NOISE_STD = 33.0 / 255.0    # 33 grey levels on the raw 0..255 scale
+# Jitter std per augmentation mode; image noise is 33 grey levels of 0..255.
+AUGMENT_NOISE_STD = {"tabular": math.sqrt(1e-3), "image": 33.0 / 255.0}
 
 HIDDEN_AXIS_KEYS = ("w_in", "b_in", "w_out")  # rows indexed by hidden unit
 
@@ -191,7 +191,7 @@ class HedgeState:
 
     # -- structural resizes ----------------------------------------------------
 
-    def grow_hidden(self, params: np.ndarray, prev_hidden: int) -> None:
+    def grow_hidden(self, params: np.ndarray) -> None:
         """Extend the state after hidden units were appended to ``params``.
 
         New rows enter the anchor at their freshly initialised values and the
@@ -202,7 +202,7 @@ class HedgeState:
             grown = params.copy() if name == "_anchor" else np.zeros_like(params)
             new = self._named(grown)
             for key in HIDDEN_AXIS_KEYS:
-                new[key][:prev_hidden] = old[key]
+                new[key][:old[key].shape[0]] = old[key]
             new["c_out"][:] = old["c_out"]
             setattr(self, name, grown)
         self._stale = True
@@ -225,11 +225,8 @@ def augment(x: np.ndarray, label: int, rng: np.random.Generator,
     level corresponds to 33 grey levels of a 0..255 image.  The result is
     clipped back into [0, 1].
     """
-    if mode == "tabular":
-        std = TABULAR_NOISE_STD
-    elif mode == "image":
-        std = IMAGE_NOISE_STD
-    else:
+    if mode not in AUGMENT_NOISE_STD:
         raise ValueError(f"unknown augmentation mode {mode!r}")
+    std = AUGMENT_NOISE_STD[mode]
     jittered = np.minimum(np.maximum(x + rng.normal(0.0, std, x.shape), 0.0), 1.0)
     return jittered, label

@@ -14,10 +14,11 @@ Validation contract: each public entry point checks its input once, before
 any state changes, and private helpers trust their input.  ``train_on_batch``
 checks the shapes and every label of a batch up front and finds its
 non-finite rows with one vectorised mask (those rows are skipped and
-counted); ``train_on_sample`` checks its sample and label.  A rejected input
-raises ``ValueError`` and leaves the learner untouched.  The network and
-mixture methods the learner calls are entry points of their own modules and
-keep their own single checks.
+counted); ``train_on_sample`` checks its label, and its sample with the
+shared :func:`~parsnet.network.check_sample`.  A rejected input raises
+``ValueError`` and leaves the learner untouched.  The network and mixture
+methods the learner calls are entry points of their own modules and keep
+their own single checks.
 
 The self-labelled step passes ``discriminative_step`` the very sample object
 that ``predict_proba`` scored, with no parameter write in between, so the
@@ -33,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agmm import AgmmModel, NoClassEvidenceError
-from .network import Network, normalized_top2
+from .network import LOSSES, Network, check_sample, normalized_top2
 from .plasticity import PhaseMonitor, bias_variance, expected_hidden, prune_candidates
-from .slash import HedgeState, ReconScaler, augment, propose_label
+from .slash import AUGMENT_NOISE_STD, HedgeState, ReconScaler, augment, propose_label
 
 
 @dataclass
@@ -141,24 +142,37 @@ def normalize_batches(batches: list[Batch]) -> list[Batch]:
     return out
 
 
+def option(default, help: str, **extra):
+    """A config field that is also a flag and config key.  ``extra`` may give
+    its ``choices``, valid ``range`` (``"[1, inf)"``), ``key`` where that is not
+    the field name, the ``type`` of its text where the default does not show
+    it (``None``, a list's items) and an argparse ``action``."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata={"help": help, "type": str, **extra})
+    return field(default=default, metadata={"help": help, "type": type(default), **extra})
+
+
 @dataclass
 class RunConfig:
-    """Hyperparameters and toggles for one prequential run."""
+    """Hyperparameters (each an :func:`option`) and toggles for one prequential run."""
 
     seed: int = 0
-    agmm_conf: float = 0.55      # mixture top-2 confidence gate for self-labelling
-    net_conf: float = 0.6        # network top-2 confidence gate
-    init_spread: float = 0.1     # spread of freshly inserted mixture components
-    lr_gen: float = 0.01
-    lr_disc: float = 0.001
-    loss: str = "cross_entropy"  # classifier training loss; NS stays squared-error
-    mask_fraction: float = 0.1
-    prune_grace: int = 40
-    hedge_eps: float = 1e-8
-    init_nodes: int = 1
-    max_hidden: int = 1024       # hard cap on hidden growth (plumbing guard)
-    prune_holdoff: int = 1000    # samples after a growth event before pruning may act
-    augment_mode: str = "tabular"
+    agmm_conf: float = option(0.55, "mixture top-2 confidence gate for self-labelling")
+    net_conf: float = option(0.6, "network top-2 confidence gate")
+    init_spread: float = option(0.1, "spread of new mixture components", range="(0, inf)")
+    lr_gen: float = option(0.01, "generative learning rate", range="[0, inf)")
+    lr_disc: float = option(0.001, "discriminative learning rate", range="[0, inf)")
+    # NS stays squared-error whatever the classifier loss.
+    loss: str = option("cross_entropy", "classifier training loss", choices=LOSSES)
+    mask_fraction: float = option(0.1, "masked fraction of input features",
+                                  key="mask_frac", range="[0, 1)")
+    prune_grace: int = option(40, "mixture pruning grace period")
+    hedge_eps: float = option(1e-8, "importance division guard", range="(0, inf)")
+    init_nodes: int = option(1, "initial hidden units", range="[1, inf)")
+    max_hidden: int = option(1024, "hard cap on hidden growth (plumbing guard)")
+    prune_holdoff: int = option(1000, "samples after hidden growth before pruning may act")
+    augment_mode: str = option("tabular", "noise level of the augmented labelled copy",
+                               choices=tuple(AUGMENT_NOISE_STD))
     agmm_off: bool = False       # ablation: static unit Gaussian, one-at-a-time growth
     evolve_off: bool = False     # ablation: no hidden-unit structural changes
     slash_off: bool = False      # ablation: no pseudo labels, no hedge, no augmentation
@@ -290,18 +304,15 @@ class StreamLearner:
         bias_sq, variance = bias_variance(e_hidden, target, self.net, phase)
         if monitor.observe_bias(bias_sq):
             if not cfg.evolve_off and self.net.n_hidden < cfg.max_hidden:
-                prev = self.net.n_hidden
                 self.net.add_nodes(self.mixture.size, self.rng)
-                self.hedge.grow_hidden(self.net.params, prev)
+                self.hedge.grow_hidden(self.net.params)
                 self.events.append((self.samples_seen, "node_grow"))
                 self._last_growth = self.samples_seen
         elif monitor.observe_variance(variance) and not cfg.evolve_off:
             settled = self.samples_seen - self._last_growth >= cfg.prune_holdoff
             doomed = prune_candidates(e_hidden) if settled else []
             if doomed:
-                keep = np.setdiff1d(np.arange(self.net.n_hidden), doomed)
-                self.net.prune_nodes(doomed)
-                self.hedge.prune_hidden(keep)
+                self.hedge.prune_hidden(self.net.prune_nodes(doomed))
                 self.events.append((self.samples_seen, "node_prune"))
         if self._trace_csv:
             self._trace_csv.writerow([self.samples_seen, phase, bias_sq, variance,
@@ -320,11 +331,7 @@ class StreamLearner:
         not a finite vector of ``n_inputs`` features or a label outside
         ``-1..n_classes - 1``.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.net.n_inputs,):
-            raise ValueError(f"expected a sample of shape ({self.net.n_inputs},), got {x.shape}")
-        if not np.logical_and.reduce(np.isfinite(x)):
-            raise ValueError("sample contains non-finite values")
+        x = check_sample(x, self.net.n_inputs)
         self._check_label(label)
         cfg = self.config
         self.samples_seen += 1
@@ -425,9 +432,6 @@ def prequential_run(config: RunConfig, scenario: StreamScenario) -> RunMetrics:
     started = time.perf_counter()
     try:
         for index, batch in enumerate(batches):
-            if batch.features.shape[1] != n_inputs:
-                raise ValueError(
-                    f"batch {index} has {batch.features.shape[1]} features, expected {n_inputs}")
             predictions = learner.predict(batch.features)
             batch_accuracy.append(float(np.mean(predictions == batch.truth)))
             np.add.at(confusion, (batch.truth, predictions), 1)

@@ -27,7 +27,7 @@ def build(centers, spreads, support=None, num_classes=2, **kw):
 
 def activation(center, spread, x):
     """Activation of ``x`` on a one-component mixture."""
-    (value,) = build([center], [spread]).activations(np.asarray(x, float))
+    (value,) = build([center], [spread])._activations(np.asarray(x, float))
     return value
 
 
@@ -47,8 +47,14 @@ def test_activation_takes_worst_dimension():
 
 
 def test_activation_rejects_non_finite():
-    with pytest.raises(ValueError):
-        activation([0.0], [1.0], [np.nan])
+    # The public methods check the sample before any activation is taken.
+    model = build([[0.0]], [[1.0]])
+    model.class_counts[0] = [1, 0]
+    for method in (model.class_posterior, model.mixing_coefficients,
+                   lambda x: model.update(x, 1.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            method(np.array([np.nan]))
+    assert model.lifespan.tolist() == [0]
 
 
 def test_far_out_sample_keeps_its_activation_and_likelihood():
@@ -64,7 +70,7 @@ def test_far_out_sample_keeps_its_activation_and_likelihood():
                    - 0.5 * 2 * math.log(2.0 * math.pi))
     assert acts.tolist() == [0.0, 0.0] and log_lik.tolist() == [-math.inf, -math.inf]
     with pytest.warns(RuntimeWarning, match="overflow"):
-        assert model.activations(x).tobytes() == acts.tobytes()
+        assert model._activations(x).tobytes() == acts.tobytes()
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert model._log_likelihood(x).tobytes() == log_lik.tobytes()
 
@@ -86,24 +92,35 @@ def test_activation_bounds(center, x, spread_exp):
 
 # -- winner ---------------------------------------------------------------------
 
+def winner(model, x):
+    """The component that a label for ``x`` is credited to."""
+    before = model.class_counts.copy()
+    model._observe_label(np.asarray(x, float), 0)
+    (credited,) = np.flatnonzero((model.class_counts - before)[:, 0])
+    return int(credited)
+
+
 def test_winner_single_component():
     model = build([[0.0, 0.0]], [[1.0, 1.0]])
-    assert model.winner(np.array([4.0, -2.0])) == 0
+    assert winner(model, [4.0, -2.0]) == 0
 
 
 def test_winner_prefers_exact_center():
     model = build([[0.0], [3.0]], [[1.0], [1.0]])
-    assert model.winner(np.array([3.0])) == 1
+    assert winner(model, [3.0]) == 1
 
 
 def test_winner_tie_breaks_low_index():
     model = build([[1.0], [1.0]], [[0.5], [0.5]])
-    assert model.winner(np.array([0.0])) == 0
+    assert winner(model, [0.0]) == 0
 
 
 def test_winner_empty_model_errors():
+    # An empty mixture has no winner to score with.
     with pytest.raises(EmptyModelError):
-        AgmmModel(2, 2).winner(np.zeros(2))
+        AgmmModel(2, 2).class_posterior(np.zeros(2))
+    with pytest.raises(EmptyModelError):
+        AgmmModel(2, 2).prior_weights()
 
 
 # -- insertion threshold ---------------------------------------------------------
@@ -156,21 +173,60 @@ def test_vigilance_half_overlap_equal_spans():
     assert model.vigilance_passes(0) is True
 
 
+def should_insert(model, x, confidence):
+    return model._should_insert(model._activations(np.asarray(x, float)), confidence)
+
+
 def test_should_insert_false_at_center():
     model = build([[1.0, 1.0]], [[0.3, 0.3]])
-    assert model.should_insert(np.array([1.0, 1.0]), 1.0) is False
+    assert should_insert(model, [1.0, 1.0], 1.0) is False
 
 
 def test_should_insert_far_sample_single_component():
     model = build([[0.0]], [[0.1]])
-    assert model.should_insert(np.array([1.0]), 1.0) is True
+    assert should_insert(model, [1.0], 1.0) is True
 
 
 def test_should_insert_overlapped_winner_depends_on_distance_only():
     # the winner is fully overlapped (rho = 0), so only coverage decides
     model = build([[0.0], [0.05], [-0.05]], [[0.5], [0.4], [0.4]])
-    assert model.should_insert(np.array([10.0]), 1.0) is True
-    assert model.should_insert(np.array([0.01]), 1.0) is False
+    assert should_insert(model, [10.0], 1.0) is True
+    assert should_insert(model, [0.01], 1.0) is False
+
+
+def vigilance_parts(model, win, ufuncs):
+    """``rho``, the spans, their total and the decision of ``vigilance_passes``,
+    reduced with the ufuncs it calls or with the ndarray methods they replace."""
+    others = np.arange(model.size) != win
+    low, high = model.centers[win] - model.spreads[win], model.centers[win] + model.spreads[win]
+    outside = (model.centers[others] < low) | (model.centers[others] > high)
+    count = np.count_nonzero(outside) if ufuncs else outside.sum()
+    rho = count / ((model.size - 1) * model.input_dim)
+    if ufuncs:
+        span = np.add.reduce(model.spreads, axis=1) / model.input_dim
+        total = np.add.reduce(span)
+    else:
+        span = model.spreads.mean(axis=1)
+        total = span.sum()
+    return rho, span, total, bool(span[win] >= rho * (total - span[win]))
+
+
+def test_vigilance_ufunc_forms_equal_the_method_forms_bit_for_bit():
+    rng = np.random.default_rng(17)
+    passed = 0
+    for _ in range(2000):
+        m, dim = int(rng.integers(2, 9)), int(rng.integers(1, 12))
+        scale = 10.0 ** rng.uniform(-4, 1)
+        model = build(rng.random((m, dim)) * scale, rng.random((m, dim)) * scale + 1e-12)
+        win = int(rng.integers(m))
+        rho, span, total, decision = vigilance_parts(model, win, ufuncs=True)
+        ref_rho, ref_span, ref_total, expected = vigilance_parts(model, win, ufuncs=False)
+        assert np.float64(rho).tobytes() == np.float64(ref_rho).tobytes()
+        assert span.tobytes() == ref_span.tobytes()
+        assert np.float64(total).tobytes() == np.float64(ref_total).tobytes()
+        assert model.vigilance_passes(win) is decision is expected
+        passed += expected
+    assert 200 < passed < 1800  # both outcomes are exercised
 
 
 # -- insert / tune -----------------------------------------------------------------
@@ -197,12 +253,12 @@ def test_insert_then_activation_is_one():
     model = AgmmModel(2, 2)
     x = np.array([0.7, -0.1])
     model.insert(x)
-    assert model.activations(x).tolist() == [1.0]
+    assert model._activations(x).tolist() == [1.0]
 
 
 def test_tune_midpoint_of_two_samples():
     model = build([[0.0]], [[0.1]], support=[1])
-    model.tune(0, np.array([2.0]))
+    model._tune(0, np.array([2.0]))
     assert model.centers[0, 0] == pytest.approx(1.0)
     assert model.support[0] == 2
 
@@ -210,7 +266,7 @@ def test_tune_midpoint_of_two_samples():
 def test_tune_hand_worked_update():
     # support 3, centre 0, variance 1, sample 4 -> centre 1, variance 3
     model = build([[0.0]], [[1.0]], support=[3])
-    model.tune(0, np.array([4.0]))
+    model._tune(0, np.array([4.0]))
     assert model.centers[0, 0] == pytest.approx(1.0)
     assert model.spreads[0, 0] ** 2 == pytest.approx(3.0)
     assert model.support[0] == 4
@@ -220,7 +276,7 @@ def test_tune_constant_stream_decays_toward_floor():
     model = build([[0.5]], [[0.1]])
     last = model.spreads[0, 0] ** 2
     for _ in range(2000):
-        model.tune(0, np.array([0.5]))
+        model._tune(0, np.array([0.5]))
         current = model.spreads[0, 0] ** 2
         assert current < last
         last = current
@@ -230,13 +286,13 @@ def test_tune_constant_stream_decays_toward_floor():
 
 def test_tune_clamps_variance_at_floor():
     model = build([[0.5]], [[math.sqrt(1.5e-8)]])
-    model.tune(0, np.array([0.5]))
+    model._tune(0, np.array([0.5]))
     assert model.spreads[0, 0] ** 2 == pytest.approx(1e-8)
 
 
 def test_tune_increments_exactly_one_support():
     model = build([[0.0], [5.0]], [[1.0], [1.0]], support=[4, 7])
-    model.tune(1, np.array([5.5]))
+    model._tune(1, np.array([5.5]))
     assert model.support.tolist() == [4, 8]
 
 
@@ -351,29 +407,31 @@ def test_class_posterior_sums_to_one():
 
 def test_observe_label_fresh_component():
     model = build([[0.0]], [[1.0]], num_classes=3)
-    model.observe_label(np.array([0.1]), 2)
+    model._observe_label(np.array([0.1]), 2)
     assert model.class_counts[0].tolist() == [0, 0, 1]
 
 
 def test_observe_label_accumulates():
     model = build([[0.0]], [[1.0]])
-    model.observe_label(np.array([0.0]), 1)
-    model.observe_label(np.array([0.0]), 1)
+    model._observe_label(np.array([0.0]), 1)
+    model._observe_label(np.array([0.0]), 1)
     assert model.class_counts[0, 1] == 2
 
 
 def test_observe_label_routes_to_winner():
     model = build([[0.0], [5.0]], [[0.5], [0.5]])
-    model.observe_label(np.array([0.1]), 0)
-    model.observe_label(np.array([4.9]), 1)
+    model._observe_label(np.array([0.1]), 0)
+    model._observe_label(np.array([4.9]), 1)
     assert model.class_counts[0].tolist() == [1, 0]
     assert model.class_counts[1].tolist() == [0, 1]
 
 
 def test_observe_label_validates_class():
+    # ``update`` checks the label before crediting it.
     model = build([[0.0]], [[1.0]])
     with pytest.raises(ValueError):
-        model.observe_label(np.array([0.0]), 2)
+        model.update(np.array([0.0]), 1.0, label=2)
+    assert model.class_counts.sum() == 0
 
 
 # -- pruning ------------------------------------------------------------------------
@@ -528,23 +586,24 @@ def test_update_two_clusters_matches_kmeans_oracle():
 
 
 def composed_update(model, x, confidence, label):
-    """``update`` rebuilt from the public methods, as the reference."""
+    """``update`` rebuilt from ``insert`` and the single-step helpers, with the
+    activations taken afresh for the gate, as the reference."""
     if model.size == 0:
         model.insert(x)
         if label is not None:
-            model.observe_label(x, label)
+            model._observe_label(x, label)
         return True, []
-    acts = model.activations(x)
+    acts = model._activations(x)
     model.lifespan += 1
     model.activity += acts
-    inserted = model.should_insert(x, confidence)
+    inserted = model._should_insert(model._activations(x), confidence)
     if inserted:
         model.insert(x)
     else:
-        model.tune(int(acts.argmax()), x)
+        model._tune(int(acts.argmax()), x)
     pruned = model.prune_inactive()
     if label is not None:
-        model.observe_label(x, label)
+        model._observe_label(x, label)
     return inserted, pruned
 
 
@@ -598,9 +657,9 @@ def test_class_posterior_equals_recomputation_after_every_update():
 
 def test_observe_label_refreshes_the_class_posterior():
     model = build([[0.0], [5.0]], [[1.0], [1.0]])
-    model.observe_label(np.array([0.0]), 0)
+    model._observe_label(np.array([0.0]), 0)
     before = model.class_posterior(np.array([0.0]))
-    model.observe_label(np.array([0.0]), 1)
+    model._observe_label(np.array([0.0]), 1)
     assert model.class_posterior(np.array([0.0])) == pytest.approx([0.5, 0.5], abs=1e-3)
     assert before[0] > 0.99
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from parsnet.cli import (ConfigError, ExperimentConfig, gen_hyperplane,
-                         gen_sea, load_csv, main, merge_config,
-                         parse_config_file, run_experiment)
+from parsnet.cli import (ConfigError, ExperimentConfig, build_parser,
+                         gen_hyperplane, gen_sea, load_csv, main,
+                         merge_config, parse_config_file, run_experiment)
 from parsnet.stream import RunConfig
 
 # -- generators -----------------------------------------------------------------
@@ -244,6 +244,37 @@ def test_config_value_outside_the_flag_choices_is_a_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+# Values of the right type that the learner or the stream builder cannot use
+# (a zero ``hedge_eps`` turns the parameters NaN) stop the run before any output.
+@pytest.mark.parametrize("flag, text", [
+    ("--gen-size", "0"), ("--batch", "0"), ("--init-nodes", "0"), ("--init-spread", "0"),
+    ("--mask-frac", "1.0"), ("--lr-gen", "-0.01"), ("--lr-disc", "-0.01"),
+    ("--hedge-eps", "0")])
+def test_value_the_learner_rejects_is_a_config_error_before_any_output(
+        tmp_path, capsys, flag, text):
+    key = flag[2:].replace("-", "_")
+    out = tmp_path / "rejected"
+    base = ["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "1",
+            "--out", str(out)]
+    assert main(base + [flag, text]) == 1
+    assert key in capsys.readouterr().err
+    config = tmp_path / "rejected.cfg"
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nout={out}\n{key}={text}\n")
+    assert main(["--config", str(config)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_experiment_checks_the_run_config_before_any_output(tmp_path):
+    out = tmp_path / "direct"
+    for run in (RunConfig(loss="squard"), RunConfig(augment_mode="imag"),
+                RunConfig(init_nodes=0), RunConfig(lr_disc=math.nan)):
+        with pytest.raises(ConfigError):
+            run_experiment(ExperimentConfig(gen="sea", gen_size=600, batch=300, seeds=[1],
+                                            out=str(out), run=run))
+    assert not out.exists()
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PARSNET_SEED", "123")
     cfg = merge_config({}, {})
@@ -305,6 +336,20 @@ def test_run_experiment_rejects_bad_ablation(tmp_path):
         run_experiment(tiny_config(tmp_path, ablate=["everything"]))
 
 
+def test_main_runs_a_csv_dataset(tmp_path, capsys):
+    # ``gen`` stays unset with ``--data``; an unset value is not a bad choice.
+    path = tmp_path / "stream.csv"
+    rng = np.random.default_rng(2)
+    rows = [f"{a:.4f},{b:.4f},{int(a + b > 1.0)}" for a, b in rng.random((1200, 2))]
+    write_csv(path, rows)
+    out = tmp_path / "csv"
+    assert main(["--data", str(path), "--batch", "400", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["dataset"] == str(path) and len(summary["cr_per_seed"]) == 1
+    assert "CR" in capsys.readouterr().out
+
+
 def test_run_experiment_needs_exactly_one_source(tmp_path):
     with pytest.raises(ConfigError):
         run_experiment(tiny_config(tmp_path, gen=None))
@@ -350,6 +395,53 @@ def test_main_reads_config_file(tmp_path, capsys):
         f"gen=sea\ngen_size=1000\nbatch=500\nseeds=4\nout={tmp_path / 'cfgout'}\n")
     assert main(["--config", str(config)]) == 0
     assert (tmp_path / "cfgout" / "seed_4.csv").exists()
+
+
+# Every flag as a literal, so that the parser generated from the config fields
+# cannot drop, rename or retype one, or add one: (choices, takes a value,
+# argparse action, value type).
+FLAGS = {
+    "--config": (None, True, "_StoreAction", "str"),
+    "--data": (None, True, "_StoreAction", "str"),
+    "--gen": (("sea", "hyperplane"), True, "_StoreAction", "str"),
+    "--gen-size": (None, True, "_StoreAction", "int"),
+    "--gen-seed": (None, True, "_StoreAction", "int"),
+    "--label-noise": (None, True, "_StoreAction", "float"),
+    "--drift": (None, True, "_StoreAction", "float"),
+    "--scenario": (("sporadic", "delay"), True, "_StoreAction", "str"),
+    "--label-frac": (None, True, "_StoreAction", "float"),
+    "--batch": (None, True, "_StoreAction", "int"),
+    "--seeds": (None, True, "_StoreAction", "str"),
+    "--ablate": (("agmm", "evolve", "slash"), True, "_AppendAction", "str"),
+    "--out": (None, True, "_StoreAction", "str"),
+    "--agmm-conf": (None, True, "_StoreAction", "float"),
+    "--net-conf": (None, True, "_StoreAction", "float"),
+    "--init-spread": (None, True, "_StoreAction", "float"),
+    "--lr-gen": (None, True, "_StoreAction", "float"),
+    "--lr-disc": (None, True, "_StoreAction", "float"),
+    "--loss": (("cross_entropy", "squared"), True, "_StoreAction", "str"),
+    "--mask-frac": (None, True, "_StoreAction", "float"),
+    "--prune-grace": (None, True, "_StoreAction", "int"),
+    "--prune-holdoff": (None, True, "_StoreAction", "int"),
+    "--hedge-eps": (None, True, "_StoreAction", "float"),
+    "--init-nodes": (None, True, "_StoreAction", "int"),
+    "--max-hidden": (None, True, "_StoreAction", "int"),
+    "--augment-mode": (("tabular", "image"), True, "_StoreAction", "str"),
+    "--trace": (None, False, "_StoreTrueAction", "str"),
+    "--audit": (None, False, "_StoreTrueAction", "str"),
+}
+
+
+def test_the_flag_set_is_pinned():
+    found = {}
+    for action in build_parser()._actions:
+        if action.dest == "help":
+            continue
+        (flag,) = action.option_strings
+        assert action.dest == flag[2:].replace("-", "_") and action.default is None, flag
+        found[flag] = (tuple(action.choices) if action.choices else None, action.nargs != 0,
+                       type(action).__name__, getattr(action.type, "__name__", "str"))
+    assert found == FLAGS
 
 
 def test_trace_and_audit_flags(tmp_path):

@@ -414,6 +414,13 @@ def test_prune_preserves_survivor_order():
     assert np.array_equal(net.w_in, rows[[0, 2, 4]])
 
 
+def test_prune_returns_the_old_indices_of_the_survivors():
+    net = Network(3, 2, 5, np.random.default_rng(0))
+    assert net.prune_nodes([3, 1, 3]).tolist() == [0, 2, 4]
+    assert net.prune_nodes([]).tolist() == [0, 1, 2]
+    assert net.n_hidden == 3
+
+
 def test_prune_everything_rejected():
     net = Network(3, 2, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -221,7 +221,7 @@ def test_grow_hidden_anchors_fresh_units_at_initial_values():
     hedge = HedgeState.for_network(net)
     hedge.loss_drop["w_in"][:] = 1.0
     net.add_nodes(2, rng)
-    hedge.grow_hidden(net.params, prev_hidden=2)
+    hedge.grow_hidden(net.params)
     assert hedge.anchor["w_in"].shape == (4, 3)
     assert np.array_equal(hedge.anchor["w_in"][2:], net.w_in[2:])
     assert not hedge.importance["w_in"][2:].any()
@@ -267,9 +267,8 @@ def test_cached_importance_equals_recomputation_after_mixed_changes():
             _, grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], 0.1)
             hedge.record_step(0.1, grads)
         elif op == "grow" and net.n_hidden < 12:
-            prev = net.n_hidden
             net.add_nodes(int(rng.integers(1, 3)), rng)
-            hedge.grow_hidden(net.params, prev)
+            hedge.grow_hidden(net.params)
         elif op == "prune" and net.n_hidden > 1:
             doomed = [int(rng.integers(net.n_hidden))]
             keep = np.setdiff1d(np.arange(net.n_hidden), doomed)
@@ -335,7 +334,7 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
         elif op == "grow" and net.n_hidden < 10:
             prev = net.n_hidden
             net.add_nodes(int(rng.integers(1, 3)), rng)
-            hedge.grow_hidden(net.params, prev)
+            hedge.grow_hidden(net.params)
             for key in hidden_keys:
                 fresh = net.theta()[key][prev:]
                 ref[key] = np.concatenate([ref[key], fresh])

@@ -38,10 +38,10 @@ overflow it.  A sample far outside that range can: ``z * z`` becomes
 ``inf``, so the activation is 0 and the log-likelihood ``-inf``, as with the
 guard, but numpy now emits its overflow ``RuntimeWarning``.
 
-The hot-path reductions call the ufuncs (``np.add.reduce`` and friends)
-rather than the ``ndarray.sum``/``mean``/``max``/``all`` methods, which in
-numpy 2 go through a Python wrapper around the same ufunc: same arithmetic,
-fewer calls.
+Hot-path reductions whose result is order-free take C-level forms:
+``sum(a.tolist())`` for an integer sum, ``a[a.argmax()]`` for a NaN-free
+maximum, ``np.count_nonzero`` for all/any.  A float sum keeps ``np.add.reduce``
+(its bits follow numpy's pairwise order), which skips ``ndarray.sum``'s wrapper.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class AgmmModel:
         """Relative support of each component (sums to 1)."""
         if self.size == 0:
             raise EmptyModelError("mixture has no components yet")
-        return self.support / np.add.reduce(self.support)
+        return self.support / sum(self.support.tolist())
 
     def _log_likelihood(self, x: np.ndarray) -> np.ndarray:
         z = (x - self.centers) / self.spreads
@@ -175,7 +175,7 @@ class AgmmModel:
         underflows to zero."""
         priors = self.prior_weights()
         log_lik = self._log_likelihood(x)
-        peak = np.maximum.reduce(log_lik)
+        peak = log_lik[log_lik.argmax()]
         if not math.isfinite(peak):
             return priors
         # The largest term is its prior times exp(0), so the sum stays positive.
@@ -204,7 +204,7 @@ class AgmmModel:
         if self.size == 0:
             raise EmptyModelError("mixture has no components yet")
         conditionals = self._class_conditionals()
-        scores = self._weighted_likelihoods(x) @ conditionals
+        scores = self._weighted_likelihoods(x).dot(conditionals)
         posterior = scores / np.add.reduce(scores)
         if abs(np.add.reduce(posterior) - 1.0) > 1e-9:
             raise AssertionError("class posterior lost the partition of unity")
@@ -262,9 +262,10 @@ class AgmmModel:
         # insertion_threshold with its dimension-only denominator precomputed.
         _check_confidence(confidence)
         threshold = math.exp(-(self.input_dim * confidence) / self._threshold_denominator)
-        if np.maximum.reduce(acts) >= threshold:
+        win = int(acts.argmax())
+        if acts[win] >= threshold:
             return False
-        return self.vigilance_passes(int(acts.argmax()))
+        return self.vigilance_passes(win)
 
     def _tune(self, win: int, x: np.ndarray) -> None:
         """Pull the winning component toward ``x`` with support-weighted moments.
@@ -296,14 +297,15 @@ class AgmmModel:
         the rule would empty the model).  Returns the removed indices.
         """
         # With every component inside its grace period nothing can be doomed.
-        if self.size < 2 or np.maximum.reduce(self.lifespan) < self.prune_grace:
+        if self.size < 2 or self.lifespan[self.lifespan.argmax()] < self.prune_grace:
             return []
         rate = self.activity / np.maximum(self.lifespan, 1)
         doomed = (self.lifespan >= self.prune_grace) & (rate <= _activity_cutoff(rate))
-        if np.logical_and.reduce(doomed):
-            doomed[int(rate.argmax())] = False
-        if not np.logical_or.reduce(doomed):
+        count = np.count_nonzero(doomed)
+        if count == 0:
             return []
+        if count == self.size:
+            doomed[int(rate.argmax())] = False
         removed = np.flatnonzero(doomed)
         keep = ~doomed
         self.centers = self.centers[keep]

@@ -89,8 +89,10 @@ def load_csv(path: str, batch_size: int) -> list[Batch]:
             try:
                 features.append([float(row[i]) for i in feature_at])
                 label = int(float(row[label_at]))
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, OverflowError) as exc:
                 raise ConfigError(f"{path}: malformed row at line {line}: {exc}") from exc
+            if not all(map(math.isfinite, features[-1])):
+                raise ConfigError(f"{path}: non-finite feature at line {line}")
             if label < 0:
                 raise ConfigError(f"{path}: negative label at line {line}")
             labels.append(label)
@@ -192,6 +194,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     if cfg.scenario == "sporadic" and not 0.0 < cfg.label_frac < 1.0:
         raise ConfigError("label fraction must lie strictly between 0 and 1")
     batches, dataset = _build_batches(cfg)
+    if cfg.scenario == "delay" and len(batches) < 2:
+        raise ConfigError("infinite delay needs at least two batches")
     os.makedirs(cfg.out, exist_ok=True)
 
     cr, final_hidden, final_mixture, pseudo, precisions, recalls = [], [], [], [], [], []

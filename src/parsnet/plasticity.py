@@ -105,8 +105,8 @@ def expected_hidden(net: Network, mixture) -> np.ndarray:
     """
     weights = mixture.prior_weights()
     scaled = mixture.centers / np.sqrt(1.0 + PROBIT_SCALE * mixture.spreads ** 2)
-    per_component = sigmoid(scaled @ net.w_in.T + net.b_in)
-    return weights @ per_component
+    per_component = sigmoid(scaled.dot(net.w_in.T) + net.b_in)
+    return weights.dot(per_component)
 
 
 def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,
@@ -125,10 +125,10 @@ def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,
         raise ValueError(f"unknown phase {phase!r}")
     # One squash for both moments; the two products stay apart, because a
     # stacked product could sum in another order.
-    first, second = squash(np.array((e_hidden @ weight + offset,
-                                     (e_hidden * e_hidden) @ weight + offset)))
+    first, second = squash(np.array((e_hidden.dot(weight) + offset,
+                                     (e_hidden * e_hidden).dot(weight) + offset)))
     diff = first - target
-    bias_sq = float(diff @ diff)
+    bias_sq = float(diff.dot(diff))
     variance = float(np.add.reduce(second - first * first))
     return bias_sq, variance
 

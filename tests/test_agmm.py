@@ -123,6 +123,19 @@ def test_winner_empty_model_errors():
         AgmmModel(2, 2).prior_weights()
 
 
+def test_prior_weights_equal_the_ufunc_sum_form_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        m = int(rng.integers(1, 9))
+        top = 2 ** int(rng.integers(1, 41))
+        model = build(rng.random((m, 2)), np.ones((m, 2)),
+                      support=rng.integers(1, top, m, endpoint=True))
+        expected = model.support / np.add.reduce(model.support)
+        assert model.prior_weights().tobytes() == expected.tobytes()
+    model = build(np.zeros((3, 1)), np.ones((3, 1)), support=[2 ** 40, 2 ** 40 - 1, 1])
+    assert model.prior_weights().tobytes() == (model.support / np.add.reduce(model.support)).tobytes()
+
+
 # -- insertion threshold ---------------------------------------------------------
 
 def test_insertion_threshold_one_dim():
@@ -507,18 +520,28 @@ def reference_prune(model):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), m=st.integers(2, 12), young=st.booleans())
-def test_prune_equals_the_reference_rule(data, m, young):
-    # ``young`` keeps every component inside its grace period, the early exit.
+@given(data=st.data(), m=st.integers(2, 12),
+       case=st.sampled_from(("mixed", "young", "all_doomed")))
+def test_prune_equals_the_reference_rule(data, m, case):
+    # "young" keeps every component inside its grace period, the early exit.
+    # "all_doomed" gives every component one age past its grace and one rate,
+    # a multiple of 1/8 so that the mean is exact: the rule catches every
+    # component, and the most active one must be kept.
     model = build(np.arange(m, dtype=float)[:, None], np.ones((m, 1)))
     grace = model.prune_grace
-    top = grace - 1 if young else 2 * grace
-    edges = st.sampled_from([age for age in (grace - 1, grace, grace + 1) if age <= top])
-    model.lifespan[:] = data.draw(arrays(np.int64, m,
-                                         elements=st.one_of(st.integers(0, top), edges)))
-    fractions = data.draw(arrays(float, m, elements=unit_rates))
-    model.activity[:] = fractions * model.lifespan
+    if case == "all_doomed":
+        model.lifespan[:] = data.draw(st.integers(grace, 2 * grace))
+        model.activity[:] = data.draw(st.integers(0, 8)) / 8 * model.lifespan
+    else:
+        top = grace - 1 if case == "young" else 2 * grace
+        edges = st.sampled_from([age for age in (grace - 1, grace, grace + 1) if age <= top])
+        model.lifespan[:] = data.draw(arrays(np.int64, m,
+                                             elements=st.one_of(st.integers(0, top), edges)))
+        fractions = data.draw(arrays(float, m, elements=unit_rates))
+        model.activity[:] = fractions * model.lifespan
     expected = reference_prune(model)
+    if case == "all_doomed":
+        assert len(expected) == m - 1
     survivors = np.setdiff1d(np.arange(m), expected)
     before = {name: getattr(model, name)[survivors]
               for name in ("centers", "spreads", "support", "lifespan", "activity")}

@@ -147,6 +147,32 @@ def test_load_csv_malformed_row_reports_line(tmp_path):
         load_csv(str(path), batch_size=10)
 
 
+def test_load_csv_infinite_label_reports_line(tmp_path):
+    path = tmp_path / "inf_label.csv"
+    write_csv(path, ["0.1,0.2,0", "0.3,0.4,inf"])
+    with pytest.raises(ConfigError, match="line 3"):
+        load_csv(str(path), batch_size=10)
+
+
+# The learner skips and counts a non-finite training row, but batch prediction
+# would reject its whole batch first, so the loader stops the run before output.
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", [0, 250])  # in the first and in the third batch of 100
+def test_non_finite_csv_feature_is_a_config_error_before_any_output(tmp_path, capsys,
+                                                                    text, row):
+    path = tmp_path / "stream.csv"
+    rows = [f"{i % 7 / 7:.4f},{i % 5 / 5:.4f},{i % 2}" for i in range(300)]
+    rows[row] = f"0.5,{text},1"
+    write_csv(path, rows)
+    with pytest.raises(ConfigError, match=f"non-finite feature at line {row + 2}$"):
+        load_csv(str(path), batch_size=100)
+    out = tmp_path / "csv"
+    assert main(["--data", str(path), "--batch", "100", "--seeds", "1",
+                 "--out", str(out)]) == 1
+    assert f"line {row + 2}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_csv_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_csv("/nonexistent/nope.csv", batch_size=10)
@@ -329,6 +355,17 @@ def test_run_experiment_slash_ablation_reports_zero_pseudo(tmp_path):
 def test_run_experiment_delay_scenario(tmp_path):
     _, summary = run_experiment(tiny_config(tmp_path, scenario="delay", seeds=[3]))
     assert summary["label_fraction"] == pytest.approx(0.25)  # 500 of 2000
+
+
+def test_delay_with_one_batch_is_a_config_error_before_any_output(tmp_path, capsys):
+    out = tmp_path / "d2"
+    assert main(["--gen", "sea", "--gen-size", "500", "--batch", "1000",
+                 "--scenario", "delay", "--seeds", "1", "--out", str(out)]) == 1
+    assert "at least two batches" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="at least two batches"):
+        run_experiment(tiny_config(tmp_path, gen_size=500, batch=500, scenario="delay",
+                                   out=str(out)))
+    assert not out.exists()
 
 
 def test_run_experiment_rejects_bad_ablation(tmp_path):

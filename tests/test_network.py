@@ -1,5 +1,7 @@
+import ast
 import copy
 import math
+import pathlib
 import pickle
 import re
 
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from parsnet.network import (THETA_KEYS, Network, flatten_theta, mask_input,
+import parsnet
+from parsnet import network
+from parsnet.network import (THETA_KEYS, Network, check_sample, flatten_theta, mask_input,
                              normalized_top2, sigmoid, softmax, theta_views)
 
 # -- finite-difference oracle ---------------------------------------------------
@@ -128,6 +132,28 @@ def test_forward_probs_sum_to_one():
         assert abs(probs.sum() - 1.0) <= 1e-9
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
         assert np.abs(net.predict_batch(x[None, :]).sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_sample_rejects_a_non_finite_entry_at_every_position(bad):
+    for n in (1, 2, 3, 4, 17, 784):
+        for position in range(n):
+            x = np.full(n, 0.5)
+            x[position] = bad
+            with pytest.raises(ValueError, match="^sample contains non-finite values$"):
+                check_sample(x, n)
+        with pytest.raises(ValueError, match="^sample contains non-finite values$"):
+            check_sample([bad] * n, n)
+
+
+def test_check_sample_accepts_every_finite_extreme():
+    tiny = np.finfo(float).smallest_subnormal
+    extremes = np.array([1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+                         tiny, -tiny, np.finfo(float).tiny / 2, 0.0, -0.0])
+    assert check_sample(extremes, extremes.shape[0]).tobytes() == extremes.tobytes()
+    assert check_sample(extremes.tolist(), extremes.shape[0]).tobytes() == extremes.tobytes()
+    for value in extremes:
+        assert check_sample(np.full(5, value), 5).tobytes() == np.full(5, value).tobytes()
 
 
 def test_forward_rejects_non_finite():
@@ -362,6 +388,47 @@ def test_single_sample_methods_require_a_vector_of_the_inputs():
     assert net.predict_batch(np.full((2, 3), 0.5)).shape == (2, 2)
 
 
+def test_dot_equals_matmul_on_every_product_shape_bit_for_bit():
+    # Every product the learner takes, on its own operands: views into
+    # ``params``, ``w_in.T``, the mixture's stacks and ``predict_batch``'s batches.
+    rng = np.random.default_rng(21)
+
+    def draw(*shape):
+        return rng.normal(0.0, 1.0, shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+    for _ in range(400):
+        n_inputs, n_hidden = int(rng.integers(1, 21)), int(rng.integers(1, 301))
+        n_classes, k = int(rng.integers(2, 11)), int(rng.integers(1, 9))
+        net = Network(n_inputs, n_classes, n_hidden, rng)
+        net.params[:] = draw(net.params.shape[0])
+        x, hidden, probs = draw(n_inputs), draw(n_hidden), draw(n_classes)
+        pairs = [
+            (net.w_in, x), (hidden, net.w_out), (hidden, net.w_in), (x, x),
+            (net.w_out, probs), (probs, probs),
+            (draw(int(rng.integers(1, 601)), n_inputs), net.w_in.T),
+            (draw(int(rng.integers(1, 601)), n_hidden), net.w_out),
+            (draw(k, n_inputs), net.w_in.T), (draw(k), draw(k, n_hidden)),
+            (hidden * hidden, net.w_out), (hidden * hidden, net.w_in),
+            (draw(k), draw(k, n_classes)),
+        ]
+        for a, b in pairs:
+            product = np.asarray(a.dot(b))
+            expected = np.asarray(a @ b)
+            assert product.shape == expected.shape
+            assert product.tobytes() == expected.tobytes(), (a.shape, b.shape)
+
+
+def test_the_package_uses_no_matmul_operator():
+    # ``@`` goes through the matmul ufunc's dispatch; ``.dot`` calls the same
+    # BLAS routine directly (see the network docstring).
+    sources = sorted(pathlib.Path(parsnet.__file__).parent.glob("*.py"))
+    assert len(sources) >= 7
+    sites = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(getattr(node, "op", None), ast.MatMult)]
+    assert sites == []
+
+
 # -- structural changes --------------------------------------------------------------------
 
 def test_add_nodes_counts():
@@ -487,10 +554,22 @@ def test_sigmoid_saturates_without_overflow():
 
 
 def test_sigmoid_equals_clipped_reference():
-    z = np.concatenate([np.linspace(-40.0, 40.0, 801), [-np.inf, np.inf, -30.0, 30.0]])
+    z = np.concatenate([np.linspace(-40.0, 40.0, 801), [-np.inf, np.inf, -30.0, 30.0],
+                        np.random.default_rng(3).uniform(-40.0, 40.0, 20_195)])
     reference = 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
     assert np.array_equal(sigmoid(z), reference)
+    # The read-only 0-d constants give the Python-float form's bits, in 1-d and 2-d.
+    float_form = np.reciprocal(1.0 + np.exp(-np.minimum(np.maximum(z, -30.0), 30.0)))
+    assert sigmoid(z).tobytes() == float_form.tobytes()
+    assert sigmoid(z.reshape(2, -1)).tobytes() == float_form.tobytes()
     assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
+
+def test_shared_operand_constants_are_read_only():
+    for constant in (network._ONE, network._LOW, network._HIGH):
+        assert constant.shape == () and not constant.flags.writeable
+        with pytest.raises(ValueError):
+            constant[()] = 0.0
 
 
 def test_softmax_rows_sum_to_one():

@@ -29,7 +29,13 @@ removed, while the posterior is asked for on every unlabelled sample.  The
 matrix is therefore kept in ``_conditionals`` and rebuilt on the next
 ``class_posterior`` after ``_insert``, ``_observe_label`` or a
 ``prune_inactive`` that removes a component clears it.  Code that writes
-``class_counts`` directly must clear it too.
+``class_counts`` directly must clear it too.  A rebuild divides by the totals
+floored at 1, then makes the rows without a label uniform.  The per-state
+cache, ``_priors`` and ``_shrunk`` (read-only results of ``prior_weights`` and
+``shrunk_centers``), serves the posterior and both structural checks of one
+mixture state; ``_insert``, ``_tune`` and a removing ``prune_inactive`` clear
+it, as must code that writes ``centers``, ``spreads`` or ``support``.  A pure
+function of those arrays, it is no part of the learner's saved state.
 
 Overflow: the standardised distance ``z = (x - centre) / spread`` is
 squared without an ``np.errstate`` guard, whose context costs more than the
@@ -50,11 +56,13 @@ import math
 
 import numpy as np
 
-from .network import check_sample
+from .network import check_sample, constants
 
 # Variance floor: tuning on a near-constant stream collapses the spread,
 # and both activation and likelihood divide by it.
 VARIANCE_FLOOR = 1e-8
+PROBIT_SCALE = math.pi / 8.0  # of the probit approximation in ``shrunk_centers``
+_MINUS_HALF, _FLOOR, _ONE, _PROBIT = constants(-0.5, VARIANCE_FLOOR, 1.0, PROBIT_SCALE)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -130,6 +138,7 @@ class AgmmModel:
         self.activity = np.empty(0)
         self.class_counts = np.empty((0, num_classes), dtype=np.int64)
         self._conditionals: np.ndarray | None = None
+        self._priors = self._shrunk = None
         self._threshold_denominator = _threshold_denominator(input_dim)
 
     # -- structure ---------------------------------------------------------
@@ -155,17 +164,27 @@ class AgmmModel:
         if self.size == 0:
             return np.empty(0)
         z = (x - self.centers) / self.spreads
-        return np.exp(-0.5 * np.maximum.reduce(z * z, axis=1))
+        return np.exp(_MINUS_HALF * np.maximum.reduce(z * z, axis=1))
 
     def prior_weights(self) -> np.ndarray:
-        """Relative support of each component (sums to 1)."""
-        if self.size == 0:
-            raise EmptyModelError("mixture has no components yet")
-        return self.support / sum(self.support.tolist())
+        """Relative support of each component (sums to 1); read-only, cached."""
+        if self._priors is None:
+            if self.size == 0:
+                raise EmptyModelError("mixture has no components yet")
+            self._priors = self.support / sum(self.support.tolist())
+            self._priors.flags.writeable = False
+        return self._priors
+
+    def shrunk_centers(self) -> np.ndarray:
+        """Centres over ``sqrt(1 + PROBIT_SCALE * spreads**2)``; read-only, cached."""
+        if self._shrunk is None:
+            self._shrunk = self.centers / np.sqrt(_ONE + _PROBIT * self.spreads ** 2)
+            self._shrunk.flags.writeable = False
+        return self._shrunk
 
     def _log_likelihood(self, x: np.ndarray) -> np.ndarray:
         z = (x - self.centers) / self.spreads
-        return (-0.5 * np.add.reduce(z * z, axis=1)
+        return (_MINUS_HALF * np.add.reduce(z * z, axis=1)
                 - np.add.reduce(np.log(self.spreads), axis=1)
                 - 0.5 * self.input_dim * LOG_2PI)
 
@@ -214,11 +233,10 @@ class AgmmModel:
         """Per-component class frequencies, cached until ``class_counts`` changes."""
         if self._conditionals is None:
             totals = np.add.reduce(self.class_counts, axis=1)
-            if np.add.reduce(totals) == 0:
+            if sum(totals.tolist()) == 0:
                 raise NoClassEvidenceError("no labelled observations recorded")
-            conditionals = np.full((self.size, self.num_classes), 1.0 / self.num_classes)
-            seen = totals > 0
-            conditionals[seen] = self.class_counts[seen] / totals[seen, None]
+            conditionals = self.class_counts / np.maximum(totals, 1)[:, None]
+            conditionals[totals == 0] = 1.0 / self.num_classes
             self._conditionals = conditionals
         return self._conditionals
 
@@ -236,7 +254,7 @@ class AgmmModel:
         self.activity = np.append(self.activity, 0.0)
         self.class_counts = np.vstack(
             [self.class_counts, np.zeros((1, self.num_classes), dtype=np.int64)])
-        self._conditionals = None
+        self._conditionals = self._priors = self._shrunk = None
 
     def vigilance_passes(self, win: int) -> bool:
         """Whether the winner has run out of room to absorb more samples.
@@ -250,9 +268,8 @@ class AgmmModel:
             return True
         low = self.centers[win] - self.spreads[win]
         high = self.centers[win] + self.spreads[win]
-        others = np.ones(self.size, dtype=bool)
-        others[win] = False
-        outside = (self.centers[others] < low) | (self.centers[others] > high)
+        # The winner's own centre lies inside its band: spreads are positive.
+        outside = (self.centers < low) | (self.centers > high)
         rho = np.count_nonzero(outside) / ((self.size - 1) * self.input_dim)
         span = np.add.reduce(self.spreads, axis=1) / self.input_dim
         return bool(span[win] >= rho * (np.add.reduce(span) - span[win]))
@@ -279,10 +296,11 @@ class AgmmModel:
         center = old + (x - old) * gain
         variance = self.spreads[win] ** 2
         variance = variance + ((x - center) ** 2 - variance) * gain
-        np.maximum(variance, VARIANCE_FLOOR, out=variance)
+        np.maximum(variance, _FLOOR, out=variance)
         self.centers[win] = center
         self.spreads[win] = np.sqrt(variance)
         self.support[win] += 1
+        self._priors = self._shrunk = None
 
     def _observe_label(self, x: np.ndarray, label: int) -> None:
         """Credit ``label`` to the component that wins ``x``."""
@@ -314,7 +332,7 @@ class AgmmModel:
         self.lifespan = self.lifespan[keep]
         self.activity = self.activity[keep]
         self.class_counts = self.class_counts[keep]
-        self._conditionals = None
+        self._conditionals = self._priors = self._shrunk = None
         return removed.tolist()
 
     def update(self, x: np.ndarray, confidence: float,

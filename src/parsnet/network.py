@@ -22,21 +22,21 @@ learning rate, target shape); the gradient methods they call
 trust their input.  The step methods run once or more per sample of a
 stream, so each check is made once and in its cheapest form.
 
-Forward reuse: ``predict_proba`` keeps its checked sample with the hidden
-layer and the probabilities it computed in ``_forward``.  The next
-``discriminative_step`` whose checked sample is that same object takes them
-instead of recomputing them, which saves the self-labelled step its encoder
-and softmax pass.  Every method that writes parameters (``generative_step``,
-``discriminative_step``, ``add_nodes``, ``prune_nodes``) clears them, so
-they are used at most once and only with the parameters that made them.
-Code that writes the parameters directly, or modifies the sample or the
-returned probabilities in place, between the two calls must clear
-``_forward`` too.
+Forward reuse: ``predict_proba`` keeps its checked sample, hidden layer and
+probabilities in ``_forward``; the next ``discriminative_step`` on that same
+sample object takes them instead of its own encoder and softmax pass.  Every
+method that writes parameters (``generative_step``, ``discriminative_step``,
+``add_nodes``, ``prune_nodes``) clears them, so they are used at most once and
+only with the parameters that made them.  Code that writes the parameters
+directly, or the sample or the returned probabilities in place, between the
+two calls must clear ``_forward`` too.
 
 Call overhead: a sample's arrays are tiny, so numpy's dispatch outweighs the
-arithmetic.  Products are ``a.dot(b)``: the BLAS call of ``a @ b``, same bits,
-without the ``matmul`` ufunc machinery.  ``sigmoid`` and the ``1 - h`` factors
-take their constants as read-only 0-d arrays, which numpy converts faster.
+arithmetic.  Products are ``a.dot(b)`` (the BLAS call and bits of ``a @ b``,
+without the ``matmul`` ufunc machinery), and Python-float operands read-only
+0-d arrays (:func:`constants`).  ``_classify`` takes a 1-d softmax: the peak
+``z[z.argmax()]`` and a plain sum give the bits of :func:`softmax`'s keepdims
+reductions, NaN and infinities included.
 """
 
 from __future__ import annotations
@@ -50,10 +50,24 @@ ACTIVATION_CLAMP = 30.0
 
 THETA_KEYS = ("w_in", "b_in", "w_out", "c_out")
 
-# Shared, so read-only: 0-d operands a ufunc takes faster than Python floats.
-_ONE, _LOW, _HIGH = np.array(1.0), np.array(-ACTIVATION_CLAMP), np.array(ACTIVATION_CLAMP)
-for _constant in (_ONE, _LOW, _HIGH):
-    _constant.flags.writeable = False
+
+def constants(*values: float) -> tuple[np.ndarray, ...]:
+    """Read-only 0-d float64 arrays (``broadcast_to`` views): shared operands
+    that a ufunc takes faster than Python floats."""
+    return tuple(np.broadcast_to(float(value), ()) for value in values)
+
+
+_ONE, _LOW, _HIGH, _TINY = constants(1.0, -ACTIVATION_CLAMP, ACTIVATION_CLAMP, 1e-300)
+
+
+def theta_bounds(length: int, n_inputs: int, n_classes: int) -> tuple[int, int, int, int]:
+    """End offsets of the :data:`THETA_KEYS` segments of a flat vector of ``length``."""
+    n_hidden, rest = divmod(length - n_classes, n_inputs + 1 + n_classes)
+    if rest or n_hidden < 1:
+        raise ValueError(f"a vector of length {length} is no classifier layout "
+                         f"for {n_inputs} inputs and {n_classes} classes")
+    b_in_end = n_hidden * (n_inputs + 1)
+    return b_in_end - n_hidden, b_in_end, b_in_end + n_hidden * n_classes, length
 
 
 def theta_views(flat: np.ndarray, n_inputs: int, n_classes: int) -> dict[str, np.ndarray]:
@@ -64,17 +78,10 @@ def theta_views(flat: np.ndarray, n_inputs: int, n_classes: int) -> dict[str, np
     hidden size follows from its length.  Each segment is a C-contiguous
     view, so writing to it writes to ``flat``.
     """
-    n_hidden, rest = divmod(flat.shape[0] - n_classes, n_inputs + 1 + n_classes)
-    if rest or n_hidden < 1:
-        raise ValueError(f"a vector of length {flat.shape[0]} is no classifier layout "
-                         f"for {n_inputs} inputs and {n_classes} classes")
-    w_in_end = n_hidden * n_inputs
-    b_in_end = w_in_end + n_hidden
-    w_out_end = b_in_end + n_hidden * n_classes
-    return {"w_in": flat[:w_in_end].reshape(n_hidden, n_inputs),
-            "b_in": flat[w_in_end:b_in_end],
-            "w_out": flat[b_in_end:w_out_end].reshape(n_hidden, n_classes),
-            "c_out": flat[w_out_end:]}
+    bounds = theta_bounds(flat.shape[0], n_inputs, n_classes)
+    w_in, b_in, w_out, c_out = np.split(flat, bounds[:3])
+    return {"w_in": w_in.reshape(-1, n_inputs), "b_in": b_in,
+            "w_out": w_out.reshape(-1, n_classes), "c_out": c_out}
 
 
 def flatten_theta(w_in, b_in, w_out, c_out) -> np.ndarray:
@@ -198,7 +205,9 @@ class Network:
     def _classify(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden layer and class probabilities of one clean sample."""
         hidden = sigmoid(self.w_in.dot(x) + self.b_in)
-        return hidden, softmax(hidden.dot(self.w_out) + self.c_out)
+        z = hidden.dot(self.w_out) + self.c_out
+        e = np.exp(z - z[z.argmax()])
+        return hidden, e / np.add.reduce(e)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities of one sample, kept for the next
@@ -270,7 +279,7 @@ class Network:
             loss = 0.5 * float(diff.dot(diff))
             delta_logits = probs * (diff - float(diff.dot(probs)))
         else:
-            loss = -float(target.dot(np.log(np.maximum(probs, 1e-300))))
+            loss = -float(target.dot(np.log(np.maximum(probs, _TINY))))
             delta_logits = diff
         delta_hidden = self.w_out.dot(delta_logits) * hidden * (_ONE - hidden)
         grads = flatten_theta(delta_hidden[:, None] * x, delta_hidden,

@@ -16,8 +16,6 @@ import numpy as np
 
 from .network import Network, sigmoid, softmax
 
-PROBIT_SCALE = math.pi / 8.0
-
 
 class RunningStat:
     """Streaming mean/std with resettable minimum trackers.
@@ -53,6 +51,14 @@ class RunningStat:
         self.min_mean = self.mean
         self.min_std = self.std
 
+    def fires(self, factor: float) -> bool:
+        """Whether ``mean + std`` reached ``min_mean + factor * min_std``, from the
+        second value on; a firing check re-arms the minima."""
+        fire = self.n >= 2 and self.mean + self.std >= self.min_mean + factor * self.min_std
+        if fire:
+            self.reset_min()
+        return fire
+
 
 class PhaseMonitor:
     """Grow/prune decision state for one training phase.
@@ -72,27 +78,15 @@ class PhaseMonitor:
 
     def observe_bias(self, bias_sq: float) -> bool:
         """Record one squared-bias observation; True when the network should grow."""
-        stat = self.bias_stat
-        stat.update(bias_sq)
+        self.bias_stat.update(bias_sq)
         self.bias_level = 1.2 * math.exp(-bias_sq) + 0.8
-        if stat.n < 2:
-            return False
-        fire = stat.mean + stat.std >= stat.min_mean + self.bias_level * stat.min_std
-        if fire:
-            stat.reset_min()
-        return fire
+        return self.bias_stat.fires(self.bias_level)
 
     def observe_variance(self, variance: float) -> bool:
         """Record one variance observation; True when pruning should be considered."""
-        stat = self.var_stat
-        stat.update(variance)
+        self.var_stat.update(variance)
         self.var_level = 1.2 * math.exp(-variance) + 0.8
-        if stat.n < 2:
-            return False
-        fire = stat.mean + stat.std >= stat.min_mean + 2.0 * self.var_level * stat.min_std
-        if fire:
-            stat.reset_min()
-        return fire
+        return self.var_stat.fires(2.0 * self.var_level)
 
 
 def expected_hidden(net: Network, mixture) -> np.ndarray:
@@ -104,8 +98,7 @@ def expected_hidden(net: Network, mixture) -> np.ndarray:
     per-component results are blended with the support-based prior weights.
     """
     weights = mixture.prior_weights()
-    scaled = mixture.centers / np.sqrt(1.0 + PROBIT_SCALE * mixture.spreads ** 2)
-    per_component = sigmoid(scaled.dot(net.w_in.T) + net.b_in)
+    per_component = sigmoid(mixture.shrunk_centers().dot(net.w_in.T) + net.b_in)
     return weights.dot(per_component)
 
 

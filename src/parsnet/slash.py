@@ -2,11 +2,13 @@
 
 Unlabelled samples earn a pseudo label only when the network and the
 mixture class scorer agree on the class and are both confident in the
-top-2 sense.  Training on a pseudo label carries a safety pull back toward
-the parameters anchored at the last true label, weighted per parameter by
-how much that parameter mattered while learning from real labels, and
-scaled by how badly the current sample reconstructs.  Real labels are
-additionally echoed once as a noise-augmented copy.
+top-2 sense.  The mixture side (:func:`mixture_confidence`) is asked first,
+so the learner scores a sample with the network only where that side passes
+or an audit log is open.  Training on a pseudo label carries a safety pull
+back toward the parameters anchored at the last true label, weighted per
+parameter by how much that parameter mattered while learning from real
+labels, and scaled by how badly the current sample reconstructs.  Real
+labels are additionally echoed once as a noise-augmented copy.
 
 The hedge keeps its stores in the flat layout of ``Network.params``: the
 gradients that ``record_step`` folds in, the parameters that ``set_anchor``
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, flatten_theta, normalized_top2, theta_views
+from .network import (Network, constants, flatten_theta, normalized_top2, theta_bounds,
+                      theta_views)
 
 # Pseudo-label decision outcomes, as written to the audit log.
 ACCEPTED = "accepted"
@@ -36,6 +39,8 @@ AUGMENT_NOISE_STD = {"tabular": math.sqrt(1e-3), "image": 33.0 / 255.0}
 
 HIDDEN_AXIS_KEYS = ("w_in", "b_in", "w_out")  # rows indexed by hidden unit
 
+_ZERO, _ONE = constants(0.0, 1.0)
+
 
 @dataclass
 class PseudoLabel:
@@ -46,19 +51,27 @@ class PseudoLabel:
     net_confidence: float
 
 
+def mixture_confidence(agmm_probs: np.ndarray | None, agmm_threshold: float) -> float | None:
+    """The posterior's top-2 confidence, or ``None`` where it is missing or below
+    ``agmm_threshold``: then the gate rejects whatever the network says."""
+    agmm_conf = None if agmm_probs is None else normalized_top2(agmm_probs)
+    return None if agmm_conf is None or agmm_conf < agmm_threshold else agmm_conf
+
+
 def propose_label(net_probs: np.ndarray, agmm_probs: np.ndarray | None,
                   agmm_threshold: float = 0.55,
                   net_threshold: float = 0.6) -> tuple[PseudoLabel | None, str]:
     """Gate an unlabelled sample; returns ``(pseudo_label_or_None, reason)``.
 
     A missing mixture posterior is reported as :data:`UNAVAILABLE`, distinct
-    from a confidence or agreement rejection.
+    from a confidence or agreement rejection.  ``net_probs`` may be ``None``
+    where :func:`mixture_confidence` is: the network was not scored.
     """
     if agmm_probs is None:
         return None, UNAVAILABLE
-    net_conf = normalized_top2(net_probs)
-    agmm_conf = normalized_top2(agmm_probs)
-    if agmm_conf < agmm_threshold or net_conf < net_threshold:
+    net_conf = None if net_probs is None else normalized_top2(net_probs)
+    agmm_conf = mixture_confidence(agmm_probs, agmm_threshold)
+    if agmm_conf is None or net_conf < net_threshold:
         return None, LOW_CONFIDENCE
     # asarray(...).argmax() is np.argmax without its Python-level wrapper.
     net_class = int(np.asarray(net_probs).argmax())
@@ -113,9 +126,8 @@ class HedgeState:
         self.n_inputs = theta["w_in"].shape[1]
         self.n_classes = theta["c_out"].shape[0]
         self._anchor = flatten_theta(**theta)
-        self._importance = np.zeros_like(self._anchor)
-        self._loss_drop = np.zeros_like(self._anchor)
-        self._movement = np.zeros_like(self._anchor)
+        self._importance, self._loss_drop, self._movement = (
+            np.zeros_like(self._anchor) for _ in range(3))
 
     @classmethod
     def for_network(cls, net: Network, eps: float = 1e-8) -> "HedgeState":
@@ -124,21 +136,10 @@ class HedgeState:
     def _named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         return theta_views(flat, self.n_inputs, self.n_classes)
 
-    @property
-    def anchor(self) -> dict[str, np.ndarray]:
-        return self._named(self._anchor)
-
-    @property
-    def importance(self) -> dict[str, np.ndarray]:
-        return self._named(self._importance)
-
-    @property
-    def loss_drop(self) -> dict[str, np.ndarray]:
-        return self._named(self._loss_drop)
-
-    @property
-    def movement(self) -> dict[str, np.ndarray]:
-        return self._named(self._movement)
+    anchor = property(lambda self: self._named(self._anchor))
+    importance = property(lambda self: self._named(self._importance))
+    loss_drop = property(lambda self: self._named(self._loss_drop))
+    movement = property(lambda self: self._named(self._movement))
 
     # -- accumulation (real labels only) ------------------------------------
 
@@ -165,11 +166,12 @@ class HedgeState:
             return
         self._stale = False
         raw = self._loss_drop / (self._movement ** 2 + self.eps)
-        # The squared norm is summed key by key, in THETA_KEYS order: one
-        # reduction over the whole vector would add in another order.
-        total_sq = 0.0
-        for part in self._named(raw * raw).values():
-            total_sq += float(np.add.reduce(part, axis=None))
+        # The squared norm is summed segment by segment, in THETA_KEYS order:
+        # one reduction over the whole vector would add in another order.
+        squares, total_sq = raw * raw, 0.0
+        bounds = theta_bounds(raw.shape[0], self.n_inputs, self.n_classes)
+        for start, stop in zip((0,) + bounds, bounds):
+            total_sq += float(np.add.reduce(squares[start:stop]))
         norm = math.sqrt(total_sq)
         if norm == 0.0:
             self._importance.fill(0.0)
@@ -228,5 +230,5 @@ def augment(x: np.ndarray, label: int, rng: np.random.Generator,
     if mode not in AUGMENT_NOISE_STD:
         raise ValueError(f"unknown augmentation mode {mode!r}")
     std = AUGMENT_NOISE_STD[mode]
-    jittered = np.minimum(np.maximum(x + rng.normal(0.0, std, x.shape), 0.0), 1.0)
+    jittered = np.minimum(np.maximum(x + rng.normal(0.0, std, x.shape), _ZERO), _ONE)
     return jittered, label

@@ -20,9 +20,9 @@ shared :func:`~parsnet.network.check_sample`.  A rejected input raises
 methods the learner calls are entry points of their own modules and keep
 their own single checks.
 
-The self-labelled step passes ``discriminative_step`` the very sample object
-that ``predict_proba`` scored, with no parameter write in between, so the
-step reuses that forward pass (see the ``network`` docstring).
+An unlabelled sample is scored by the network only where the mixture side of
+the gate passes or an audit log is open; the self-labelled step then passes
+``discriminative_step`` that scored sample object, reusing its forward pass.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import numpy as np
 from .agmm import AgmmModel, NoClassEvidenceError
 from .network import LOSSES, Network, check_sample, normalized_top2
 from .plasticity import PhaseMonitor, bias_variance, expected_hidden, prune_candidates
-from .slash import AUGMENT_NOISE_STD, HedgeState, ReconScaler, augment, propose_label
+from .slash import (AUGMENT_NOISE_STD, HedgeState, ReconScaler, augment,
+                    mixture_confidence, propose_label)
 
 
 @dataclass
@@ -222,13 +223,10 @@ def precision_recall(confusion: np.ndarray):
     Classes that were never predicted (or never occurred) get ``None``
     instead of a fake zero.
     """
-    tp = np.diag(confusion)
-    by_pred = confusion.sum(axis=0)
-    by_true = confusion.sum(axis=1)
-    precision = [float(tp[i] / by_pred[i]) if by_pred[i] else None
-                 for i in range(confusion.shape[0])]
-    recall = [float(tp[i] / by_true[i]) if by_true[i] else None
-              for i in range(confusion.shape[0])]
+    hits = np.diag(confusion)
+    precision, recall = ([float(hit / total) if total else None
+                          for hit, total in zip(hits, confusion.sum(axis=axis))]
+                         for axis in (0, 1))
     return precision, recall
 
 
@@ -264,15 +262,13 @@ class StreamLearner:
         self.events: list[tuple[int, str]] = []
         self._eye = np.eye(n_classes)
         self._trace = open(config.trace_path, "w", newline="") if config.trace_path else None
-        self._trace_csv = None
-        if self._trace:
-            self._trace_csv = csv.writer(self._trace)
+        self._trace_csv = csv.writer(self._trace) if self._trace else None
+        if self._trace_csv:
             self._trace_csv.writerow(["sample", "phase", "bias_sq", "variance",
                                       "bias_level", "var_level", "hidden", "components"])
         self._audit = open(config.audit_path, "w", newline="") if config.audit_path else None
-        self._audit_csv = None
-        if self._audit:
-            self._audit_csv = csv.writer(self._audit)
+        self._audit_csv = csv.writer(self._audit) if self._audit else None
+        if self._audit_csv:
             self._audit_csv.writerow(["sample", "decision", "net_confidence",
                                       "agmm_confidence", "label", "hedge_strength"])
 
@@ -369,13 +365,15 @@ class StreamLearner:
                 self._evolve(self.disc_monitor, target, "discriminative")
         elif not cfg.slash_off:
             self.hedge.refresh_importance()
-            net_probs = self.net.predict_proba(x)
             agmm_probs = None
             if self.mixture.size:
                 try:
                     agmm_probs = self.mixture.class_posterior(x)
                 except NoClassEvidenceError:
-                    agmm_probs = None
+                    pass
+            # Scored only where the mixture side can pass, or for the audit log.
+            net_probs = (self.net.predict_proba(x) if self._audit_csv
+                         or mixture_confidence(agmm_probs, cfg.agmm_conf) is not None else None)
             pseudo, reason = propose_label(net_probs, agmm_probs,
                                            cfg.agmm_conf, cfg.net_conf)
             if pseudo is not None:
@@ -423,7 +421,10 @@ class StreamLearner:
 
 
 def prequential_run(config: RunConfig, scenario: StreamScenario) -> RunMetrics:
-    """Test-then-train over every batch exactly once."""
+    """Test-then-train over every batch exactly once.  A row with a non-finite
+    feature is left out of prediction, scoring and training and counted once as
+    ``skipped``; a batch of such rows adds no per-batch entry, and a stream of
+    them raises ``ValueError``."""
     batches = normalize_batches(scenario.batches)
     n_inputs = batches[0].features.shape[1]
     learner = StreamLearner(n_inputs, scenario.num_classes, config)
@@ -432,15 +433,22 @@ def prequential_run(config: RunConfig, scenario: StreamScenario) -> RunMetrics:
     started = time.perf_counter()
     try:
         for index, batch in enumerate(batches):
-            predictions = learner.predict(batch.features)
-            batch_accuracy.append(float(np.mean(predictions == batch.truth)))
-            np.add.at(confusion, (batch.truth, predictions), 1)
+            finite = np.isfinite(batch.features).all(axis=1)
+            learner.counters["skipped"] += finite.size - int(np.count_nonzero(finite))
+            features, truth = batch.features[finite], batch.truth[finite]
+            if not truth.size:
+                continue
+            predictions = learner.predict(features)
+            batch_accuracy.append(float(np.mean(predictions == truth)))
+            np.add.at(confusion, (truth, predictions), 1)
             if not (config.freeze_after_first and index >= 1):
-                learner.train_on_batch(batch.features, batch.labels)
+                learner.train_on_batch(features, batch.labels[finite])
             hidden.append(learner.net.n_hidden)
             sizes.append(learner.mixture.size)
             pseudo.append(learner.pseudo_count)
             cumtime.append(time.perf_counter() - started)
+        if not cumtime:
+            raise ValueError("no batch holds a finite row")
     finally:
         learner.close()
     precision, recall = precision_recall(confusion)

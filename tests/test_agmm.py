@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.cluster.vq import kmeans2
 
-from parsnet.agmm import (AgmmModel, EmptyModelError, NoClassEvidenceError,
+from parsnet.agmm import (PROBIT_SCALE, AgmmModel, EmptyModelError, NoClassEvidenceError,
                           _activity_cutoff, insertion_threshold)
 
 
@@ -698,3 +698,131 @@ def test_update_rejects_bad_label_before_any_change(label):
         model.update(np.array([0.3]), 2.0, label=label)
     for name, value in before.items():
         assert np.array_equal(getattr(model, name), value), name
+
+
+# -- rewritten forms, bit for bit ---------------------------------------------------
+
+def reference_conditionals(model):
+    """The class conditionals in the np.full plus boolean-gather form."""
+    totals = np.add.reduce(model.class_counts, axis=1)
+    if np.add.reduce(totals) == 0:
+        raise NoClassEvidenceError("no labelled observations recorded")
+    conditionals = np.full((model.size, model.num_classes), 1.0 / model.num_classes)
+    seen = totals > 0
+    conditionals[seen] = model.class_counts[seen] / totals[seen, None]
+    return conditionals
+
+
+def test_class_conditionals_equal_the_full_and_gather_form_bit_for_bit():
+    rng = np.random.default_rng(31)
+    unseen_rows = 0
+    for _ in range(2000):
+        m, k = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        model = build(rng.random((m, 2)), np.ones((m, 2)), num_classes=k)
+        counts = rng.integers(0, 2 ** int(rng.integers(1, 40)), (m, k))
+        counts[rng.random(m) < 0.4] = 0  # components that never saw a label
+        model.class_counts = counts
+        model._conditionals = None
+        if not counts.any():
+            with pytest.raises(NoClassEvidenceError, match="no labelled observations"):
+                model._class_conditionals()
+            continue
+        unseen_rows += int(np.count_nonzero(~counts.any(axis=1)))
+        assert model._class_conditionals().tobytes() == reference_conditionals(model).tobytes()
+    assert unseen_rows > 500
+
+
+def test_class_conditionals_without_any_label_raise_no_class_evidence():
+    model = build(np.zeros((3, 2)), np.ones((3, 2)), num_classes=4)
+    with pytest.raises(NoClassEvidenceError, match="no labelled observations recorded"):
+        model._class_conditionals()
+    assert model._conditionals is None
+
+
+def reference_rho(model, win):
+    """``rho`` of ``vigilance_passes`` in its form with an ``others`` mask."""
+    others = np.ones(model.size, dtype=bool)
+    others[win] = False
+    low, high = model.centers[win] - model.spreads[win], model.centers[win] + model.spreads[win]
+    outside = (model.centers[others] < low) | (model.centers[others] > high)
+    return np.count_nonzero(outside) / ((model.size - 1) * model.input_dim)
+
+
+def test_vigilance_without_gathers_equals_the_others_form():
+    rng = np.random.default_rng(37)
+    passed = 0
+    for trial in range(3000):
+        m, dim = int(rng.integers(2, 9)), int(rng.integers(1, 12))
+        if trial % 3 == 0:
+            # Spreads at the variance floor's 1e-4 on centres of 1e10, and of
+            # 1e13, where the winner's band rounds onto its own centre.
+            centers = 10.0 ** rng.choice([10, 13]) * (1.0 + rng.integers(0, 3, (m, dim)))
+            spreads = np.full((m, dim), 1e-4)
+        else:
+            scale = 10.0 ** rng.uniform(-4, 1)
+            centers = rng.random((m, dim)) * scale
+            spreads = rng.random((m, dim)) * scale + 1e-12
+        model = build(centers, spreads)
+        win = int(rng.integers(m))
+        # Why the mask can go: the winner's own centre never lies outside its band.
+        centre, spread = model.centers[win], model.spreads[win]
+        assert not np.count_nonzero((centre < centre - spread) | (centre > centre + spread))
+        span = np.add.reduce(model.spreads, axis=1) / model.input_dim
+        expected = bool(span[win] >= reference_rho(model, win) * (np.add.reduce(span) - span[win]))
+        assert model.vigilance_passes(win) is expected
+        passed += expected
+    assert 300 < passed < 2700  # both outcomes are exercised
+
+
+# -- per-state cache ------------------------------------------------------------------
+
+def assert_per_state_cache_is_fresh(model):
+    """The cached prior weights and shrunk centres equal a fresh computation."""
+    priors = model.support / np.add.reduce(model.support)
+    shrunk = model.centers / np.sqrt(1.0 + PROBIT_SCALE * model.spreads ** 2)
+    assert model.prior_weights().tobytes() == priors.tobytes()
+    assert model.shrunk_centers().tobytes() == shrunk.tobytes()
+
+
+def test_every_mutator_clears_the_per_state_cache():
+    model = build([[0.0, 0.0], [1.0, 1.0]], [[0.3, 0.3], [0.2, 0.2]], support=[3, 5])
+    assert_per_state_cache_is_fresh(model)
+    model._tune(0, np.array([0.2, -0.1]))
+    assert_per_state_cache_is_fresh(model)
+    model._insert(np.array([4.0, 4.0]))
+    assert_per_state_cache_is_fresh(model)
+    model.lifespan[:] = 50
+    model.activity[:] = [40.0, 40.0, 1.0]
+    assert model.prune_inactive() == [2]
+    assert_per_state_cache_is_fresh(model)
+    # A label changes the class counts only, so the cache stays.
+    priors, shrunk = model.prior_weights(), model.shrunk_centers()
+    model._observe_label(np.array([0.0, 0.0]), 1)
+    assert model.prior_weights() is priors and model.shrunk_centers() is shrunk
+
+
+def test_per_state_cache_equals_fresh_computation_after_every_update():
+    rng = np.random.default_rng(41)
+    model = AgmmModel(3, 3)
+    inserts = prunes = 0
+    for step in range(3000):
+        centre = np.full(3, 0.2 + step / 6000.0) + (0.4 if (step // 700) % 2 else 0.0)
+        x = centre + rng.normal(0.0, 0.08, 3)
+        label = int(rng.integers(3)) if rng.random() < 0.3 else None
+        inserted, pruned = model.update(x, rng.uniform(0.8, 2.0), label)
+        inserts += inserted
+        prunes += bool(pruned)
+        assert_per_state_cache_is_fresh(model)
+        if label is None:
+            posterior_or_error(model, x)  # reads the cache as the learner does
+            assert_per_state_cache_is_fresh(model)
+    assert inserts > 10 and prunes > 10
+
+
+def test_the_per_state_cache_is_handed_out_read_only():
+    model = build([[0.0], [2.0]], [[0.5], [0.5]], support=[1, 3])
+    for cached in (model.prior_weights(), model.shrunk_centers()):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    assert_per_state_cache_is_fresh(model)

@@ -572,6 +572,58 @@ def test_shared_operand_constants_are_read_only():
             constant[()] = 0.0
 
 
+def test_every_shared_constant_is_read_only():
+    found = 0
+    for module in (network, parsnet.agmm, parsnet.slash):
+        for name, value in vars(module).items():
+            if isinstance(value, np.ndarray) and value.shape == ():
+                found += 1
+                assert not value.flags.writeable, (module.__name__, name)
+                with pytest.raises(ValueError):
+                    value[()] = 0.0
+    assert found >= 10
+    assert [float(c) for c in network.constants(1, -0.5, 1e-300)] == [1.0, -0.5, 1e-300]
+
+
+@np.errstate(invalid="ignore")  # inf - inf, on purpose
+def test_classify_softmax_equals_softmax_bit_for_bit():
+    rng = np.random.default_rng(59)
+    specials = np.array([np.nan, np.inf, -np.inf])
+    for trial in range(3000):
+        u, h, c = int(rng.integers(1, 8)), int(rng.integers(1, 60)), int(rng.integers(2, 10))
+        net = Network(u, c, h, rng)
+        net.w_out[:] = rng.normal(size=(h, c)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        net.c_out[:] = rng.normal(size=c) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if trial % 3 == 0:
+            net.c_out[rng.integers(c, size=int(rng.integers(1, c + 1)))] = rng.choice(
+                specials, size=1 if trial % 2 else None)
+        hidden, probs = net._classify(rng.random(u))
+        expected = softmax(hidden.dot(net.w_out) + net.c_out)
+        assert probs.shape == expected.shape
+        assert np.array_equal(np.isnan(probs), np.isnan(expected))
+        assert probs[~np.isnan(probs)].tobytes() == expected[~np.isnan(expected)].tobytes()
+    every_case = np.array([[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [-np.inf, -np.inf],
+                           [np.inf, np.inf], [np.nan, np.inf]])
+    net = Network(1, 2, 1, rng)
+    net.w_out[:] = 0.0
+    for logits in every_case:
+        net.c_out[:] = logits
+        _, probs = net._classify(np.zeros(1))
+        assert np.array_equal(probs, softmax(logits), equal_nan=True), logits
+
+
+def test_theta_bounds_are_the_ends_of_the_theta_views():
+    rng = np.random.default_rng(61)
+    for _ in range(500):
+        u, h, c = int(rng.integers(1, 30)), int(rng.integers(1, 300)), int(rng.integers(2, 12))
+        flat = np.arange(h * (u + 1 + c) + c, dtype=float)
+        views = theta_views(flat, u, c)
+        ends = [int(view.reshape(-1)[-1]) + 1 for view in views.values()]
+        assert list(network.theta_bounds(flat.shape[0], u, c)) == ends
+        with pytest.raises(ValueError, match="is no classifier layout"):
+            network.theta_bounds(flat.shape[0] + 1, u, c)
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     z = rng.normal(0.0, 50.0, (6, 4))

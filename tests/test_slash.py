@@ -8,7 +8,7 @@ from parsnet.network import (THETA_KEYS, Network, flatten_theta,
                              normalized_top2, theta_views)
 from parsnet.slash import (ACCEPTED, DISAGREEMENT, LOW_CONFIDENCE,
                            UNAVAILABLE, HedgeState, ReconScaler, augment,
-                           propose_label)
+                           mixture_confidence, propose_label)
 
 
 def tiny_theta(value=0.0):
@@ -68,6 +68,79 @@ def test_propose_label_gate_soundness():
             assert label.agmm_confidence >= 0.55
             assert label.label == int(np.argmax(net)) == int(np.argmax(agmm))
             assert label.net_confidence == pytest.approx(normalized_top2(net))
+
+
+def network_first_gate(net_probs, agmm_probs, agmm_threshold, net_threshold):
+    """The gate in the order that scores the network first, as plain values."""
+    if agmm_probs is None:
+        return None, UNAVAILABLE
+    net_conf = normalized_top2(net_probs)
+    agmm_conf = normalized_top2(agmm_probs)
+    if agmm_conf < agmm_threshold or net_conf < net_threshold:
+        return None, LOW_CONFIDENCE
+    net_class = int(np.argmax(net_probs))
+    if net_class != int(np.argmax(agmm_probs)):
+        return None, DISAGREEMENT
+    return (net_class, agmm_conf, net_conf), ACCEPTED
+
+
+def gate_cases(seed, count):
+    """``(net_probs, agmm_probs, agmm_threshold, net_threshold)``: random pairs,
+    missing posteriors, ties, NaN and thresholds met exactly."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        k = int(rng.integers(2, 6))
+        net = rng.dirichlet(np.full(k, rng.uniform(0.2, 3.0)))
+        agmm = rng.dirichlet(np.full(k, rng.uniform(0.2, 3.0)))
+        if trial % 7 == 0:
+            net[:2] = net[:2].mean()  # a tie at the top of the network
+        if trial % 11 == 0:
+            agmm[1:3] = agmm[1:3].mean()
+        if trial % 97 == 0:
+            agmm[0] = np.nan
+        agmm_threshold = rng.uniform(0.5, 0.9)
+        net_threshold = rng.uniform(0.5, 0.9)
+        if trial % 3 == 0:
+            agmm_threshold = normalized_top2(agmm)  # met exactly
+        if trial % 5 == 0:
+            net_threshold = normalized_top2(net)
+        yield net, (None if trial % 13 == 0 else agmm), agmm_threshold, net_threshold
+
+
+def plain(result):
+    pseudo, reason = result
+    if pseudo is None:
+        return repr((None, reason))
+    return repr(((pseudo.label, pseudo.agmm_confidence, pseudo.net_confidence), reason))
+
+
+def test_mixture_first_gate_equals_the_network_first_order():
+    reasons = set()
+    for net, agmm, agmm_threshold, net_threshold in gate_cases(43, 6000):
+        expected = network_first_gate(net, agmm, agmm_threshold, net_threshold)
+        assert plain(propose_label(net, agmm, agmm_threshold, net_threshold)) == repr(expected)
+        reasons.add(expected[1])
+    assert reasons == {ACCEPTED, UNAVAILABLE, LOW_CONFIDENCE, DISAGREEMENT}
+
+
+def test_an_unscored_network_gives_the_same_decision_where_the_mixture_rejects():
+    skipped = 0
+    for net, agmm, agmm_threshold, net_threshold in gate_cases(47, 6000):
+        scored = propose_label(net, agmm, agmm_threshold, net_threshold)
+        if mixture_confidence(agmm, agmm_threshold) is None:
+            skipped += 1
+            assert scored[0] is None and scored[1] in (UNAVAILABLE, LOW_CONFIDENCE)
+            assert plain(propose_label(None, agmm, agmm_threshold, net_threshold)) == plain(scored)
+        else:
+            assert repr(mixture_confidence(agmm, agmm_threshold)) == repr(normalized_top2(agmm))
+    assert 1000 < skipped < 5000
+
+
+def test_the_network_side_is_checked_as_before():
+    with pytest.raises(ValueError, match="need at least two classes"):
+        propose_label(np.array([1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="need at least two classes"):
+        propose_label(np.array([0.9, 0.1]), np.array([1.0]))
 
 
 # -- reconstruction scaling --------------------------------------------------------
@@ -168,6 +241,26 @@ def test_importance_keeps_accumulator_sign():
     hedge.refresh_importance()
     assert hedge.importance["w_in"][0, 0] > 0.0
     assert hedge.importance["w_in"][1, 1] < 0.0
+
+
+def test_importance_norm_over_flat_slices_equals_the_per_key_sums():
+    rng = np.random.default_rng(53)
+    for _ in range(600):
+        u, h, c = int(rng.integers(1, 12)), int(rng.integers(1, 120)), int(rng.integers(2, 10))
+        n = h * (u + 1 + c) + c
+        hedge = HedgeState(theta_views(np.zeros(n), u, c))
+        for _ in range(int(rng.integers(1, 4))):
+            grads = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            hedge.record_step(10.0 ** rng.uniform(-3.0, 0.0), grads)
+        hedge.refresh_importance()
+        loss_drop = flatten_theta(**hedge.loss_drop)
+        movement = flatten_theta(**hedge.movement)
+        raw = loss_drop / (movement ** 2 + hedge.eps)
+        total_sq = 0.0
+        for part in theta_views(raw * raw, u, c).values():
+            total_sq += float(np.add.reduce(part, axis=None))
+        expected = raw / math.sqrt(total_sq)
+        assert flatten_theta(**hedge.importance).tobytes() == expected.tobytes()
 
 
 def test_pull_zero_at_anchor():

@@ -1,12 +1,18 @@
+import csv
+import dataclasses
+import pathlib
 import pickle
 
 import numpy as np
 import pytest
 
+from parsnet.cli import gen_sea
 from parsnet.stream import (Batch, RunConfig, StreamLearner, as_batches,
                             make_infinite_delay, make_sporadic,
                             normalize_batches, precision_recall,
                             prequential_run)
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def blob_batches(n_batches=6, size=200, shift_at=None, shift=(0.0, 0.0), seed=0):
@@ -189,6 +195,64 @@ def test_invalid_samples_are_skipped_and_counted():
     learner.train_on_batch(feats, labels)
     assert learner.counters["skipped"] == 2
     assert learner.counters["samples"] == 48
+
+
+def sea_with_nan(row=5, batch=1):
+    """``gen_sea(600, seed=1, batch_size=200)`` with one NaN feature."""
+    batches = gen_sea(600, seed=1, batch_size=200)
+    batches[batch].features[row, 0] = np.nan
+    return batches
+
+
+def without_row(scenario, row=5, batch=1):
+    """``scenario`` with one row of one batch taken out."""
+    batches = list(scenario.batches)
+    cut = batches[batch]
+    keep = np.arange(cut.truth.shape[0]) != row
+    batches[batch] = Batch(cut.features[keep], cut.labels[keep], cut.truth[keep])
+    return dataclasses.replace(scenario, batches=batches)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_prequential_run_skips_and_counts_a_non_finite_row(frozen):
+    config = RunConfig(seed=1, freeze_after_first=frozen)
+    scenario = make_sporadic(sea_with_nan(), 0.5, np.random.default_rng(0))
+    metrics = prequential_run(config, scenario)
+    assert metrics.counters["skipped"] == 1
+    # The row is left out of prediction, scoring and training alike: the run
+    # is the run of the same stream without that row, but for the count.
+    reference = prequential_run(config, without_row(scenario))
+    assert reference.counters.pop("skipped") == 0
+    metrics.counters.pop("skipped")
+    assert metrics.signature() == reference.signature()
+    assert int(metrics.confusion.sum()) == 599
+
+
+def test_prequential_run_leaves_out_a_batch_without_a_finite_row():
+    batches = gen_sea(600, seed=1, batch_size=200)
+    batches[1].features[:, 2] = np.nan
+    metrics = prequential_run(RunConfig(seed=1), make_infinite_delay(batches))
+    assert metrics.counters["skipped"] == 200
+    assert metrics.counters["samples"] == 400
+    assert len(metrics.batch_accuracy) == len(metrics.hidden_nodes) == 2
+    assert len(metrics.cumulative_seconds) == len(metrics.pseudo_trajectory) == 2
+    assert int(metrics.confusion.sum()) == 400
+
+
+def test_prequential_run_without_any_finite_row_raises():
+    batches = gen_sea(400, seed=1, batch_size=200)
+    for batch in batches:
+        batch.features[:, 0] = np.nan
+    with pytest.raises(ValueError, match="no batch holds a finite row"):
+        prequential_run(RunConfig(seed=1), make_infinite_delay(batches))
+
+
+def test_predict_still_rejects_non_finite_input():
+    learner = StreamLearner(3, 2, RunConfig(seed=0))
+    features = np.full((4, 3), 0.5)
+    features[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        learner.predict(features)
 
 
 def warmed_learner(**config):
@@ -395,3 +459,37 @@ def test_trace_and_audit_files(tmp_path):
     header, *rows = audit.read_text().strip().splitlines()
     assert header.split(",")[:2] == ["sample", "decision"]
     assert len(rows) == 150  # one row per unlabelled sample
+
+
+@pytest.mark.parametrize("workload", ["sea-delay", "hyperplane-sporadic"])
+def test_logs_do_not_change_learning(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # bench imports its siblings by name
+    import state_digest
+    import workloads
+
+    learners = []
+    close = StreamLearner.close
+
+    def capturing_close(self):
+        learners.append(self)
+        close(self)
+
+    monkeypatch.setattr(StreamLearner, "close", capturing_close)
+    (stream,) = workloads.build_streams(workload, seed=1, streams=1)
+    audit, trace = tmp_path / "audit.csv", tmp_path / "trace.csv"
+    plain = prequential_run(stream.config, stream.scenario)
+    logged = prequential_run(dataclasses.replace(stream.config, audit_path=str(audit),
+                                                 trace_path=str(trace)), stream.scenario)
+    assert logged.signature() == plain.signature()
+    assert state_digest.learner_state_digest(learners[1]) == \
+        state_digest.learner_state_digest(learners[0])
+    with open(audit, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    unlabelled = sum(int((batch.labels < 0).sum()) for batch in stream.scenario.batches)
+    assert len(rows) == unlabelled
+    scored = [row for row in rows if row["agmm_confidence"]]
+    assert len(scored) > unlabelled // 2
+    # Every row whose mixture posterior exists carries a network confidence,
+    # the rows the mixture side rejects included.
+    assert all(0.5 <= float(row["net_confidence"]) <= 1.0 for row in scored)
+    assert any(float(row["agmm_confidence"]) < stream.config.agmm_conf for row in scored)

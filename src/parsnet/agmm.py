@@ -16,10 +16,11 @@ never stored.
 Validation contract: every public method checks its input once, on entry
 (a sample through :func:`~parsnet.network.check_sample`, the check the
 network and the stream learner share, and the class label range); the
-private helpers it calls (``_activations``, ``_should_insert``, ``_insert``,
-``_tune``, ``_observe_label``) trust their input.  A streaming step
-therefore pays for one check per sample, and a rejected sample leaves the
-mixture untouched.
+private helpers it calls (``_activations``, ``_insert``, ``_tune``,
+``_observe_label``) trust their input.  A streaming step therefore pays for
+one check per sample, and a rejected sample leaves the mixture untouched.
+``_should_insert`` takes its threshold from :func:`insertion_threshold`, the
+one owner of that formula and of its check on the confidence.
 
 Cached class conditionals: ``class_posterior`` needs, per component, the
 class frequencies normalised by the component's label total (uniform for a
@@ -75,15 +76,6 @@ class NoClassEvidenceError(RuntimeError):
     """Class posterior requested before any label has been observed."""
 
 
-def _threshold_denominator(dim: int) -> float:
-    return 4.0 - 2.0 * math.exp(-dim / 20.0)
-
-
-def _check_confidence(confidence: float) -> None:
-    if confidence <= 0.0:
-        raise ValueError("insertion_threshold: confidence must be positive")
-
-
 def insertion_threshold(dim: int, confidence: float) -> float:
     """Proximity level below which a sample counts as uncovered input space.
 
@@ -93,8 +85,9 @@ def insertion_threshold(dim: int, confidence: float) -> float:
     """
     if dim < 1:
         raise ValueError("insertion_threshold: dim must be >= 1")
-    _check_confidence(confidence)
-    return math.exp(-(dim * confidence) / _threshold_denominator(dim))
+    if confidence <= 0.0:
+        raise ValueError("insertion_threshold: confidence must be positive")
+    return math.exp(-(dim * confidence) / (4.0 - 2.0 * math.exp(-dim / 20.0)))
 
 
 def _activity_cutoff(rate: np.ndarray) -> float:
@@ -137,9 +130,7 @@ class AgmmModel:
         self.lifespan = np.empty(0, dtype=np.int64)
         self.activity = np.empty(0)
         self.class_counts = np.empty((0, num_classes), dtype=np.int64)
-        self._conditionals: np.ndarray | None = None
-        self._priors = self._shrunk = None
-        self._threshold_denominator = _threshold_denominator(input_dim)
+        self._conditionals = self._priors = self._shrunk = None
 
     # -- structure ---------------------------------------------------------
 
@@ -199,18 +190,6 @@ class AgmmModel:
             return priors
         # The largest term is its prior times exp(0), so the sum stays positive.
         return priors * np.exp(log_lik - peak)
-
-    def mixing_coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Posterior component responsibilities for ``x``; always sums to 1.
-
-        When every likelihood underflows to zero the support-based priors
-        are returned instead, preserving the partition of unity.
-        """
-        weights = self._weighted_likelihoods(check_sample(x, self.input_dim))
-        weights = weights / weights.sum()
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise AssertionError("mixing coefficients lost the partition of unity")
-        return weights
 
     def class_posterior(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities from per-component label frequency counts.
@@ -276,11 +255,8 @@ class AgmmModel:
 
     def _should_insert(self, acts: np.ndarray, confidence: float) -> bool:
         """Insertion gate: uncovered by every component AND vigilance passes."""
-        # insertion_threshold with its dimension-only denominator precomputed.
-        _check_confidence(confidence)
-        threshold = math.exp(-(self.input_dim * confidence) / self._threshold_denominator)
         win = int(acts.argmax())
-        if acts[win] >= threshold:
+        if acts[win] >= insertion_threshold(self.input_dim, confidence):
             return False
         return self.vigilance_passes(win)
 

@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .stream import (Batch, RunConfig, as_batches, make_infinite_delay,
+from .stream import (Batch, RunConfig, as_batches, check_options, make_infinite_delay,
                      make_sporadic, option, prequential_run)
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)  # concept per quartile of the stream
@@ -165,30 +165,13 @@ def _mean_ignoring_none(rows: list[list[float | None]]) -> list[float | None]:
     return out
 
 
-def _check_options(cfg: ExperimentConfig) -> None:
-    """Reject a value outside its option's choices or range, naming the key."""
-    for key, (_, entry) in _OPTIONS.items():
-        value = getattr(*_slot(cfg, key))
-        if value is None:  # unset (data, gen, gen_size): nothing to check
-            continue
-        allowed, interval = entry.metadata.get("choices"), entry.metadata.get("range")
-        for item in value if isinstance(value, list) else [value]:
-            if allowed is not None and item not in allowed:
-                raise ConfigError(f"{key}: {item!r} is not one of {', '.join(allowed)}")
-            if interval is not None and not _within(item, interval):
-                raise ConfigError(f"{key}: {item!r} is outside {interval}")
-
-
-def _within(value, interval: str) -> bool:
-    """Whether ``value`` lies in ``interval``, written like ``"[0, 1)"``."""
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    return ((low <= value if interval[0] == "[" else low < value)
-            and (value <= high if interval[-1] == "]" else value < high))
-
-
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Check the options, execute the configured runs, write reports, print the headline."""
-    _check_options(cfg)
+    try:
+        check_options(cfg)
+        check_options(cfg.run)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
     if cfg.scenario == "sporadic" and not 0.0 < cfg.label_frac < 1.0:

@@ -3,8 +3,9 @@
 Unlabelled samples earn a pseudo label only when the network and the
 mixture class scorer agree on the class and are both confident in the
 top-2 sense.  The mixture side (:func:`mixture_confidence`) is asked first,
-so the learner scores a sample with the network only where that side passes
-or an audit log is open.  Training on a pseudo label carries a safety pull
+once per sample, so the learner scores a sample with the network only where
+that side passes or an audit log is open; :func:`propose_label` takes the
+confidence it returned.  Training on a pseudo label carries a safety pull
 back toward the parameters anchored at the last true label, weighted per
 parameter by how much that parameter mattered while learning from real
 labels, and scaled by how badly the current sample reconstructs.  Real
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (Network, constants, flatten_theta, normalized_top2, theta_bounds,
-                      theta_views)
+from .network import constants, flatten_theta, normalized_top2, theta_bounds, theta_views
 
 # Pseudo-label decision outcomes, as written to the audit log.
 ACCEPTED = "accepted"
@@ -58,19 +58,19 @@ def mixture_confidence(agmm_probs: np.ndarray | None, agmm_threshold: float) -> 
     return None if agmm_conf is None or agmm_conf < agmm_threshold else agmm_conf
 
 
-def propose_label(net_probs: np.ndarray, agmm_probs: np.ndarray | None,
-                  agmm_threshold: float = 0.55,
-                  net_threshold: float = 0.6) -> tuple[PseudoLabel | None, str]:
+def propose_label(net_probs: np.ndarray | None, agmm_probs: np.ndarray | None,
+                  agmm_conf: float | None,
+                  net_threshold: float) -> tuple[PseudoLabel | None, str]:
     """Gate an unlabelled sample; returns ``(pseudo_label_or_None, reason)``.
 
-    A missing mixture posterior is reported as :data:`UNAVAILABLE`, distinct
-    from a confidence or agreement rejection.  ``net_probs`` may be ``None``
-    where :func:`mixture_confidence` is: the network was not scored.
+    ``agmm_conf`` is :func:`mixture_confidence` of ``agmm_probs``.  A missing
+    mixture posterior is reported as :data:`UNAVAILABLE`, distinct from a
+    confidence or agreement rejection.  ``net_probs`` may be ``None`` where
+    ``agmm_conf`` is: the network was not scored.
     """
     if agmm_probs is None:
         return None, UNAVAILABLE
     net_conf = None if net_probs is None else normalized_top2(net_probs)
-    agmm_conf = mixture_confidence(agmm_probs, agmm_threshold)
     if agmm_conf is None or net_conf < net_threshold:
         return None, LOW_CONFIDENCE
     # asarray(...).argmax() is np.argmax without its Python-level wrapper.
@@ -128,10 +128,6 @@ class HedgeState:
         self._anchor = flatten_theta(**theta)
         self._importance, self._loss_drop, self._movement = (
             np.zeros_like(self._anchor) for _ in range(3))
-
-    @classmethod
-    def for_network(cls, net: Network, eps: float = 1e-8) -> "HedgeState":
-        return cls(net.theta(), eps)
 
     def _named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         return theta_views(flat, self.n_inputs, self.n_classes)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -123,7 +123,8 @@ def _class_count(batches: list[Batch]) -> int:
 def normalize_batches(batches: list[Batch]) -> list[Batch]:
     """Min-max scale every batch by the first batch's ranges, clipped to [0, 1].
 
-    Columns that are constant in the first batch map to 0.
+    Columns that are constant in the first batch map to 0.  A non-finite entry
+    stays as it is, so that :func:`prequential_run` skips and counts its row.
     """
     first = batches[0].features
     lo = first.min(axis=0)
@@ -137,8 +138,8 @@ def normalize_batches(batches: list[Batch]) -> list[Batch]:
                 f"batch {index} has {batch.features.shape[1]} features, "
                 f"expected {first.shape[1]}")
         feats = np.clip((batch.features - lo) / safe, 0.0, 1.0)
-        if flat.any():
-            feats[:, flat] = 0.0
+        feats[:, flat] = 0.0
+        np.copyto(feats, batch.features, where=~np.isfinite(batch.features))
         out.append(Batch(feats, batch.labels, batch.truth))
     return out
 
@@ -151,6 +152,29 @@ def option(default, help: str, **extra):
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata={"help": help, "type": str, **extra})
     return field(default=default, metadata={"help": help, "type": type(default), **extra})
+
+
+def check_options(config) -> None:
+    """Raise ``ValueError``, naming the key, for a value of a dataclass of
+    :func:`option` fields that lies outside its option's choices or range."""
+    for entry in fields(config):
+        value = getattr(config, entry.name)
+        if "help" not in entry.metadata or value is None:  # None: unset, nothing to check
+            continue
+        key = entry.metadata.get("key", entry.name)
+        allowed, interval = entry.metadata.get("choices"), entry.metadata.get("range")
+        for item in value if isinstance(value, list) else [value]:
+            if allowed is not None and item not in allowed:
+                raise ValueError(f"{key}: {item!r} is not one of {', '.join(allowed)}")
+            if interval is not None and not _within(item, interval):
+                raise ValueError(f"{key}: {item!r} is outside {interval}")
+
+
+def _within(value, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``, written like ``"[0, 1)"``."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return ((low <= value if interval[0] == "[" else low < value)
+            and (value <= high if interval[-1] == "]" else value < high))
 
 
 @dataclass
@@ -194,7 +218,6 @@ class RunMetrics:
     mixture_sizes: list[int]
     pseudo_trajectory: list[int]
     pseudo_labels: int
-    train_seconds: float
     cumulative_seconds: list[float]
     confusion: np.ndarray
     counters: dict[str, int]
@@ -231,9 +254,11 @@ def precision_recall(confusion: np.ndarray):
 
 
 class StreamLearner:
-    """The full online model bundle, trained one sample at a time."""
+    """The full online model bundle, trained one sample at a time; a ``config``
+    that :func:`check_options` rejects raises before any state exists."""
 
     def __init__(self, n_inputs: int, n_classes: int, config: RunConfig):
+        check_options(config)
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.net = Network(n_inputs, n_classes, config.init_nodes, self.rng,
@@ -251,10 +276,8 @@ class StreamLearner:
                                      prune_grace=config.prune_grace)
         self.gen_monitor = PhaseMonitor()
         self.disc_monitor = PhaseMonitor()
-        self.hedge = HedgeState.for_network(self.net, config.hedge_eps)
+        self.hedge = HedgeState(self.net.theta(), config.hedge_eps)
         self.scaler = ReconScaler()
-        self.pseudo_count = 0
-        self.samples_seen = 0
         self._last_growth = -(10 ** 9)
         self.counters = {"samples": 0, "skipped": 0, "gen_steps": 0,
                          "disc_label_steps": 0, "disc_aug_steps": 0,
@@ -295,23 +318,23 @@ class StreamLearner:
         ablation toggle suppresses the structural actions but keeps the
         statistics (and the confidence level the mixture consumes) flowing.
         """
-        cfg = self.config
+        cfg, sample = self.config, self.counters["samples"]
         e_hidden = expected_hidden(self.net, self.mixture)
         bias_sq, variance = bias_variance(e_hidden, target, self.net, phase)
         if monitor.observe_bias(bias_sq):
             if not cfg.evolve_off and self.net.n_hidden < cfg.max_hidden:
                 self.net.add_nodes(self.mixture.size, self.rng)
                 self.hedge.grow_hidden(self.net.params)
-                self.events.append((self.samples_seen, "node_grow"))
-                self._last_growth = self.samples_seen
+                self.events.append((sample, "node_grow"))
+                self._last_growth = sample
         elif monitor.observe_variance(variance) and not cfg.evolve_off:
-            settled = self.samples_seen - self._last_growth >= cfg.prune_holdoff
+            settled = sample - self._last_growth >= cfg.prune_holdoff
             doomed = prune_candidates(e_hidden) if settled else []
             if doomed:
                 self.hedge.prune_hidden(self.net.prune_nodes(doomed))
-                self.events.append((self.samples_seen, "node_prune"))
+                self.events.append((sample, "node_prune"))
         if self._trace_csv:
-            self._trace_csv.writerow([self.samples_seen, phase, bias_sq, variance,
+            self._trace_csv.writerow([sample, phase, bias_sq, variance,
                                       monitor.bias_level, monitor.var_level,
                                       self.net.n_hidden, self.mixture.size])
 
@@ -329,13 +352,12 @@ class StreamLearner:
         """
         x = check_sample(x, self.net.n_inputs)
         self._check_label(label)
-        cfg = self.config
-        self.samples_seen += 1
-        self.counters["samples"] += 1
+        cfg, counters = self.config, self.counters
+        counters["samples"] += 1
 
         # Generative phase: every sample, masked input, clean target.
         recon_error = self.net.generative_step(x, cfg.lr_gen, cfg.mask_fraction, self.rng)
-        self.counters["gen_steps"] += 1
+        counters["gen_steps"] += 1
         hedge_strength = self.scaler.rescale(recon_error)
         if self.mixture.size:
             self._evolve(self.gen_monitor, x, "generative")
@@ -345,19 +367,19 @@ class StreamLearner:
             inserted, pruned = self.mixture.update(
                 x, self.gen_monitor.bias_level, label if label >= 0 else None)
             if inserted:
-                self.events.append((self.samples_seen, "mixture_insert"))
+                self.events.append((counters["samples"], "mixture_insert"))
             if pruned:
-                self.events.append((self.samples_seen, "mixture_prune"))
+                self.events.append((counters["samples"], "mixture_prune"))
 
         if label >= 0:
             target = self._eye[label]
             _, grads = self.net.discriminative_step(x, target, cfg.lr_disc)
-            self.counters["disc_label_steps"] += 1
+            counters["disc_label_steps"] += 1
             if not cfg.slash_off:
                 self.hedge.record_step(cfg.lr_disc, grads)
                 jittered, same = augment(x, label, self.rng, cfg.augment_mode)
                 _, grads = self.net.discriminative_step(jittered, self._eye[same], cfg.lr_disc)
-                self.counters["disc_aug_steps"] += 1
+                counters["disc_aug_steps"] += 1
                 self.hedge.record_step(cfg.lr_disc, grads)
                 self.hedge.set_anchor(self.net.params)
             # Structural checks run on originally labelled samples only.
@@ -371,24 +393,23 @@ class StreamLearner:
                     agmm_probs = self.mixture.class_posterior(x)
                 except NoClassEvidenceError:
                     pass
+            agmm_conf = mixture_confidence(agmm_probs, cfg.agmm_conf)
             # Scored only where the mixture side can pass, or for the audit log.
             net_probs = (self.net.predict_proba(x) if self._audit_csv
-                         or mixture_confidence(agmm_probs, cfg.agmm_conf) is not None else None)
-            pseudo, reason = propose_label(net_probs, agmm_probs,
-                                           cfg.agmm_conf, cfg.net_conf)
+                         or agmm_conf is not None else None)
+            pseudo, reason = propose_label(net_probs, agmm_probs, agmm_conf, cfg.net_conf)
             if pseudo is not None:
                 addend = self.hedge.pull(self.net.params, hedge_strength)
                 self.net.discriminative_step(x, self._eye[pseudo.label], cfg.lr_disc,
                                              grad_addend=addend)
-                self.pseudo_count += 1
-                self.counters["disc_pseudo_steps"] += 1
+                counters["disc_pseudo_steps"] += 1
             if self._audit_csv:
                 self._audit_csv.writerow([
-                    self.samples_seen, reason, normalized_top2(net_probs),
+                    counters["samples"], reason, normalized_top2(net_probs),
                     normalized_top2(agmm_probs) if agmm_probs is not None else "",
                     pseudo.label if pseudo is not None else "", hedge_strength])
 
-    def train_on_batch(self, features: np.ndarray, labels: np.ndarray) -> dict:
+    def train_on_batch(self, features: np.ndarray, labels: np.ndarray) -> None:
         """Train over a batch in arrival order; non-finite samples are skipped
         and counted.
 
@@ -412,12 +433,6 @@ class StreamLearner:
                 self.counters["skipped"] += 1
                 continue
             self.train_on_sample(x, label)
-        return {
-            "hidden_nodes": self.net.n_hidden,
-            "mixture_size": self.mixture.size,
-            "pseudo_total": self.pseudo_count,
-            "skipped": self.counters["skipped"],
-        }
 
 
 def prequential_run(config: RunConfig, scenario: StreamScenario) -> RunMetrics:
@@ -445,7 +460,7 @@ def prequential_run(config: RunConfig, scenario: StreamScenario) -> RunMetrics:
                 learner.train_on_batch(features, batch.labels[finite])
             hidden.append(learner.net.n_hidden)
             sizes.append(learner.mixture.size)
-            pseudo.append(learner.pseudo_count)
+            pseudo.append(learner.counters["disc_pseudo_steps"])
             cumtime.append(time.perf_counter() - started)
         if not cumtime:
             raise ValueError("no batch holds a finite row")
@@ -460,8 +475,7 @@ def prequential_run(config: RunConfig, scenario: StreamScenario) -> RunMetrics:
         hidden_nodes=hidden,
         mixture_sizes=sizes,
         pseudo_trajectory=pseudo,
-        pseudo_labels=learner.pseudo_count,
-        train_seconds=cumtime[-1],
+        pseudo_labels=learner.counters["disc_pseudo_steps"],
         cumulative_seconds=cumtime,
         confusion=confusion,
         counters=dict(learner.counters),

@@ -61,8 +61,9 @@ def _named_state(learner: StreamLearner):
             yield f"{phase}.{stat}", tuple(getattr(running, slot) for slot in STAT_SLOTS)
     yield "scaler", (learner.scaler.e_min, learner.scaler.e_max)
     yield "rng", learner.rng.bit_generator.state
-    yield "counts", (learner.pseudo_count, learner.samples_seen, learner._last_growth)
-    yield "counters", sorted(learner.counters.items())
+    counters = learner.counters
+    yield "counts", (counters["disc_pseudo_steps"], counters["samples"], learner._last_growth)
+    yield "counters", sorted(counters.items())
     yield "events", learner.events
 
 

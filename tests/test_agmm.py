@@ -50,10 +50,10 @@ def test_activation_rejects_non_finite():
     # The public methods check the sample before any activation is taken.
     model = build([[0.0]], [[1.0]])
     model.class_counts[0] = [1, 0]
-    for method in (model.class_posterior, model.mixing_coefficients,
-                   lambda x: model.update(x, 1.0)):
+    for method in (model.class_posterior, model.insert, lambda x: model.update(x, 1.0)):
         with pytest.raises(ValueError, match="non-finite"):
             method(np.array([np.nan]))
+    assert model.size == 1
     assert model.lifespan.tolist() == [0]
 
 
@@ -157,6 +157,22 @@ def test_insertion_threshold_validates():
         insertion_threshold(0, 1.0)
     with pytest.raises(ValueError):
         insertion_threshold(4, 0.0)
+
+
+def test_insertion_gate_keeps_the_bits_of_the_precomputed_denominator():
+    # The gate once divided by a per-model cached ``4 - 2 exp(-dim / 20)``.
+    # An activation exactly at that old threshold must stay covered and the
+    # next float below it uncovered, for every dimension up to 784 and
+    # confidences across the range of ``PhaseMonitor.bias_level``.
+    confidences = np.append(np.random.default_rng(5).uniform(0.8, 2.0, 6), [0.8 + 1e-12, 2.0])
+    for dim in range(1, 785):
+        model = AgmmModel(dim, 2)
+        denominator = 4.0 - 2.0 * math.exp(-dim / 20.0)
+        for confidence in confidences.tolist():
+            old = math.exp(-(dim * confidence) / denominator)
+            assert not model._should_insert(np.array([old]), confidence), (dim, confidence)
+            below = np.array([np.nextafter(old, 0.0)])
+            assert model._should_insert(below, confidence), (dim, confidence)
 
 
 # -- vigilance & insertion gate ---------------------------------------------------
@@ -311,27 +327,30 @@ def test_tune_increments_exactly_one_support():
 
 # -- mixing coefficients --------------------------------------------------------------
 
+def mixing(model, x):
+    """Component responsibilities: the weighted likelihoods, normalised."""
+    weights = model._weighted_likelihoods(np.asarray(x, float))
+    return weights / np.add.reduce(weights)
+
+
 def test_mixing_single_component():
     model = build([[0.0, 0.0]], [[1.0, 1.0]])
-    assert np.array_equal(model.mixing_coefficients(np.array([3.0, 1.0])), [1.0])
+    assert np.array_equal(mixing(model, [3.0, 1.0]), [1.0])
 
 
 def test_mixing_symmetric_components():
     model = build([[-1.0], [1.0]], [[1.0], [1.0]], support=[5, 5])
-    weights = model.mixing_coefficients(np.array([0.0]))
-    assert weights == pytest.approx([0.5, 0.5])
+    assert mixing(model, [0.0]) == pytest.approx([0.5, 0.5])
 
 
 def test_mixing_identical_gaussians_follow_priors():
     model = build([[0.0], [0.0]], [[1.0], [1.0]], support=[3, 1])
-    weights = model.mixing_coefficients(np.array([0.7]))
-    assert weights == pytest.approx([0.75, 0.25])
+    assert mixing(model, [0.7]) == pytest.approx([0.75, 0.25])
 
 
 def test_mixing_underflow_falls_back_to_priors():
     model = build([[0.0], [1.0]], [[1e-300], [1e-300]], support=[3, 1])
-    weights = model.mixing_coefficients(np.array([0.5]))
-    assert weights == pytest.approx([0.75, 0.25])
+    assert mixing(model, [0.5]) == pytest.approx([0.75, 0.25])
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,9 +362,13 @@ def test_mixing_underflow_falls_back_to_priors():
 )
 def test_mixing_partition_of_unity(centers, spread_exp, support, x):
     model = build(centers, 10.0 ** spread_exp, support=support)
-    weights = model.mixing_coefficients(x)
+    weights = mixing(model, x)
     assert abs(weights.sum() - 1.0) <= 1e-9
     assert np.all(weights >= 0.0)
+    model.class_counts[:] = [[2, 1], [0, 3], [0, 0]]
+    posterior = model.class_posterior(x)
+    assert abs(posterior.sum() - 1.0) <= 1e-9
+    assert np.all(posterior >= 0.0)
 
 
 # -- class posterior ---------------------------------------------------------------

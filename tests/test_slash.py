@@ -9,6 +9,7 @@ from parsnet.network import (THETA_KEYS, Network, flatten_theta,
 from parsnet.slash import (ACCEPTED, DISAGREEMENT, LOW_CONFIDENCE,
                            UNAVAILABLE, HedgeState, ReconScaler, augment,
                            mixture_confidence, propose_label)
+from parsnet.stream import RunConfig
 
 
 def tiny_theta(value=0.0):
@@ -27,8 +28,16 @@ def tiny_params(value=0.0):
 
 # -- self-labelling gate ---------------------------------------------------------
 
+DEFAULTS = RunConfig()
+
+
+def decide(net, agmm, agmm_threshold=DEFAULTS.agmm_conf, net_threshold=DEFAULTS.net_conf):
+    """The gate as the learner runs it: the mixture side once, then the rest."""
+    return propose_label(net, agmm, mixture_confidence(agmm, agmm_threshold), net_threshold)
+
+
 def test_propose_label_clear_agreement():
-    label, reason = propose_label(np.array([0.9, 0.1]), np.array([0.8, 0.2]))
+    label, reason = decide(np.array([0.9, 0.1]), np.array([0.8, 0.2]))
     assert reason == ACCEPTED
     assert label.label == 0
     assert label.net_confidence == pytest.approx(0.9)
@@ -36,22 +45,22 @@ def test_propose_label_clear_agreement():
 
 
 def test_propose_label_disagreement():
-    label, reason = propose_label(np.array([0.9, 0.1]), np.array([0.2, 0.8]))
+    label, reason = decide(np.array([0.9, 0.1]), np.array([0.2, 0.8]))
     assert label is None and reason == DISAGREEMENT
 
 
 def test_propose_label_low_network_confidence():
-    label, reason = propose_label(np.array([0.55, 0.45]), np.array([0.9, 0.1]))
+    label, reason = decide(np.array([0.55, 0.45]), np.array([0.9, 0.1]))
     assert label is None and reason == LOW_CONFIDENCE
 
 
 def test_propose_label_low_mixture_confidence():
-    label, reason = propose_label(np.array([0.9, 0.1]), np.array([0.54, 0.46]))
+    label, reason = decide(np.array([0.9, 0.1]), np.array([0.54, 0.46]))
     assert label is None and reason == LOW_CONFIDENCE
 
 
 def test_propose_label_missing_posterior_is_flagged_distinctly():
-    label, reason = propose_label(np.array([0.99, 0.01]), None)
+    label, reason = decide(np.array([0.99, 0.01]), None)
     assert label is None and reason == UNAVAILABLE
     assert reason != LOW_CONFIDENCE
 
@@ -61,7 +70,7 @@ def test_propose_label_gate_soundness():
     for _ in range(200):
         net = rng.dirichlet(np.ones(3))
         agmm = rng.dirichlet(np.ones(3))
-        label, reason = propose_label(net, agmm)
+        label, reason = decide(net, agmm)
         if label is not None:
             assert reason == ACCEPTED
             assert label.net_confidence >= 0.6
@@ -118,7 +127,7 @@ def test_mixture_first_gate_equals_the_network_first_order():
     reasons = set()
     for net, agmm, agmm_threshold, net_threshold in gate_cases(43, 6000):
         expected = network_first_gate(net, agmm, agmm_threshold, net_threshold)
-        assert plain(propose_label(net, agmm, agmm_threshold, net_threshold)) == repr(expected)
+        assert plain(decide(net, agmm, agmm_threshold, net_threshold)) == repr(expected)
         reasons.add(expected[1])
     assert reasons == {ACCEPTED, UNAVAILABLE, LOW_CONFIDENCE, DISAGREEMENT}
 
@@ -126,11 +135,11 @@ def test_mixture_first_gate_equals_the_network_first_order():
 def test_an_unscored_network_gives_the_same_decision_where_the_mixture_rejects():
     skipped = 0
     for net, agmm, agmm_threshold, net_threshold in gate_cases(47, 6000):
-        scored = propose_label(net, agmm, agmm_threshold, net_threshold)
+        scored = decide(net, agmm, agmm_threshold, net_threshold)
         if mixture_confidence(agmm, agmm_threshold) is None:
             skipped += 1
             assert scored[0] is None and scored[1] in (UNAVAILABLE, LOW_CONFIDENCE)
-            assert plain(propose_label(None, agmm, agmm_threshold, net_threshold)) == plain(scored)
+            assert plain(decide(None, agmm, agmm_threshold, net_threshold)) == plain(scored)
         else:
             assert repr(mixture_confidence(agmm, agmm_threshold)) == repr(normalized_top2(agmm))
     assert 1000 < skipped < 5000
@@ -138,9 +147,9 @@ def test_an_unscored_network_gives_the_same_decision_where_the_mixture_rejects()
 
 def test_the_network_side_is_checked_as_before():
     with pytest.raises(ValueError, match="need at least two classes"):
-        propose_label(np.array([1.0]), np.array([0.5, 0.5]))
+        decide(np.array([1.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="need at least two classes"):
-        propose_label(np.array([0.9, 0.1]), np.array([1.0]))
+        decide(np.array([0.9, 0.1]), np.array([1.0]))
 
 
 # -- reconstruction scaling --------------------------------------------------------
@@ -201,7 +210,7 @@ def test_record_step_equals_the_delta_dict_form():
     # a {key: -lr * grad} dict of parameter moves next to the gradients.
     rng = np.random.default_rng(8)
     net = Network(4, 3, 5, rng)
-    hedge = HedgeState.for_network(net)
+    hedge = HedgeState(net.theta())
     loss_drop = {k: np.zeros_like(v) for k, v in hedge.loss_drop.items()}
     movement = {k: np.zeros_like(v) for k, v in hedge.movement.items()}
     for lr in rng.uniform(0.0, 0.2, 50):
@@ -282,7 +291,7 @@ def test_pull_arithmetic():
 
 def test_pull_demands_resize_after_structural_change():
     net = Network(3, 2, 2, np.random.default_rng(0))
-    hedge = HedgeState.for_network(net)
+    hedge = HedgeState(net.theta())
     net.add_nodes(1, np.random.default_rng(1))
     with pytest.raises(ValueError, match="resize"):
         hedge.pull(net.params, strength=1.0)
@@ -291,7 +300,7 @@ def test_pull_demands_resize_after_structural_change():
 def test_pull_and_refresh_leave_accumulators_untouched():
     rng = np.random.default_rng(2)
     net = Network(4, 2, 3, rng)
-    hedge = HedgeState.for_network(net)
+    hedge = HedgeState(net.theta())
     for _ in range(5):
         _, grads = net.discriminative_step(rng.random(4), np.eye(2)[0], 0.05)
         hedge.record_step(0.05, grads)
@@ -311,7 +320,7 @@ def test_pull_and_refresh_leave_accumulators_untouched():
 def test_grow_hidden_anchors_fresh_units_at_initial_values():
     rng = np.random.default_rng(3)
     net = Network(3, 2, 2, rng)
-    hedge = HedgeState.for_network(net)
+    hedge = HedgeState(net.theta())
     hedge.loss_drop["w_in"][:] = 1.0
     net.add_nodes(2, rng)
     hedge.grow_hidden(net.params)
@@ -326,7 +335,7 @@ def test_grow_hidden_anchors_fresh_units_at_initial_values():
 
 def test_prune_hidden_drops_matching_rows():
     net = Network(3, 2, 4, np.random.default_rng(4))
-    hedge = HedgeState.for_network(net)
+    hedge = HedgeState(net.theta())
     hedge.movement["b_in"][:] = [1.0, 2.0, 3.0, 4.0]
     keep = np.array([0, 2])
     net.prune_nodes([1, 3])
@@ -350,7 +359,7 @@ def importance_from_scratch(hedge):
 def test_cached_importance_equals_recomputation_after_mixed_changes():
     rng = np.random.default_rng(5)
     net = Network(4, 3, 3, rng)
-    hedge = HedgeState.for_network(net)
+    hedge = HedgeState(net.theta())
     ops = rng.choice(["record", "grow", "prune", "refresh"], size=400, p=[0.3, 0.1, 0.2, 0.4])
     # every kind of change is followed by a refresh at least once
     ops = np.concatenate([["refresh", "grow", "refresh", "record", "refresh",
@@ -380,7 +389,7 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
     # pruning; every store must agree bit for bit after every operation.
     rng = np.random.default_rng(11)
     net = Network(4, 3, 3, rng)
-    hedge = HedgeState.for_network(net)
+    hedge = HedgeState(net.theta())
     ref = {key: value.copy() for key, value in net.theta().items()}
     anchor = {key: value.copy() for key, value in ref.items()}
     importance = {key: np.zeros_like(value) for key, value in ref.items()}
@@ -516,7 +525,7 @@ def test_hedge_contains_flipped_pseudo_labels():
     for seed in range(1, 6):
         rng = np.random.default_rng(seed)
         net = Network(8, 2, 6, rng)
-        hedge = HedgeState.for_network(net)
+        hedge = HedgeState(net.theta())
         for _ in range(300):
             y = int(rng.integers(0, 2))
             x = np.clip(means[y] + rng.normal(0.0, 0.1, 8), 0.0, 1.0)

@@ -6,6 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
+from parsnet import slash
+from parsnet import stream as stream_module
+from parsnet.agmm import AgmmModel
 from parsnet.cli import gen_sea
 from parsnet.stream import (Batch, RunConfig, StreamLearner, as_batches,
                             make_infinite_delay, make_sporadic,
@@ -197,10 +200,10 @@ def test_invalid_samples_are_skipped_and_counted():
     assert learner.counters["samples"] == 48
 
 
-def sea_with_nan(row=5, batch=1):
-    """``gen_sea(600, seed=1, batch_size=200)`` with one NaN feature."""
+def sea_with(value, row=5, batch=1):
+    """``gen_sea(600, seed=1, batch_size=200)`` with one feature set to ``value``."""
     batches = gen_sea(600, seed=1, batch_size=200)
-    batches[batch].features[row, 0] = np.nan
+    batches[batch].features[row, 0] = value
     return batches
 
 
@@ -213,10 +216,12 @@ def without_row(scenario, row=5, batch=1):
     return dataclasses.replace(scenario, batches=batches)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("frozen", [False, True])
-def test_prequential_run_skips_and_counts_a_non_finite_row(frozen):
+def test_prequential_run_skips_and_counts_a_non_finite_row(frozen, value):
+    # An infinite feature is not clipped into [0, 1]: it stays non-finite.
     config = RunConfig(seed=1, freeze_after_first=frozen)
-    scenario = make_sporadic(sea_with_nan(), 0.5, np.random.default_rng(0))
+    scenario = make_sporadic(sea_with(value), 0.5, np.random.default_rng(0))
     metrics = prequential_run(config, scenario)
     assert metrics.counters["skipped"] == 1
     # The row is left out of prediction, scoring and training alike: the run
@@ -292,7 +297,7 @@ def test_bad_sample_rejected_before_counters_move(x):
     with pytest.raises(ValueError):
         learner.train_on_sample(x, 1)
     assert learner_state(learner) == before
-    assert learner.counters["samples"] == learner.samples_seen == 60
+    assert learner.counters["samples"] == 60
 
 
 def test_batch_shape_mismatch_rejected_before_any_state_change():
@@ -303,6 +308,50 @@ def test_batch_shape_mismatch_rejected_before_any_state_change():
     with pytest.raises(ValueError):
         learner.train_on_batch(np.full((5, 3), 0.5), np.zeros(4, dtype=np.int64))
     assert learner_state(learner) == before
+
+
+def test_library_callers_get_the_option_checks(monkeypatch, tmp_path):
+    # A zero hedge_eps turns the network parameters NaN, and a negative mask
+    # fraction means nothing: both must raise before any state exists.
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("learner state built before the config was checked")
+
+    monkeypatch.setattr(stream_module, "Network", unbuilt)
+    scenario = make_sporadic(gen_sea(600, seed=1, batch_size=200), 0.5,
+                             np.random.default_rng(1))
+    trace = tmp_path / "trace.csv"
+    for change, key in (({"hedge_eps": 0.0}, "hedge_eps"),
+                        ({"mask_fraction": -0.5}, "mask_frac")):
+        config = RunConfig(seed=1, trace_path=str(trace), **change)
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            StreamLearner(3, 2, config)
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            prequential_run(config, scenario)
+    assert not trace.exists()
+
+
+def test_the_mixture_posterior_is_ranked_once_per_unlabelled_sample(monkeypatch):
+    posteriors, ranked = [], []
+    class_posterior, normalized_top2 = AgmmModel.class_posterior, slash.normalized_top2
+
+    def kept(self, x):
+        posteriors.append(class_posterior(self, x))
+        return posteriors[-1]
+
+    def counted(probs):
+        ranked.append(probs)  # kept alive, so no two arguments share an id
+        return normalized_top2(probs)
+
+    monkeypatch.setattr(AgmmModel, "class_posterior", kept)
+    for module in (slash, stream_module):
+        monkeypatch.setattr(module, "normalized_top2", counted)
+    rng = np.random.default_rng(1)
+    labels = rng.integers(0, 2, 300)
+    labels[100:][rng.random(200) < 0.8] = -1
+    StreamLearner(3, 2, RunConfig(seed=0)).train_on_batch(rng.random((300, 3)), labels)
+    assert len(posteriors) > 100
+    ids = [id(probs) for probs in ranked]
+    assert [ids.count(id(posterior)) for posterior in posteriors] == [1] * len(posteriors)
 
 
 def test_seed_determinism_bit_identical():

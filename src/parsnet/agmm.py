@@ -38,6 +38,15 @@ mixture state; ``_insert``, ``_tune`` and a removing ``prune_inactive`` clear
 it, as must code that writes ``centers``, ``spreads`` or ``support``.  A pure
 function of those arrays, it is no part of the learner's saved state.
 
+One component: its prior weight is ``support / support``, exactly 1.0, and
+its scaled likelihood ``exp(log_lik - peak)`` is ``exp(0)``, exactly 1.0 (on
+the non-finite-peak fallback the weight is the prior alone), so any blend by
+the component weights returns that component's row bit for bit.  While
+``centers`` holds one row, ``class_posterior`` therefore scores with row 0 of
+the class conditionals, ``_observe_label`` credits row 0, and
+:func:`~parsnet.plasticity.expected_hidden` returns its one row, without
+likelihoods, priors or activations.
+
 Overflow: the standardised distance ``z = (x - centre) / spread`` is
 squared without an ``np.errstate`` guard, whose context costs more than the
 arithmetic on every call.  Inputs on the normalised [0, 1] scale cannot
@@ -202,7 +211,9 @@ class AgmmModel:
         if self.size == 0:
             raise EmptyModelError("mixture has no components yet")
         conditionals = self._class_conditionals()
-        scores = self._weighted_likelihoods(x).dot(conditionals)
+        # One component weighs exactly 1.0 (see the module docstring).
+        scores = (conditionals[0] if self.centers.shape[0] == 1
+                  else self._weighted_likelihoods(x).dot(conditionals))
         posterior = scores / np.add.reduce(scores)
         if abs(np.add.reduce(posterior) - 1.0) > 1e-9:
             raise AssertionError("class posterior lost the partition of unity")
@@ -280,7 +291,8 @@ class AgmmModel:
 
     def _observe_label(self, x: np.ndarray, label: int) -> None:
         """Credit ``label`` to the component that wins ``x``."""
-        self.class_counts[int(self._activations(x).argmax()), label] += 1
+        win = 0 if self.centers.shape[0] == 1 else int(self._activations(x).argmax())
+        self.class_counts[win, label] += 1
         self._conditionals = None
 
     def prune_inactive(self) -> list[int]:

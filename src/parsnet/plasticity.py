@@ -96,10 +96,13 @@ def expected_hidden(net: Network, mixture) -> np.ndarray:
     approximation: the component centre is shrunk per dimension by
     ``1/sqrt(1 + pi * spread^2 / 8)`` before entering the encoder, and the
     per-component results are blended with the support-based prior weights.
+    A one-component mixture returns its one row: its weight is exactly 1.0
+    (the identity the :mod:`parsnet.agmm` docstring states).
     """
-    weights = mixture.prior_weights()
     per_component = sigmoid(mixture.shrunk_centers().dot(net.w_in.T) + net.b_in)
-    return weights.dot(per_component)
+    if per_component.shape[0] == 1:
+        return per_component[0]
+    return mixture.prior_weights().dot(per_component)
 
 
 def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,

@@ -121,12 +121,17 @@ def _class_count(batches: list[Batch]) -> int:
 
 
 def normalize_batches(batches: list[Batch]) -> list[Batch]:
-    """Min-max scale every batch by the first batch's ranges, clipped to [0, 1].
+    """Min-max scale every batch by the ranges of the finite rows of the first
+    batch that holds one, clipped to [0, 1]; raises ``ValueError`` when no
+    batch does.
 
-    Columns that are constant in the first batch map to 0.  A non-finite entry
+    Columns that are constant over those rows map to 0.  A non-finite entry
     stays as it is, so that :func:`prequential_run` skips and counts its row.
     """
-    first = batches[0].features
+    finite = (batch.features[np.isfinite(batch.features).all(axis=1)] for batch in batches)
+    first = next((rows for rows in finite if rows.shape[0]), None)
+    if first is None:
+        raise ValueError("no batch holds a finite row")
     lo = first.min(axis=0)
     span = first.max(axis=0) - lo
     flat = span == 0.0

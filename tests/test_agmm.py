@@ -350,7 +350,8 @@ def test_mixing_identical_gaussians_follow_priors():
 
 def test_mixing_underflow_falls_back_to_priors():
     model = build([[0.0], [1.0]], [[1e-300], [1e-300]], support=[3, 1])
-    assert mixing(model, [0.5]) == pytest.approx([0.75, 0.25])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert mixing(model, [0.5]) == pytest.approx([0.75, 0.25])
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,7 +412,8 @@ def test_class_posterior_underflow_falls_back_to_priors():
     model = build([[0.0], [1.0]], [[1e-300], [1e-300]], support=[3, 1])
     model.class_counts[0] = [4, 0]
     model.class_counts[1] = [0, 4]
-    assert model.class_posterior(np.array([0.5])) == pytest.approx([0.75, 0.25])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert model.class_posterior(np.array([0.5])) == pytest.approx([0.75, 0.25])
 
 
 def test_class_posterior_uniform_for_unlabelled_component():
@@ -849,3 +851,74 @@ def test_the_per_state_cache_is_handed_out_read_only():
         with pytest.raises(ValueError):
             cached[0] = 1.0
     assert_per_state_cache_is_fresh(model)
+
+
+# -- one component ------------------------------------------------------------------
+
+def blended_posterior(model, x):
+    """The class posterior by the blend over components, for any size."""
+    scores = model._weighted_likelihoods(x).dot(model._class_conditionals())
+    return scores / np.add.reduce(scores)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    center=arrays(float, 3, elements=st.floats(-5, 5)),
+    spread_exp=arrays(float, 3, elements=st.floats(-8, 1)),
+    support=st.integers(1, 2 ** 40),
+    counts=st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=6),
+    x=arrays(float, 3, elements=st.floats(-10, 10)),
+    far=st.sampled_from([0.0, 1e200, -1e200]),
+)
+def test_one_component_posterior_equals_the_blend_bit_for_bit(center, spread_exp, support,
+                                                              counts, x, far):
+    model = build([center], [10.0 ** spread_exp], support=[support], num_classes=len(counts))
+    model.class_counts[0] = counts
+    x[0] += far  # far out, the log-likelihood overflows to -inf: the prior fallback
+    if not any(counts):
+        with pytest.raises(NoClassEvidenceError):
+            model.class_posterior(x)
+        return
+    with np.errstate(over="ignore"):
+        expected = blended_posterior(model, x)
+    assert model.class_posterior(x).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    center=arrays(float, 2, elements=st.floats(-5, 5)),
+    spread_exp=arrays(float, 2, elements=st.floats(-8, 1)),
+    x=arrays(float, 2, elements=st.floats(-10, 10)),
+    far=st.sampled_from([0.0, 1e200]),
+    label=st.integers(0, 2),
+)
+def test_one_component_credits_its_label_to_row_zero(center, spread_exp, x, far, label):
+    model = build([center], [10.0 ** spread_exp], num_classes=3)
+    model.class_counts[0] = [1, 2, 3]
+    model._class_conditionals()
+    x[1] += far
+    model._observe_label(x, label)
+    expected = [1, 2, 3]
+    expected[label] += 1
+    assert model.class_counts.tolist() == [expected]
+    assert model._conditionals is None
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_only_a_mixture_of_several_components_blends_or_searches(size, monkeypatch):
+    calls = []
+    for name in ("_weighted_likelihoods", "_activations", "prior_weights"):
+        def counted(self, *args, _original=getattr(AgmmModel, name), _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(AgmmModel, name, counted)
+    model = build([[0.0], [2.0]][:size], [[0.5], [0.5]][:size], support=[1, 3][:size])
+    model.class_counts[0] = [2, 1]
+    x = np.array([0.3])
+    expected = blended_posterior(model, x)
+    calls.clear()
+    assert model.class_posterior(x).tobytes() == expected.tobytes()
+    model._observe_label(x, 1)
+    assert model.class_counts[:, 1].tolist() == [2, 0][:size]  # component 0 wins
+    blend = ["_weighted_likelihoods", "prior_weights", "_activations"]
+    assert calls == ([] if size == 1 else blend)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from parsnet.agmm import AgmmModel
 from parsnet.network import Network, sigmoid, softmax
@@ -180,6 +183,27 @@ def test_expected_hidden_matches_monte_carlo():
         numeric = mc_expected_hidden(net, mixture, 100_000, rng)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / numeric)))
     assert worst <= 0.05, f"worst relative error {worst:.4f}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    centers=arrays(float, (2, 3), elements=st.floats(-5, 5)),
+    spread_exp=arrays(float, (2, 3), elements=st.floats(-8, 1)),
+    support=arrays(np.int64, 2, elements=st.integers(1, 2 ** 40)),
+    hidden=st.integers(1, 9),
+    seed=st.integers(0, 2 ** 32 - 1),
+    size=st.sampled_from([1, 1, 1, 2]),
+)
+def test_expected_hidden_equals_the_prior_blend_bit_for_bit(centers, spread_exp, support,
+                                                            hidden, seed, size):
+    # One component takes its row as it is (weight 1.0); two read the priors.
+    net = Network(3, 2, hidden, np.random.default_rng(seed))
+    mixture = build_mixture(centers[:size], 10.0 ** spread_exp[:size], support[:size])
+    e_hidden = expected_hidden(net, mixture)
+    assert (mixture._priors is not None) == (size == 2)
+    per_component = sigmoid(mixture.shrunk_centers().dot(net.w_in.T) + net.b_in)
+    blended = mixture.prior_weights().dot(per_component)
+    assert e_hidden.tobytes() == blended.tobytes()
 
 
 # -- bias/variance decomposition ------------------------------------------------------

@@ -10,6 +10,7 @@ from parsnet import slash
 from parsnet import stream as stream_module
 from parsnet.agmm import AgmmModel
 from parsnet.cli import gen_sea
+from parsnet.network import Network
 from parsnet.stream import (Batch, RunConfig, StreamLearner, as_batches,
                             make_infinite_delay, make_sporadic,
                             normalize_batches, precision_recall,
@@ -216,17 +217,20 @@ def without_row(scenario, row=5, batch=1):
     return dataclasses.replace(scenario, batches=batches)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value, batch", [(np.nan, 1), (np.inf, 1), (-np.inf, 1),
+                                          (np.nan, 0), (np.inf, 0), (-np.inf, 0)],
+                         ids=["nan", "inf", "-inf", "nan-first", "inf-first", "-inf-first"])
 @pytest.mark.parametrize("frozen", [False, True])
-def test_prequential_run_skips_and_counts_a_non_finite_row(frozen, value):
-    # An infinite feature is not clipped into [0, 1]: it stays non-finite.
+def test_prequential_run_skips_and_counts_a_non_finite_row(frozen, value, batch):
+    # An infinite feature is not clipped into [0, 1]: it stays non-finite.  In
+    # the first batch it also stays out of the scaling ranges.
     config = RunConfig(seed=1, freeze_after_first=frozen)
-    scenario = make_sporadic(sea_with(value), 0.5, np.random.default_rng(0))
+    scenario = make_sporadic(sea_with(value, batch=batch), 0.5, np.random.default_rng(0))
     metrics = prequential_run(config, scenario)
     assert metrics.counters["skipped"] == 1
     # The row is left out of prediction, scoring and training alike: the run
     # is the run of the same stream without that row, but for the count.
-    reference = prequential_run(config, without_row(scenario))
+    reference = prequential_run(config, without_row(scenario, batch=batch))
     assert reference.counters.pop("skipped") == 0
     metrics.counters.pop("skipped")
     assert metrics.signature() == reference.signature()
@@ -510,12 +514,8 @@ def test_trace_and_audit_files(tmp_path):
     assert len(rows) == 150  # one row per unlabelled sample
 
 
-@pytest.mark.parametrize("workload", ["sea-delay", "hyperplane-sporadic"])
-def test_logs_do_not_change_learning(workload, tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # bench imports its siblings by name
-    import state_digest
-    import workloads
-
+def capture_learners(monkeypatch):
+    """A list that collects each learner as its prequential run closes it."""
     learners = []
     close = StreamLearner.close
 
@@ -524,6 +524,16 @@ def test_logs_do_not_change_learning(workload, tmp_path, monkeypatch):
         close(self)
 
     monkeypatch.setattr(StreamLearner, "close", capturing_close)
+    return learners
+
+
+@pytest.mark.parametrize("workload", ["sea-delay", "hyperplane-sporadic"])
+def test_logs_do_not_change_learning(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # bench imports its siblings by name
+    import state_digest
+    import workloads
+
+    learners = capture_learners(monkeypatch)
     (stream,) = workloads.build_streams(workload, seed=1, streams=1)
     audit, trace = tmp_path / "audit.csv", tmp_path / "trace.csv"
     plain = prequential_run(stream.config, stream.scenario)
@@ -542,3 +552,55 @@ def test_logs_do_not_change_learning(workload, tmp_path, monkeypatch):
     # the rows the mixture side rejects included.
     assert all(0.5 <= float(row["net_confidence"]) <= 1.0 for row in scored)
     assert any(float(row["agmm_confidence"]) < stream.config.agmm_conf for row in scored)
+
+
+# Every underscore attribute of the learner and its parts.  The derived ones
+# are caches that ``clear_caches`` drops (the hedge's importance is recomputed
+# once marked stale); the held ones are state.  A new cache fails the test
+# below until ``clear_caches`` drops it and it is listed here.
+DERIVED = {"learner": [], "net": ["_forward"],
+           "mixture": ["_conditionals", "_priors", "_shrunk"],
+           "hedge": ["_importance", "_stale"]}
+HELD = {"learner": ["_audit", "_audit_csv", "_eye", "_last_growth", "_trace", "_trace_csv"],
+        "net": [], "mixture": [], "hedge": ["_anchor", "_loss_drop", "_movement"]}
+
+
+def clear_caches(learner):
+    """Drop every derived cache of ``learner``: each is rebuilt from its state."""
+    learner.net._forward = None
+    mixture = learner.mixture
+    mixture._conditionals = mixture._priors = mixture._shrunk = None
+    learner.hedge._stale = True
+
+
+@pytest.mark.parametrize("workload", ["sea-delay", "hyperplane-sporadic", "clusters-sporadic"])
+def test_derived_caches_do_not_change_learning(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # bench imports its siblings by name
+    import state_digest
+    import workloads
+
+    learners = capture_learners(monkeypatch)
+    (stream,) = workloads.build_streams(workload, seed=0, streams=1)
+    plain = prequential_run(stream.config, stream.scenario)
+    train, step = StreamLearner.train_on_sample, Network.discriminative_step
+
+    def uncached_train(self, x, label):
+        clear_caches(self)
+        train(self, x, label)
+
+    def uncached_step(self, *args, **kwargs):
+        self._forward = None
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamLearner, "train_on_sample", uncached_train)
+    monkeypatch.setattr(Network, "discriminative_step", uncached_step)
+    uncached = prequential_run(stream.config, stream.scenario)
+    assert uncached.signature() == plain.signature()
+    assert state_digest.learner_state_digest(learners[1]) == \
+        state_digest.learner_state_digest(learners[0])
+    learner = learners[0]
+    parts = {"learner": learner, "net": learner.net, "mixture": learner.mixture,
+             "hedge": learner.hedge}
+    for name, part in parts.items():
+        found = sorted(key for key in vars(part) if key.startswith("_"))
+        assert found == sorted(DERIVED[name] + HELD[name]), name

@@ -16,8 +16,7 @@ from .cli import (ConfigError, ExperimentConfig, gen_hyperplane, gen_sea,
 from .network import Network, mask_input, normalized_top2
 from .plasticity import (PhaseMonitor, RunningStat, bias_variance,
                          expected_hidden, prune_candidates)
-from .slash import (HedgeState, PseudoLabel, ReconScaler, augment,
-                    propose_label)
+from .slash import HedgeState, ReconScaler, augment, propose_label
 from .stream import (Batch, RunConfig, RunMetrics, StreamLearner,
                      StreamScenario, as_batches, make_infinite_delay,
                      make_sporadic, normalize_batches, prequential_run)
@@ -29,7 +28,7 @@ __all__ = [
     "Network", "mask_input", "normalized_top2",
     "PhaseMonitor", "RunningStat", "bias_variance", "expected_hidden",
     "prune_candidates",
-    "HedgeState", "PseudoLabel", "ReconScaler", "augment", "propose_label",
+    "HedgeState", "ReconScaler", "augment", "propose_label",
     "Batch", "StreamScenario", "RunConfig", "RunMetrics", "StreamLearner",
     "as_batches", "make_sporadic", "make_infinite_delay", "normalize_batches",
     "prequential_run",

@@ -34,9 +34,11 @@ class ExperimentConfig:
     """Everything one experiment needs.
 
     Every field but ``run`` is an :func:`~parsnet.stream.option`, as are the
-    hyperparameters in ``run``; its seed, ablation switches and log paths are
-    set per seed from ``seeds``, ``ablate``, ``trace`` and ``audit``, and
-    ``freeze_after_first`` keeps its default.
+    hyperparameters in ``run``; its seed and ablation switches are set per
+    seed from ``seeds`` and ``ablate``, and ``freeze_after_first`` keeps its
+    default.  ``log`` makes each seed's run write ``log_seed<k>.jsonl`` into
+    ``out``: one JSON object per record the learner logs, its kind under
+    ``"kind"``.
     """
 
     data: str | None = option(None, "CSV dataset (feature columns + 'label')", type=str)
@@ -54,8 +56,7 @@ class ExperimentConfig:
     ablate: list[str] = option([], "learner piece to switch off (repeatable)",
                                choices=("agmm", "evolve", "slash"), action="append")
     out: str = option("runs", "output directory")
-    trace: bool = option(False, "write per-sample bias/variance traces")
-    audit: bool = option(False, "write per-sample self-labelling decisions")
+    log: bool = option(False, "write structural checks and gate decisions as JSON lines")
     run: RunConfig = field(default_factory=RunConfig)
 
 
@@ -88,14 +89,15 @@ def load_csv(path: str, batch_size: int) -> list[Batch]:
                 continue
             try:
                 features.append([float(row[i]) for i in feature_at])
-                label = int(float(row[label_at]))
-            except (ValueError, IndexError, OverflowError) as exc:
+                label = float(row[label_at])
+            except (ValueError, IndexError) as exc:
                 raise ConfigError(f"{path}: malformed row at line {line}: {exc}") from exc
             if not all(map(math.isfinite, features[-1])):
                 raise ConfigError(f"{path}: non-finite feature at line {line}")
-            if label < 0:
-                raise ConfigError(f"{path}: negative label at line {line}")
-            labels.append(label)
+            if not label.is_integer() or label < 0:  # nan and ±inf are not integers
+                raise ConfigError(f"{path}: label {row[label_at]!r} at line {line} "
+                                  "is not a nonnegative integer")
+            labels.append(int(label))
     if not features:
         raise ConfigError(f"{path}: no data rows")
     return as_batches(np.asarray(features), np.asarray(labels, dtype=np.int64), batch_size)
@@ -152,9 +154,14 @@ def _run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
         agmm_off="agmm" in cfg.ablate,
         evolve_off="evolve" in cfg.ablate,
         slash_off="slash" in cfg.ablate,
-        trace_path=os.path.join(cfg.out, f"trace_seed{seed}.csv") if cfg.trace else None,
-        audit_path=os.path.join(cfg.out, f"audit_seed{seed}.csv") if cfg.audit else None,
     )
+
+
+def _json_lines(fh):
+    """A learner log that writes each record to ``fh`` as one JSON line."""
+    def log(kind: str, **record) -> None:
+        fh.write(json.dumps({"kind": kind, **record}) + "\n")
+    return log
 
 
 def _mean_ignoring_none(rows: list[list[float | None]]) -> list[float | None]:
@@ -187,7 +194,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         scenario = (make_sporadic(batches, cfg.label_frac, np.random.default_rng(seed))
                     if cfg.scenario == "sporadic" else make_infinite_delay(batches))
         label_fraction = scenario.label_fraction
-        metrics = prequential_run(_run_config(cfg, seed), scenario)
+        if cfg.log:
+            with open(os.path.join(cfg.out, f"log_seed{seed}.jsonl"), "w") as fh:
+                metrics = prequential_run(_run_config(cfg, seed), scenario, _json_lines(fh))
+        else:
+            metrics = prequential_run(_run_config(cfg, seed), scenario)
         cr.append(metrics.classification_rate)
         final_hidden.append(metrics.hidden_nodes[-1])
         final_mixture.append(metrics.mixture_sizes[-1])

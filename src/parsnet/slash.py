@@ -4,7 +4,7 @@ Unlabelled samples earn a pseudo label only when the network and the
 mixture class scorer agree on the class and are both confident in the
 top-2 sense.  The mixture side (:func:`mixture_confidence`) is asked first,
 once per sample, so the learner scores a sample with the network only where
-that side passes or an audit log is open; :func:`propose_label` takes the
+that side passes or a log is attached; :func:`propose_label` takes the
 confidence it returned.  Training on a pseudo label carries a safety pull
 back toward the parameters anchored at the last true label, weighted per
 parameter by how much that parameter mattered while learning from real
@@ -22,13 +22,11 @@ call that scored the sample (the contract is in the ``network`` docstring).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .network import constants, flatten_theta, normalized_top2, theta_bounds, theta_views
 
-# Pseudo-label decision outcomes, as written to the audit log.
+# Pseudo-label decision outcomes, as recorded in the learner's gate log.
 ACCEPTED = "accepted"
 UNAVAILABLE = "unavailable"       # mixture has no class evidence yet
 LOW_CONFIDENCE = "low_confidence"
@@ -42,15 +40,6 @@ HIDDEN_AXIS_KEYS = ("w_in", "b_in", "w_out")  # rows indexed by hidden unit
 _ZERO, _ONE = constants(0.0, 1.0)
 
 
-@dataclass
-class PseudoLabel:
-    """A self-assigned class together with the confidences that earned it."""
-
-    label: int
-    agmm_confidence: float
-    net_confidence: float
-
-
 def mixture_confidence(agmm_probs: np.ndarray | None, agmm_threshold: float) -> float | None:
     """The posterior's top-2 confidence, or ``None`` where it is missing or below
     ``agmm_threshold``: then the gate rejects whatever the network says."""
@@ -60,8 +49,8 @@ def mixture_confidence(agmm_probs: np.ndarray | None, agmm_threshold: float) -> 
 
 def propose_label(net_probs: np.ndarray | None, agmm_probs: np.ndarray | None,
                   agmm_conf: float | None,
-                  net_threshold: float) -> tuple[PseudoLabel | None, str]:
-    """Gate an unlabelled sample; returns ``(pseudo_label_or_None, reason)``.
+                  net_threshold: float) -> tuple[int | None, str]:
+    """Gate an unlabelled sample; returns ``(label_or_None, reason)``.
 
     ``agmm_conf`` is :func:`mixture_confidence` of ``agmm_probs``.  A missing
     mixture posterior is reported as :data:`UNAVAILABLE`, distinct from a
@@ -77,7 +66,7 @@ def propose_label(net_probs: np.ndarray | None, agmm_probs: np.ndarray | None,
     net_class = int(np.asarray(net_probs).argmax())
     if net_class != int(np.asarray(agmm_probs).argmax()):
         return None, DISAGREEMENT
-    return PseudoLabel(net_class, agmm_conf, net_conf), ACCEPTED
+    return net_class, ACCEPTED
 
 
 class ReconScaler:
@@ -215,9 +204,8 @@ class HedgeState:
         self._stale = True
 
 
-def augment(x: np.ndarray, label: int, rng: np.random.Generator,
-            mode: str = "tabular") -> tuple[np.ndarray, int]:
-    """Zero-mean Gaussian jitter of a labelled sample, label carried unchanged.
+def augment(x: np.ndarray, rng: np.random.Generator, mode: str = "tabular") -> np.ndarray:
+    """Zero-mean Gaussian jitter of a labelled sample, which keeps its label.
 
     Features are expected on the normalised [0, 1] scale; the image noise
     level corresponds to 33 grey levels of a 0..255 image.  The result is
@@ -226,5 +214,4 @@ def augment(x: np.ndarray, label: int, rng: np.random.Generator,
     if mode not in AUGMENT_NOISE_STD:
         raise ValueError(f"unknown augmentation mode {mode!r}")
     std = AUGMENT_NOISE_STD[mode]
-    jittered = np.minimum(np.maximum(x + rng.normal(0.0, std, x.shape), _ZERO), _ONE)
-    return jittered, label
+    return np.minimum(np.maximum(x + rng.normal(0.0, std, x.shape), _ZERO), _ONE)

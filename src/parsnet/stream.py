@@ -21,13 +21,17 @@ methods the learner calls are entry points of their own modules and keep
 their own single checks.
 
 An unlabelled sample is scored by the network only where the mixture side of
-the gate passes or an audit log is open; the self-labelled step then passes
+the gate passes or a log is attached; the self-labelled step then passes
 ``discriminative_step`` that scored sample object, reusing its forward pass.
+
+The learner opens no files.  An optional ``log`` callable receives each
+structural check as ``log("check", **fields)`` and each unlabelled sample's
+gate decision as ``log("gate", **fields)``, with ``None`` for a confidence or
+label that does not exist; attaching one leaves learning unchanged.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field, fields
 
@@ -207,8 +211,6 @@ class RunConfig:
     evolve_off: bool = False     # ablation: no hidden-unit structural changes
     slash_off: bool = False      # ablation: no pseudo labels, no hedge, no augmentation
     freeze_after_first: bool = False  # baseline: stop all training after the first batch
-    trace_path: str | None = None
-    audit_path: str | None = None
 
 
 @dataclass
@@ -262,9 +264,10 @@ class StreamLearner:
     """The full online model bundle, trained one sample at a time; a ``config``
     that :func:`check_options` rejects raises before any state exists."""
 
-    def __init__(self, n_inputs: int, n_classes: int, config: RunConfig):
+    def __init__(self, n_inputs: int, n_classes: int, config: RunConfig, log=None):
         check_options(config)
         self.config = config
+        self.log = log
         self.rng = np.random.default_rng(config.seed)
         self.net = Network(n_inputs, n_classes, config.init_nodes, self.rng,
                            loss=config.loss)
@@ -289,22 +292,6 @@ class StreamLearner:
                          "disc_pseudo_steps": 0}
         self.events: list[tuple[int, str]] = []
         self._eye = np.eye(n_classes)
-        self._trace = open(config.trace_path, "w", newline="") if config.trace_path else None
-        self._trace_csv = csv.writer(self._trace) if self._trace else None
-        if self._trace_csv:
-            self._trace_csv.writerow(["sample", "phase", "bias_sq", "variance",
-                                      "bias_level", "var_level", "hidden", "components"])
-        self._audit = open(config.audit_path, "w", newline="") if config.audit_path else None
-        self._audit_csv = csv.writer(self._audit) if self._audit else None
-        if self._audit_csv:
-            self._audit_csv.writerow(["sample", "decision", "net_confidence",
-                                      "agmm_confidence", "label", "hedge_strength"])
-
-    def close(self) -> None:
-        for handle in (self._trace, self._audit):
-            if handle:
-                handle.close()
-        self._trace = self._audit = None
 
     # -- inference -----------------------------------------------------------
 
@@ -338,10 +325,10 @@ class StreamLearner:
             if doomed:
                 self.hedge.prune_hidden(self.net.prune_nodes(doomed))
                 self.events.append((sample, "node_prune"))
-        if self._trace_csv:
-            self._trace_csv.writerow([sample, phase, bias_sq, variance,
-                                      monitor.bias_level, monitor.var_level,
-                                      self.net.n_hidden, self.mixture.size])
+        if self.log is not None:
+            self.log("check", sample=sample, phase=phase, bias_sq=bias_sq, variance=variance,
+                     bias_level=monitor.bias_level, var_level=monitor.var_level,
+                     hidden=self.net.n_hidden, components=self.mixture.size)
 
     def _check_label(self, label: int) -> None:
         if not -1 <= label < self.net.n_classes:
@@ -382,37 +369,35 @@ class StreamLearner:
             counters["disc_label_steps"] += 1
             if not cfg.slash_off:
                 self.hedge.record_step(cfg.lr_disc, grads)
-                jittered, same = augment(x, label, self.rng, cfg.augment_mode)
-                _, grads = self.net.discriminative_step(jittered, self._eye[same], cfg.lr_disc)
+                jittered = augment(x, self.rng, cfg.augment_mode)
+                _, grads = self.net.discriminative_step(jittered, target, cfg.lr_disc)
                 counters["disc_aug_steps"] += 1
                 self.hedge.record_step(cfg.lr_disc, grads)
                 self.hedge.set_anchor(self.net.params)
             # Structural checks run on originally labelled samples only.
-            if self.mixture.size:
-                self._evolve(self.disc_monitor, target, "discriminative")
+            self._evolve(self.disc_monitor, target, "discriminative")
         elif not cfg.slash_off:
             self.hedge.refresh_importance()
-            agmm_probs = None
-            if self.mixture.size:
-                try:
-                    agmm_probs = self.mixture.class_posterior(x)
-                except NoClassEvidenceError:
-                    pass
+            try:
+                agmm_probs = self.mixture.class_posterior(x)
+            except NoClassEvidenceError:
+                agmm_probs = None
             agmm_conf = mixture_confidence(agmm_probs, cfg.agmm_conf)
-            # Scored only where the mixture side can pass, or for the audit log.
-            net_probs = (self.net.predict_proba(x) if self._audit_csv
+            # Scored only where the mixture side can pass, or for the log.
+            net_probs = (self.net.predict_proba(x) if self.log is not None
                          or agmm_conf is not None else None)
             pseudo, reason = propose_label(net_probs, agmm_probs, agmm_conf, cfg.net_conf)
             if pseudo is not None:
                 addend = self.hedge.pull(self.net.params, hedge_strength)
-                self.net.discriminative_step(x, self._eye[pseudo.label], cfg.lr_disc,
+                self.net.discriminative_step(x, self._eye[pseudo], cfg.lr_disc,
                                              grad_addend=addend)
                 counters["disc_pseudo_steps"] += 1
-            if self._audit_csv:
-                self._audit_csv.writerow([
-                    counters["samples"], reason, normalized_top2(net_probs),
-                    normalized_top2(agmm_probs) if agmm_probs is not None else "",
-                    pseudo.label if pseudo is not None else "", hedge_strength])
+            if self.log is not None:
+                self.log("gate", sample=counters["samples"], decision=reason,
+                         net_confidence=normalized_top2(net_probs),
+                         agmm_confidence=(normalized_top2(agmm_probs)
+                                          if agmm_probs is not None else None),
+                         label=pseudo, hedge_strength=hedge_strength)
 
     def train_on_batch(self, features: np.ndarray, labels: np.ndarray) -> None:
         """Train over a batch in arrival order; non-finite samples are skipped
@@ -440,37 +425,34 @@ class StreamLearner:
             self.train_on_sample(x, label)
 
 
-def prequential_run(config: RunConfig, scenario: StreamScenario) -> RunMetrics:
-    """Test-then-train over every batch exactly once.  A row with a non-finite
-    feature is left out of prediction, scoring and training and counted once as
-    ``skipped``; a batch of such rows adds no per-batch entry, and a stream of
-    them raises ``ValueError``."""
+def prequential_run(config: RunConfig, scenario: StreamScenario, log=None) -> RunMetrics:
+    """Test-then-train over every batch exactly once, logging to ``log``.  A row
+    with a non-finite feature is left out of prediction, scoring and training
+    and counted once as ``skipped``; a batch of such rows adds no per-batch
+    entry, and a stream of them raises ``ValueError``."""
     batches = normalize_batches(scenario.batches)
     n_inputs = batches[0].features.shape[1]
-    learner = StreamLearner(n_inputs, scenario.num_classes, config)
+    learner = StreamLearner(n_inputs, scenario.num_classes, config, log)
     confusion = np.zeros((scenario.num_classes, scenario.num_classes), dtype=np.int64)
     batch_accuracy, hidden, sizes, pseudo, cumtime = [], [], [], [], []
     started = time.perf_counter()
-    try:
-        for index, batch in enumerate(batches):
-            finite = np.isfinite(batch.features).all(axis=1)
-            learner.counters["skipped"] += finite.size - int(np.count_nonzero(finite))
-            features, truth = batch.features[finite], batch.truth[finite]
-            if not truth.size:
-                continue
-            predictions = learner.predict(features)
-            batch_accuracy.append(float(np.mean(predictions == truth)))
-            np.add.at(confusion, (truth, predictions), 1)
-            if not (config.freeze_after_first and index >= 1):
-                learner.train_on_batch(features, batch.labels[finite])
-            hidden.append(learner.net.n_hidden)
-            sizes.append(learner.mixture.size)
-            pseudo.append(learner.counters["disc_pseudo_steps"])
-            cumtime.append(time.perf_counter() - started)
-        if not cumtime:
-            raise ValueError("no batch holds a finite row")
-    finally:
-        learner.close()
+    for index, batch in enumerate(batches):
+        finite = np.isfinite(batch.features).all(axis=1)
+        learner.counters["skipped"] += finite.size - int(np.count_nonzero(finite))
+        features, truth = batch.features[finite], batch.truth[finite]
+        if not truth.size:
+            continue
+        predictions = learner.predict(features)
+        batch_accuracy.append(float(np.mean(predictions == truth)))
+        np.add.at(confusion, (truth, predictions), 1)
+        if not (config.freeze_after_first and index >= 1):
+            learner.train_on_batch(features, batch.labels[finite])
+        hidden.append(learner.net.n_hidden)
+        sizes.append(learner.mixture.size)
+        pseudo.append(learner.counters["disc_pseudo_steps"])
+        cumtime.append(time.perf_counter() - started)
+    if not cumtime:
+        raise ValueError("no batch holds a finite row")
     precision, recall = precision_recall(confusion)
     return RunMetrics(
         batch_accuracy=batch_accuracy,

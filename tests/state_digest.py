@@ -84,17 +84,17 @@ def learner_state_digest(learner: StreamLearner) -> str:
 def replay_state_digest(stream) -> str:
     """Run one benchmark stream prequentially; the digest of the final learner."""
     learners = []
-    close = StreamLearner.close
+    init = StreamLearner.__init__
 
-    def capturing_close(self):
+    def capturing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         learners.append(self)
-        close(self)
 
-    StreamLearner.close = capturing_close
+    StreamLearner.__init__ = capturing_init
     try:
         prequential_run(stream.config, stream.scenario)
     finally:
-        StreamLearner.close = close
+        StreamLearner.__init__ = init
     (learner,) = learners
     return learner_state_digest(learner)
 

@@ -1,0 +1,75 @@
+"""Line count and public-symbol count of each module of the package.
+
+    python3 tests/surface.py [PACKAGE_DIR]
+
+prints, for each ``*.py`` file of ``PACKAGE_DIR`` (default ``src/parsnet``),
+its line count (as ``wc -l`` counts) and its public symbols, then the totals.
+A public symbol is a module-level function, class or constant whose name does
+not start with an underscore, or such a member of a public class: a method,
+property or class attribute, dataclass fields included.  The files are parsed,
+not imported.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import sys
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "parsnet"
+
+
+def _names(target: ast.expr) -> list[str]:
+    """The plain names an assignment target binds (``a`` or ``a, b``, not ``a.b``)."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for item in target.elts for name in _names(item)]
+    return []
+
+
+def _assigned(node: ast.stmt) -> list[str]:
+    """The plain names that an assignment statement binds."""
+    if isinstance(node, ast.Assign):
+        return [name for target in node.targets for name in _names(target)]
+    if isinstance(node, ast.AnnAssign):
+        return _names(node.target)
+    return []
+
+
+def _defined(body: list[ast.stmt]) -> list[tuple[str, ast.stmt]]:
+    """``(name, statement)`` for each function, class or assignment in ``body``."""
+    out = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        else:
+            out.extend((name, node) for name in _assigned(node))
+    return out
+
+
+def public_symbols(source: str) -> list[str]:
+    """The public symbols of one module, classes' members as ``Class.member``."""
+    found = []
+    for name, node in _defined(ast.parse(source).body):
+        if name.startswith("_"):
+            continue
+        found.append(name)
+        if isinstance(node, ast.ClassDef):
+            found.extend(f"{name}.{member}" for member, _ in _defined(node.body)
+                         if not member.startswith("_"))
+    return found
+
+
+def main(package: pathlib.Path) -> None:
+    lines = symbols = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        count, found = text.count("\n"), len(public_symbols(text))
+        lines, symbols = lines + count, symbols + found
+        print(f"{path.name:16} {count:6} lines {found:5} public symbols")
+    print(f"{'total':16} {lines:6} lines {symbols:5} public symbols")
+
+
+if __name__ == "__main__":
+    main(pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else PACKAGE)

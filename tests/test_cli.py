@@ -154,6 +154,15 @@ def test_load_csv_infinite_label_reports_line(tmp_path):
         load_csv(str(path), batch_size=10)
 
 
+@pytest.mark.parametrize("text", ["1.5", "-0.5", "-1"])
+def test_load_csv_non_integral_label_reports_line(tmp_path, text):
+    # int(float(text)) would load 1.5 as class 1 and -0.5 as class 0.
+    path = tmp_path / "half_label.csv"
+    write_csv(path, [f"0.1,0.2,{text}", "0.3,0.4,0", "0.5,0.6,1", "0.7,0.8,0"])
+    with pytest.raises(ConfigError, match="line 2.*not a nonnegative integer"):
+        load_csv(str(path), batch_size=10)
+
+
 # The learner skips and counts a non-finite training row, but batch prediction
 # would reject its whole batch first, so the loader stops the run before output.
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
@@ -243,15 +252,15 @@ def test_non_finite_float_is_a_config_error_naming_the_key(tmp_path, capsys):
     ("1", True), ("true", True), ("Yes", True), ("ON", True),
     ("0", False), ("false", False), ("No", False), ("OFF", False)])
 def test_boolean_key_words(text, expected):
-    assert merge_config({"trace": text, "audit": text}, {}).trace is expected
+    assert merge_config({"log": text}, {}).log is expected
 
 
 def test_misspelt_boolean_is_a_config_error_naming_the_key(tmp_path, capsys):
     out = tmp_path / "misspelt"
-    config = tmp_path / "trace.cfg"
-    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nout={out}\ntrace=ture\n")
+    config = tmp_path / "log.cfg"
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nout={out}\nlog=ture\n")
     assert main(["--config", str(config)]) == 1
-    assert "trace" in capsys.readouterr().err
+    assert "log" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -464,8 +473,7 @@ FLAGS = {
     "--init-nodes": (None, True, "_StoreAction", "int"),
     "--max-hidden": (None, True, "_StoreAction", "int"),
     "--augment-mode": (("tabular", "image"), True, "_StoreAction", "str"),
-    "--trace": (None, False, "_StoreTrueAction", "str"),
-    "--audit": (None, False, "_StoreTrueAction", "str"),
+    "--log": (None, False, "_StoreTrueAction", "str"),
 }
 
 
@@ -481,13 +489,39 @@ def test_the_flag_set_is_pinned():
     assert found == FLAGS
 
 
-def test_trace_and_audit_flags(tmp_path):
+def test_log_flag(tmp_path):
     code = main(["--gen", "sea", "--gen-size", "1000", "--batch", "500",
-                 "--seeds", "2", "--out", str(tmp_path / "tr"),
-                 "--trace", "--audit"])
+                 "--seeds", "2", "--out", str(tmp_path / "tr"), "--log"])
     assert code == 0
-    assert (tmp_path / "tr" / "trace_seed2.csv").exists()
-    assert (tmp_path / "tr" / "audit_seed2.csv").exists()
+    records = [json.loads(line)
+               for line in (tmp_path / "tr" / "log_seed2.jsonl").read_text().splitlines()]
+    assert {record["kind"] for record in records} == {"check", "gate"}
+    assert sum(record["kind"] == "gate" for record in records) == 500  # unlabelled samples
+
+
+def test_log_closed_when_a_run_raises(tmp_path, monkeypatch):
+    import parsnet.cli as cli
+    from parsnet.stream import StreamLearner
+
+    logs, run, train = [], cli.prequential_run, StreamLearner.train_on_batch
+
+    def capture(config, scenario, log=None):
+        logs.append(log)
+        return run(config, scenario, log)
+
+    def train_once(self, features, labels):
+        if self.counters["samples"]:
+            raise RuntimeError("induced failure")
+        train(self, features, labels)
+
+    monkeypatch.setattr(cli, "prequential_run", capture)
+    monkeypatch.setattr(StreamLearner, "train_on_batch", train_once)
+    out = tmp_path / "raised"
+    assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "3",
+                 "--out", str(out), "--log"]) == 2
+    assert (out / "log_seed3.jsonl").read_text().count("\n") > 0  # the first batch's records
+    with pytest.raises(ValueError, match="closed file"):
+        logs[0]("check", sample=0)
 
 
 # -- hyperparameter plumbing ------------------------------------------------------------
@@ -518,9 +552,9 @@ def captured_run_configs(monkeypatch):
     seen = []
     original = cli.prequential_run
 
-    def capture(config, scenario):
+    def capture(config, scenario, log=None):
         seen.append(config)
-        return original(config, scenario)
+        return original(config, scenario, log)
 
     monkeypatch.setattr(cli, "prequential_run", capture)
     return seen
@@ -560,14 +594,20 @@ def test_ablations_and_logs_reach_the_run_config(tmp_path, monkeypatch):
     out = tmp_path / "abl"
     assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "4",
                  "--out", str(out), "--ablate", "agmm", "--ablate", "slash",
-                 "--trace", "--audit"]) == 0
-    assert seen == [RunConfig(seed=4, agmm_off=True, slash_off=True,
-                              trace_path=str(out / "trace_seed4.csv"),
-                              audit_path=str(out / "audit_seed4.csv"))]
+                 "--log"]) == 0
+    assert seen == [RunConfig(seed=4, agmm_off=True, slash_off=True)]
+    assert (out / "log_seed4.jsonl").exists()
     seen.clear()
     config = tmp_path / "abl.cfg"
+    out = tmp_path / "abl-file"
     config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=4\nout={out}\n"
-                      "ablate=evolve\ntrace=true\n")
+                      "ablate=evolve\nlog=true\n")
     assert main(["--config", str(config)]) == 0
-    assert seen == [RunConfig(seed=4, evolve_off=True,
-                              trace_path=str(out / "trace_seed4.csv"))]
+    assert seen == [RunConfig(seed=4, evolve_off=True)]
+    assert (out / "log_seed4.jsonl").exists()
+    seen.clear()
+    out = tmp_path / "abl-none"
+    assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "4",
+                 "--out", str(out)]) == 0
+    assert seen == [RunConfig(seed=4)]
+    assert not (out / "log_seed4.jsonl").exists()

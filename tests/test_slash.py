@@ -39,9 +39,7 @@ def decide(net, agmm, agmm_threshold=DEFAULTS.agmm_conf, net_threshold=DEFAULTS.
 def test_propose_label_clear_agreement():
     label, reason = decide(np.array([0.9, 0.1]), np.array([0.8, 0.2]))
     assert reason == ACCEPTED
-    assert label.label == 0
-    assert label.net_confidence == pytest.approx(0.9)
-    assert label.agmm_confidence == pytest.approx(0.8)
+    assert label == 0
 
 
 def test_propose_label_disagreement():
@@ -73,10 +71,9 @@ def test_propose_label_gate_soundness():
         label, reason = decide(net, agmm)
         if label is not None:
             assert reason == ACCEPTED
-            assert label.net_confidence >= 0.6
-            assert label.agmm_confidence >= 0.55
-            assert label.label == int(np.argmax(net)) == int(np.argmax(agmm))
-            assert label.net_confidence == pytest.approx(normalized_top2(net))
+            assert normalized_top2(net) >= 0.6
+            assert normalized_top2(agmm) >= 0.55
+            assert label == int(np.argmax(net)) == int(np.argmax(agmm))
 
 
 def network_first_gate(net_probs, agmm_probs, agmm_threshold, net_threshold):
@@ -90,7 +87,7 @@ def network_first_gate(net_probs, agmm_probs, agmm_threshold, net_threshold):
     net_class = int(np.argmax(net_probs))
     if net_class != int(np.argmax(agmm_probs)):
         return None, DISAGREEMENT
-    return (net_class, agmm_conf, net_conf), ACCEPTED
+    return net_class, ACCEPTED
 
 
 def gate_cases(seed, count):
@@ -116,18 +113,11 @@ def gate_cases(seed, count):
         yield net, (None if trial % 13 == 0 else agmm), agmm_threshold, net_threshold
 
 
-def plain(result):
-    pseudo, reason = result
-    if pseudo is None:
-        return repr((None, reason))
-    return repr(((pseudo.label, pseudo.agmm_confidence, pseudo.net_confidence), reason))
-
-
 def test_mixture_first_gate_equals_the_network_first_order():
     reasons = set()
     for net, agmm, agmm_threshold, net_threshold in gate_cases(43, 6000):
         expected = network_first_gate(net, agmm, agmm_threshold, net_threshold)
-        assert plain(decide(net, agmm, agmm_threshold, net_threshold)) == repr(expected)
+        assert decide(net, agmm, agmm_threshold, net_threshold) == expected
         reasons.add(expected[1])
     assert reasons == {ACCEPTED, UNAVAILABLE, LOW_CONFIDENCE, DISAGREEMENT}
 
@@ -139,7 +129,7 @@ def test_an_unscored_network_gives_the_same_decision_where_the_mixture_rejects()
         if mixture_confidence(agmm, agmm_threshold) is None:
             skipped += 1
             assert scored[0] is None and scored[1] in (UNAVAILABLE, LOW_CONFIDENCE)
-            assert plain(decide(None, agmm, agmm_threshold, net_threshold)) == plain(scored)
+            assert decide(None, agmm, agmm_threshold, net_threshold) == scored
         else:
             assert repr(mixture_confidence(agmm, agmm_threshold)) == repr(normalized_top2(agmm))
     assert 1000 < skipped < 5000
@@ -467,8 +457,7 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
 def test_augment_keeps_label_and_range():
     rng = np.random.default_rng(0)
     x = rng.random(10)
-    jittered, label = augment(x, 3, rng, mode="tabular")
-    assert label == 3
+    jittered = augment(x, rng, mode="tabular")
     assert jittered.shape == x.shape
     assert np.all(jittered >= 0.0) and np.all(jittered <= 1.0)
 
@@ -476,7 +465,7 @@ def test_augment_keeps_label_and_range():
 def test_augment_noise_is_zero_mean():
     rng = np.random.default_rng(1)
     x = np.full(4, 0.5)
-    draws = np.array([augment(x, 0, rng, mode="tabular")[0] for _ in range(10_000)])
+    draws = np.array([augment(x, rng, mode="tabular") for _ in range(10_000)])
     std_err = math.sqrt(1e-3) / math.sqrt(10_000 * 4)
     assert np.abs(draws.mean(axis=(0, 1)) - 0.5) < 3 * std_err * 2
 
@@ -486,7 +475,7 @@ def test_augment_image_noise_scale():
     rng = np.random.default_rng(2)
     x = np.full(8, 0.5)
     deltas = np.concatenate(
-        [np.abs(augment(x, 0, rng, mode="image")[0] - x) for _ in range(4000)])
+        [np.abs(augment(x, rng, mode="image") - x) for _ in range(4000)])
     expected = (33.0 / 255.0) * math.sqrt(2.0 / math.pi)
     assert deltas.mean() == pytest.approx(expected, rel=0.03)
     assert deltas.mean() * 255 == pytest.approx(26.3, rel=0.05)
@@ -495,21 +484,21 @@ def test_augment_image_noise_scale():
 def test_augment_clips_at_the_borders():
     rng = np.random.default_rng(3)
     x = np.zeros(50)
-    jittered, _ = augment(x, 0, rng, mode="image")
+    jittered = augment(x, rng, mode="image")
     assert np.all(jittered >= 0.0)
     assert (jittered == 0.0).sum() > 10  # negative jitter clipped away
 
 
 def test_augment_equals_clipped_reference():
     x = np.linspace(0.0, 1.0, 50)
-    jittered, _ = augment(x, 0, np.random.default_rng(4), mode="image")
+    jittered = augment(x, np.random.default_rng(4), mode="image")
     noise = np.random.default_rng(4).normal(0.0, 33.0 / 255.0, x.shape)
     assert np.array_equal(jittered, np.clip(x + noise, 0.0, 1.0))
 
 
 def test_augment_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        augment(np.zeros(3), 0, np.random.default_rng(0), mode="audio")
+        augment(np.zeros(3), np.random.default_rng(0), mode="audio")
 
 
 # -- containment of adversarial pseudo labels ----------------------------------------------

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import pathlib
 import pickle
@@ -314,7 +313,7 @@ def test_batch_shape_mismatch_rejected_before_any_state_change():
     assert learner_state(learner) == before
 
 
-def test_library_callers_get_the_option_checks(monkeypatch, tmp_path):
+def test_library_callers_get_the_option_checks(monkeypatch):
     # A zero hedge_eps turns the network parameters NaN, and a negative mask
     # fraction means nothing: both must raise before any state exists.
     def unbuilt(*args, **kwargs):
@@ -323,15 +322,13 @@ def test_library_callers_get_the_option_checks(monkeypatch, tmp_path):
     monkeypatch.setattr(stream_module, "Network", unbuilt)
     scenario = make_sporadic(gen_sea(600, seed=1, batch_size=200), 0.5,
                              np.random.default_rng(1))
-    trace = tmp_path / "trace.csv"
     for change, key in (({"hedge_eps": 0.0}, "hedge_eps"),
                         ({"mask_fraction": -0.5}, "mask_frac")):
-        config = RunConfig(seed=1, trace_path=str(trace), **change)
+        config = RunConfig(seed=1, **change)
         with pytest.raises(ValueError, match=f"^{key}: "):
             StreamLearner(3, 2, config)
         with pytest.raises(ValueError, match=f"^{key}: "):
             prequential_run(config, scenario)
-    assert not trace.exists()
 
 
 def test_the_mixture_posterior_is_ranked_once_per_unlabelled_sample(monkeypatch):
@@ -482,76 +479,78 @@ def test_mean_shift_triggers_mixture_insertion_and_growth():
     assert grows and grows[0] <= shift_sample + 2 * 200
 
 
-# -- trace and audit files -------------------------------------------------------------------
+# -- the log -----------------------------------------------------------------------------
 
-def test_learner_closed_when_a_batch_raises(monkeypatch):
-    closed = []
-
-    def boom(self, features, labels):
-        raise RuntimeError("induced failure")
-
-    monkeypatch.setattr(StreamLearner, "train_on_batch", boom)
-    monkeypatch.setattr(StreamLearner, "close", lambda self: closed.append(self))
-    scenario = make_sporadic(blob_batches(n_batches=2), 0.5, np.random.default_rng(0))
-    with pytest.raises(RuntimeError, match="induced"):
-        prequential_run(RunConfig(seed=0), scenario)
-    assert len(closed) == 1
+LOG_FIELDS = {
+    "check": ["sample", "phase", "bias_sq", "variance", "bias_level", "var_level",
+              "hidden", "components"],
+    "gate": ["sample", "decision", "net_confidence", "agmm_confidence", "label",
+             "hedge_strength"],
+}
 
 
-def test_trace_and_audit_files(tmp_path):
-    trace = tmp_path / "trace.csv"
-    audit = tmp_path / "audit.csv"
+def test_log_record_fields():
+    records = []
     scenario = make_sporadic(blob_batches(n_batches=3, size=100), 0.5,
                              np.random.default_rng(0))
-    prequential_run(RunConfig(seed=1, trace_path=str(trace), audit_path=str(audit)),
-                    scenario)
-    header, *rows = trace.read_text().strip().splitlines()
-    assert header.split(",") == ["sample", "phase", "bias_sq", "variance",
-                                 "bias_level", "var_level", "hidden", "components"]
-    assert len(rows) > 100
-    header, *rows = audit.read_text().strip().splitlines()
-    assert header.split(",")[:2] == ["sample", "decision"]
-    assert len(rows) == 150  # one row per unlabelled sample
+    prequential_run(RunConfig(seed=1), scenario,
+                    lambda kind, **fields: records.append((kind, list(fields))))
+    assert all(names == LOG_FIELDS[kind] for kind, names in records)
+    kinds = [kind for kind, _ in records]
+    assert kinds.count("check") > 100
+    assert kinds.count("gate") == 150  # one record per unlabelled sample
+
+
+def test_the_learner_opens_no_file(monkeypatch, tmp_path):
+    def refused(*args, **kwargs):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("builtins.open", refused)
+    batches = blob_batches(n_batches=3, size=100)
+    learner = StreamLearner(2, 2, RunConfig(seed=1))
+    learner.train_on_batch(batches[0].features, batches[0].labels)
+    prequential_run(RunConfig(seed=1), make_sporadic(batches, 0.5, np.random.default_rng(0)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def capture_learners(monkeypatch):
-    """A list that collects each learner as its prequential run closes it."""
+    """A list that collects each learner as it is constructed."""
     learners = []
-    close = StreamLearner.close
+    init = StreamLearner.__init__
 
-    def capturing_close(self):
+    def capturing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         learners.append(self)
-        close(self)
 
-    monkeypatch.setattr(StreamLearner, "close", capturing_close)
+    monkeypatch.setattr(StreamLearner, "__init__", capturing_init)
     return learners
 
 
 @pytest.mark.parametrize("workload", ["sea-delay", "hyperplane-sporadic"])
-def test_logs_do_not_change_learning(workload, tmp_path, monkeypatch):
+def test_logs_do_not_change_learning(workload, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # bench imports its siblings by name
     import state_digest
     import workloads
 
     learners = capture_learners(monkeypatch)
     (stream,) = workloads.build_streams(workload, seed=1, streams=1)
-    audit, trace = tmp_path / "audit.csv", tmp_path / "trace.csv"
+    records = []
     plain = prequential_run(stream.config, stream.scenario)
-    logged = prequential_run(dataclasses.replace(stream.config, audit_path=str(audit),
-                                                 trace_path=str(trace)), stream.scenario)
+    logged = prequential_run(stream.config, stream.scenario,
+                             lambda kind, **fields: records.append({"kind": kind, **fields}))
     assert logged.signature() == plain.signature()
     assert state_digest.learner_state_digest(learners[1]) == \
         state_digest.learner_state_digest(learners[0])
-    with open(audit, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = [record for record in records if record["kind"] == "gate"]
     unlabelled = sum(int((batch.labels < 0).sum()) for batch in stream.scenario.batches)
     assert len(rows) == unlabelled
-    scored = [row for row in rows if row["agmm_confidence"]]
+    scored = [row for row in rows if row["agmm_confidence"] is not None]
     assert len(scored) > unlabelled // 2
-    # Every row whose mixture posterior exists carries a network confidence,
-    # the rows the mixture side rejects included.
-    assert all(0.5 <= float(row["net_confidence"]) <= 1.0 for row in scored)
-    assert any(float(row["agmm_confidence"]) < stream.config.agmm_conf for row in scored)
+    # Every record whose mixture posterior exists carries a network confidence,
+    # the records the mixture side rejects included.
+    assert all(0.5 <= row["net_confidence"] <= 1.0 for row in scored)
+    assert any(row["agmm_confidence"] < stream.config.agmm_conf for row in scored)
 
 
 # Every underscore attribute of the learner and its parts.  The derived ones
@@ -561,7 +560,7 @@ def test_logs_do_not_change_learning(workload, tmp_path, monkeypatch):
 DERIVED = {"learner": [], "net": ["_forward"],
            "mixture": ["_conditionals", "_priors", "_shrunk"],
            "hedge": ["_importance", "_stale"]}
-HELD = {"learner": ["_audit", "_audit_csv", "_eye", "_last_growth", "_trace", "_trace_csv"],
+HELD = {"learner": ["_eye", "_last_growth"],
         "net": [], "mixture": [], "hedge": ["_anchor", "_loss_drop", "_movement"]}
 
 

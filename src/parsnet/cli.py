@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -30,40 +30,36 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class ExperimentConfig:
-    """Everything one experiment needs.
+class ExperimentConfig(RunConfig):
+    """Everything one experiment needs: the options of each seed's run and
+    its own.
 
-    Every field but ``run`` is an :func:`~parsnet.stream.option`, as are the
-    hyperparameters in ``run``; its seed and ablation switches are set per
-    seed from ``seeds`` and ``ablate``, and ``freeze_after_first`` keeps its
-    default.  ``log`` makes each seed's run write ``log_seed<k>.jsonl`` into
-    ``out``: one JSON object per record the learner logs, its kind under
-    ``"kind"``.
+    Each seed of ``seeds`` runs the config with ``seed`` set to it;
+    ``freeze_after_first`` keeps its default.  ``log`` makes each seed's run
+    write ``log_seed<k>.jsonl`` into ``out``: one JSON object per record the
+    learner logs, its kind under ``"kind"``.
     """
 
     data: str | None = option(None, "CSV dataset (feature columns + 'label')", type=str)
     gen: str | None = option(None, "synthetic stream", type=str,
                              choices=tuple(GENERATOR_SIZES))
     gen_size: int | None = option(None, "samples to generate", type=int, range="[1, inf)")
-    gen_seed: int = option(99, "generator seed (dataset identity)")
-    label_noise: float = option(0.0, "sea label flip probability")
+    gen_seed: int = option(99, "generator seed (dataset identity)", range="[0, inf)")
+    label_noise: float = option(0.0, "sea label flip probability", range="[0, 1]")
     drift: float = option(2e-5, "hyperplane weight drift per sample")
     scenario: str = option("sporadic", "labels in a fraction of each batch, or the first only",
                            choices=("sporadic", "delay"))
     label_frac: float = option(0.5, "labelled fraction per batch")
     batch: int = option(1000, "batch size", range="[1, inf)")
-    seeds: list[int] = option([1, 2, 3, 4, 5], "comma-separated run seeds", type=int)
-    ablate: list[str] = option([], "learner piece to switch off (repeatable)",
-                               choices=("agmm", "evolve", "slash"), action="append")
+    seeds: list[int] = option([1, 2, 3, 4, 5], "comma-separated run seeds", type=int,
+                              range="[0, inf)")
     out: str = option("runs", "output directory")
     log: bool = option(False, "write structural checks and gate decisions as JSON lines")
-    run: RunConfig = field(default_factory=RunConfig)
 
 
-# Every flag and config key, with the field it sets (True: a field of ``run``).
-_OPTIONS = {entry.metadata.get("key", entry.name): (in_run, entry)
-            for in_run, owner in ((False, ExperimentConfig), (True, RunConfig))
-            for entry in fields(owner) if "help" in entry.metadata}
+# Every flag and config key, with the field it sets.
+_OPTIONS = {entry.metadata.get("key", entry.name): entry
+            for entry in fields(ExperimentConfig) if "help" in entry.metadata}
 
 
 # -- data sources ------------------------------------------------------------
@@ -147,16 +143,6 @@ def _build_batches(cfg: ExperimentConfig) -> tuple[list[Batch], str]:
     return gen_hyperplane(size, cfg.gen_seed, cfg.batch, cfg.drift), "hyperplane"
 
 
-def _run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
-    return replace(
-        cfg.run,
-        seed=seed,
-        agmm_off="agmm" in cfg.ablate,
-        evolve_off="evolve" in cfg.ablate,
-        slash_off="slash" in cfg.ablate,
-    )
-
-
 def _json_lines(fh):
     """A learner log that writes each record to ``fh`` as one JSON line."""
     def log(kind: str, **record) -> None:
@@ -173,32 +159,27 @@ def _mean_ignoring_none(rows: list[list[float | None]]) -> list[float | None]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Check the options, execute the configured runs, write reports, print the headline."""
-    try:
-        check_options(cfg)
-        check_options(cfg.run)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """Check the options and build every seed's scenario, then execute the
+    runs, write reports and print the headline."""
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
-    if cfg.scenario == "sporadic" and not 0.0 < cfg.label_frac < 1.0:
-        raise ConfigError("label fraction must lie strictly between 0 and 1")
-    batches, dataset = _build_batches(cfg)
-    if cfg.scenario == "delay" and len(batches) < 2:
-        raise ConfigError("infinite delay needs at least two batches")
+    try:
+        check_options(cfg)
+        batches, dataset = _build_batches(cfg)
+        scenarios = [make_sporadic(batches, cfg.label_frac, np.random.default_rng(seed))
+                     if cfg.scenario == "sporadic" else make_infinite_delay(batches)
+                     for seed in cfg.seeds]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(cfg.out, exist_ok=True)
 
     cr, final_hidden, final_mixture, pseudo, precisions, recalls = [], [], [], [], [], []
-    label_fraction = None
-    for seed in cfg.seeds:
-        scenario = (make_sporadic(batches, cfg.label_frac, np.random.default_rng(seed))
-                    if cfg.scenario == "sporadic" else make_infinite_delay(batches))
-        label_fraction = scenario.label_fraction
+    for seed, scenario in zip(cfg.seeds, scenarios):
         if cfg.log:
             with open(os.path.join(cfg.out, f"log_seed{seed}.jsonl"), "w") as fh:
-                metrics = prequential_run(_run_config(cfg, seed), scenario, _json_lines(fh))
+                metrics = prequential_run(replace(cfg, seed=seed), scenario, _json_lines(fh))
         else:
-            metrics = prequential_run(_run_config(cfg, seed), scenario)
+            metrics = prequential_run(replace(cfg, seed=seed), scenario)
         cr.append(metrics.classification_rate)
         final_hidden.append(metrics.hidden_nodes[-1])
         final_mixture.append(metrics.mixture_sizes[-1])
@@ -219,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     summary = {
         "dataset": dataset,
         "scenario": cfg.scenario,
-        "label_fraction": label_fraction,
+        "label_fraction": scenarios[-1].label_fraction,
         "seeds": list(cfg.seeds),
         "ablate": sorted(cfg.ablate),
         "cr_per_seed": cr,
@@ -244,21 +225,24 @@ class _Parser(argparse.ArgumentParser):
     # Flag mistakes are configuration errors (exit 1), not runtime failures.
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per option; a flag that is not given parses as ``None``."""
-    parser = _Parser(prog="parsnet", description=__doc__)
+    """One flag per option.  A flag's value stays text, converted and checked
+    like a config-file value; a flag that is not given parses as ``None``."""
+    # No prefix of a flag stands for it: a config key must be spelt in full too.
+    parser = _Parser(prog="parsnet", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="flat key=value config file")
-    for key, (_, entry) in _OPTIONS.items():
+    for key, entry in _OPTIONS.items():
         meta = entry.metadata
         if meta["type"] is bool:
             how = {"action": "store_true", "default": None}
-        elif entry.default is MISSING:  # a list: repeated, or one comma-separated text
-            how = {"action": meta.get("action"), "choices": meta.get("choices")}
         else:
-            how = {"type": meta["type"], "choices": meta.get("choices")}
+            choices = meta.get("choices")
+            how = {"action": meta.get("action"),
+                   "metavar": "{" + ",".join(choices) + "}" if choices else None}
         parser.add_argument("--" + key.replace("_", "-"), help=meta["help"], **how)
     return parser
 
@@ -283,14 +267,6 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
-def _slot(cfg: ExperimentConfig, name: str):
-    """The object and the attribute that a flag or config key sets."""
-    if name not in _OPTIONS:
-        raise ConfigError(f"unknown config key {name!r}")
-    in_run, entry = _OPTIONS[name]
-    return (cfg.run if in_run else cfg), entry.name
-
-
 def _parse(name: str, kind, text: str):
     try:
         return kind(text)
@@ -299,8 +275,10 @@ def _parse(name: str, kind, text: str):
 
 
 def _coerce(name: str, value):
-    """Turn a string from the config file or a flag into the type of the
+    """Turn the text of a config-file value or a flag into the type of the
     field that the key sets; a float must be finite, whatever its source."""
+    if isinstance(value, list):  # a repeated flag's texts
+        value = " ".join(value)
     if isinstance(value, str):
         value = _from_text(name, value)
     if isinstance(value, float) and not math.isfinite(value):
@@ -309,7 +287,7 @@ def _coerce(name: str, value):
 
 
 def _from_text(name: str, value: str):
-    entry = _OPTIONS[name][1]
+    entry = _OPTIONS[name]
     kind = entry.metadata["type"]
     if entry.default is MISSING:  # a list
         return [_parse(name, kind, p) for p in value.replace(",", " ").split()]
@@ -327,8 +305,9 @@ def merge_config(file_values: dict, cli_values: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     flags = {name: value for name, value in cli_values.items() if value is not None}
     for name, value in {**file_values, **flags}.items():
-        target, attribute = _slot(cfg, name)
-        setattr(target, attribute, _coerce(name, value))
+        if name not in _OPTIONS:
+            raise ConfigError(f"unknown config key {name!r}")
+        setattr(cfg, _OPTIONS[name].name, _coerce(name, value))
     if not cli_values.get("seeds") and "seeds" not in file_values:
         env_seed = os.environ.get("PARSNET_SEED")
         if env_seed:

@@ -188,11 +188,13 @@ def _within(value, interval: str) -> bool:
 
 @dataclass
 class RunConfig:
-    """Hyperparameters (each an :func:`option`) and toggles for one prequential run."""
+    """Options (each an :func:`option`) for one prequential run, plus its
+    ``seed`` and the frozen-baseline switch."""
 
     seed: int = 0
-    agmm_conf: float = option(0.55, "mixture top-2 confidence gate for self-labelling")
-    net_conf: float = option(0.6, "network top-2 confidence gate")
+    agmm_conf: float = option(0.55, "mixture top-2 confidence gate for self-labelling",
+                              range="[0, 1]")
+    net_conf: float = option(0.6, "network top-2 confidence gate", range="[0, 1]")
     init_spread: float = option(0.1, "spread of new mixture components", range="(0, inf)")
     lr_gen: float = option(0.01, "generative learning rate", range="[0, inf)")
     lr_disc: float = option(0.001, "discriminative learning rate", range="[0, inf)")
@@ -200,16 +202,19 @@ class RunConfig:
     loss: str = option("cross_entropy", "classifier training loss", choices=LOSSES)
     mask_fraction: float = option(0.1, "masked fraction of input features",
                                   key="mask_frac", range="[0, 1)")
-    prune_grace: int = option(40, "mixture pruning grace period")
+    prune_grace: int = option(40, "mixture pruning grace period", range="[0, inf)")
     hedge_eps: float = option(1e-8, "importance division guard", range="(0, inf)")
     init_nodes: int = option(1, "initial hidden units", range="[1, inf)")
-    max_hidden: int = option(1024, "hard cap on hidden growth (plumbing guard)")
-    prune_holdoff: int = option(1000, "samples after hidden growth before pruning may act")
+    max_hidden: int = option(1024, "hard cap on hidden growth (plumbing guard)",
+                             range="[1, inf)")
+    prune_holdoff: int = option(1000, "samples after hidden growth before pruning may act",
+                                range="[0, inf)")
     augment_mode: str = option("tabular", "noise level of the augmented labelled copy",
                                choices=tuple(AUGMENT_NOISE_STD))
-    agmm_off: bool = False       # ablation: static unit Gaussian, one-at-a-time growth
-    evolve_off: bool = False     # ablation: no hidden-unit structural changes
-    slash_off: bool = False      # ablation: no pseudo labels, no hedge, no augmentation
+    # agmm: a static unit Gaussian, so growth is one unit at a time; evolve: no
+    # hidden-unit structural changes; slash: no pseudo labels, hedge or augmentation.
+    ablate: list[str] = option([], "learner piece to switch off (repeatable)",
+                               choices=("agmm", "evolve", "slash"), action="append")
     freeze_after_first: bool = False  # baseline: stop all training after the first batch
 
 
@@ -271,7 +276,7 @@ class StreamLearner:
         self.rng = np.random.default_rng(config.seed)
         self.net = Network(n_inputs, n_classes, config.init_nodes, self.rng,
                            loss=config.loss)
-        if config.agmm_off:
+        if "agmm" in config.ablate:
             # Frozen stand-in: one standard-normal component, never updated,
             # never labelled, so growth falls back to one unit at a time and
             # self-labelling stays silent.
@@ -307,19 +312,19 @@ class StreamLearner:
         and pruning can only act once the post-growth hold-off has elapsed:
         fresh units inflate the variance statistics for a while, and acting on
         that inflation would cut the very capacity that was just added.  The
-        ablation toggle suppresses the structural actions but keeps the
+        ``evolve`` ablation suppresses the structural actions but keeps the
         statistics (and the confidence level the mixture consumes) flowing.
         """
         cfg, sample = self.config, self.counters["samples"]
         e_hidden = expected_hidden(self.net, self.mixture)
         bias_sq, variance = bias_variance(e_hidden, target, self.net, phase)
         if monitor.observe_bias(bias_sq):
-            if not cfg.evolve_off and self.net.n_hidden < cfg.max_hidden:
+            if "evolve" not in cfg.ablate and self.net.n_hidden < cfg.max_hidden:
                 self.net.add_nodes(self.mixture.size, self.rng)
                 self.hedge.grow_hidden(self.net.params)
                 self.events.append((sample, "node_grow"))
                 self._last_growth = sample
-        elif monitor.observe_variance(variance) and not cfg.evolve_off:
+        elif monitor.observe_variance(variance) and "evolve" not in cfg.ablate:
             settled = sample - self._last_growth >= cfg.prune_holdoff
             doomed = prune_candidates(e_hidden) if settled else []
             if doomed:
@@ -355,7 +360,7 @@ class StreamLearner:
             self._evolve(self.gen_monitor, x, "generative")
 
         # Mixture update consumes the freshest bias confidence level.
-        if not cfg.agmm_off:
+        if "agmm" not in cfg.ablate:
             inserted, pruned = self.mixture.update(
                 x, self.gen_monitor.bias_level, label if label >= 0 else None)
             if inserted:
@@ -367,7 +372,7 @@ class StreamLearner:
             target = self._eye[label]
             _, grads = self.net.discriminative_step(x, target, cfg.lr_disc)
             counters["disc_label_steps"] += 1
-            if not cfg.slash_off:
+            if "slash" not in cfg.ablate:
                 self.hedge.record_step(cfg.lr_disc, grads)
                 jittered = augment(x, self.rng, cfg.augment_mode)
                 _, grads = self.net.discriminative_step(jittered, target, cfg.lr_disc)
@@ -376,7 +381,7 @@ class StreamLearner:
                 self.hedge.set_anchor(self.net.params)
             # Structural checks run on originally labelled samples only.
             self._evolve(self.disc_monitor, target, "discriminative")
-        elif not cfg.slash_off:
+        elif "slash" not in cfg.ablate:
             self.hedge.refresh_importance()
             try:
                 agmm_probs = self.mixture.class_posterior(x)

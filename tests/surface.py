@@ -1,13 +1,16 @@
-"""Line count and public-symbol count of each module of the package.
+"""Line count, public-symbol count and settable-option count of the package.
 
     python3 tests/surface.py [PACKAGE_DIR]
 
 prints, for each ``*.py`` file of ``PACKAGE_DIR`` (default ``src/parsnet``),
-its line count (as ``wc -l`` counts) and its public symbols, then the totals.
+its line count (as ``wc -l`` counts) and its public symbols, then the totals;
+then the settable options of each config class, then their total.
 A public symbol is a module-level function, class or constant whose name does
 not start with an underscore, or such a member of a public class: a method,
-property or class attribute, dataclass fields included.  The files are parsed,
-not imported.
+property or class attribute, dataclass fields included.  A config class is a
+dataclass whose name ends in ``Config``; its settable options are the fields
+its own body declares, so a subclass does not count its base's again.  The
+files are parsed, not imported.
 """
 
 from __future__ import annotations
@@ -61,14 +64,28 @@ def public_symbols(source: str) -> list[str]:
     return found
 
 
+def config_options(source: str) -> list[tuple[str, int]]:
+    """``(class name, own field count)`` for each config class of one module."""
+    return [(node.name, sum(isinstance(item, ast.AnnAssign) for item in node.body))
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+            and any("dataclass" in ast.unparse(deco) for deco in node.decorator_list)]
+
+
 def main(package: pathlib.Path) -> None:
-    lines = symbols = 0
+    lines = symbols = options = 0
+    configs = []
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         count, found = text.count("\n"), len(public_symbols(text))
         lines, symbols = lines + count, symbols + found
+        configs += config_options(text)
         print(f"{path.name:16} {count:6} lines {found:5} public symbols")
     print(f"{'total':16} {lines:6} lines {symbols:5} public symbols")
+    for name, count in configs:
+        options += count
+        print(f"{name:16} {count:6} settable options")
+    print(f"{'total':16} {options:6} settable options")
 
 
 if __name__ == "__main__":

@@ -274,7 +274,7 @@ def test_criterion_6_sea_sporadic(sea_batches):
         full.append(prequential_run(RunConfig(seed=seed), scenario).classification_rate)
         scenario = make_sporadic(sea_batches, 0.5, np.random.default_rng(seed))
         ablated.append(prequential_run(
-            RunConfig(seed=seed, evolve_off=True, slash_off=True),
+            RunConfig(seed=seed, ablate=["evolve", "slash"]),
             scenario).classification_rate)
     elapsed = time.perf_counter() - started
     cr = 100 * float(np.mean(full))
@@ -311,7 +311,7 @@ def test_criterion_8_sea_infinite_delay(sea_batches):
         full.append(prequential_run(
             RunConfig(seed=seed), make_infinite_delay(sea_batches)).classification_rate)
         baseline.append(prequential_run(
-            RunConfig(seed=seed, slash_off=True, lr_gen=0.0, freeze_after_first=True),
+            RunConfig(seed=seed, ablate=["slash"], lr_gen=0.0, freeze_after_first=True),
             make_infinite_delay(sea_batches)).classification_rate)
     elapsed = time.perf_counter() - started
     cr = 100 * float(np.mean(full))
@@ -331,13 +331,13 @@ def test_criterion_9_ablation_facts():
     # evolution off: width constant over a whole drifting run
     scenario = make_sporadic(drift_stream(10, 200, 6, seed=3), 0.5,
                              np.random.default_rng(3))
-    evo_off = prequential_run(RunConfig(seed=3, evolve_off=True), scenario)
+    evo_off = prequential_run(RunConfig(seed=3, ablate=["evolve"]), scenario)
     width_constant = set(evo_off.hidden_nodes) == {1}
 
     # self-labelling off: zero pseudo labels
     scenario = make_sporadic(drift_stream(10, 200, 6, seed=3), 0.5,
                              np.random.default_rng(3))
-    slash_off = prequential_run(RunConfig(seed=3, slash_off=True), scenario)
+    slash_off = prequential_run(RunConfig(seed=3, ablate=["slash"]), scenario)
     no_pseudo = slash_off.pseudo_labels == 0
 
     # mixture off: completes, and scores worse than the full system on the
@@ -352,7 +352,7 @@ def test_criterion_9_ablation_facts():
         scenario = make_sporadic(drift_stream(25, 400, 15, seed), 0.5,
                                  np.random.default_rng(seed))
         mixture_off.append(prequential_run(
-            RunConfig(seed=seed, agmm_off=True), scenario).classification_rate)
+            RunConfig(seed=seed, ablate=["agmm"]), scenario).classification_rate)
     gap = 100 * (float(np.mean(full)) - float(np.mean(mixture_off)))
 
     elapsed = time.perf_counter() - started

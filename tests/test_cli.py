@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import parsnet
 from parsnet.cli import (ConfigError, ExperimentConfig, build_parser,
                          gen_hyperplane, gen_sea, load_csv, main,
                          merge_config, parse_config_file, run_experiment)
@@ -195,13 +200,13 @@ def test_three_layer_flag_precedence(tmp_path):
     file_values = parse_config_file(str(config))
 
     # default only
-    assert merge_config({}, {}).run.lr_disc == 0.001
+    assert merge_config({}, {}).lr_disc == 0.001
     # file overrides default
     cfg = merge_config(file_values, {})
-    assert cfg.run.lr_disc == 0.5 and cfg.batch == 250 and cfg.seeds == [7, 8]
+    assert cfg.lr_disc == 0.5 and cfg.batch == 250 and cfg.seeds == [7, 8]
     # flag overrides file
     cfg = merge_config(file_values, {"lr_disc": 0.25, "seeds": "9"})
-    assert cfg.run.lr_disc == 0.25 and cfg.seeds == [9] and cfg.batch == 250
+    assert cfg.lr_disc == 0.25 and cfg.seeds == [9] and cfg.batch == 250
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -217,9 +222,11 @@ def test_malformed_value_is_a_config_error_naming_the_key(tmp_path, monkeypatch,
         config = tmp_path / f"{key}.cfg"
         config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nout={out}\n{key}={text}\n")
         assert main(["--config", str(config)]) == 1
-        assert key in capsys.readouterr().err
-    assert main(["--gen", "sea", "--seeds", "1,x", "--out", out]) == 1
-    assert "seeds" in capsys.readouterr().err
+        error = capsys.readouterr().err
+        assert error.startswith(f"error: {key}: malformed value ")
+        assert main(["--gen", "sea", "--out", out, "--" + key.replace("_", "-"), text]) == 1
+        assert capsys.readouterr().err == error
+    assert not os.path.exists(out)
     monkeypatch.setenv("PARSNET_SEED", "x")
     assert main(["--gen", "sea", "--out", out]) == 1
     assert "PARSNET_SEED" in capsys.readouterr().err
@@ -268,6 +275,8 @@ def test_misspelt_boolean_is_a_config_error_naming_the_key(tmp_path, capsys):
                                        ("gen", "seas"), ("scenario", "delayed"),
                                        ("ablate", "agmm,slsh")])
 def test_config_value_outside_the_flag_choices_is_a_config_error(tmp_path, capsys, key, text):
+    # A flag's value is converted and checked like the config file's, so both
+    # give the same error line.
     out = tmp_path / "choices"
     values = {"gen": "sea", "gen_size": "600", "batch": "300", "seeds": "1", "out": str(out),
               key: text}
@@ -275,7 +284,10 @@ def test_config_value_outside_the_flag_choices_is_a_config_error(tmp_path, capsy
     config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
     assert main(["--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert key in err and repr(text.split(",")[-1]) in err
+    assert err.startswith(f"error: {key}: ") and repr(text.split(",")[-1]) in err
+    argv = [word for k, v in values.items() for word in ("--" + k.replace("_", "-"), v)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 
@@ -284,7 +296,9 @@ def test_config_value_outside_the_flag_choices_is_a_config_error(tmp_path, capsy
 @pytest.mark.parametrize("flag, text", [
     ("--gen-size", "0"), ("--batch", "0"), ("--init-nodes", "0"), ("--init-spread", "0"),
     ("--mask-frac", "1.0"), ("--lr-gen", "-0.01"), ("--lr-disc", "-0.01"),
-    ("--hedge-eps", "0")])
+    ("--hedge-eps", "0"), ("--label-noise", "2"), ("--agmm-conf", "7"), ("--net-conf", "-3"),
+    ("--max-hidden", "0"), ("--prune-grace", "-5"), ("--prune-holdoff", "-1"),
+    ("--gen-seed", "-1"), ("--seeds", "-1")])
 def test_value_the_learner_rejects_is_a_config_error_before_any_output(
         tmp_path, capsys, flag, text):
     key = flag[2:].replace("-", "_")
@@ -302,11 +316,11 @@ def test_value_the_learner_rejects_is_a_config_error_before_any_output(
 
 def test_run_experiment_checks_the_run_config_before_any_output(tmp_path):
     out = tmp_path / "direct"
-    for run in (RunConfig(loss="squard"), RunConfig(augment_mode="imag"),
-                RunConfig(init_nodes=0), RunConfig(lr_disc=math.nan)):
+    for run in ({"loss": "squard"}, {"augment_mode": "imag"}, {"init_nodes": 0},
+                {"lr_disc": math.nan}):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(gen="sea", gen_size=600, batch=300, seeds=[1],
-                                            out=str(out), run=run))
+                                            out=str(out), **run))
     assert not out.exists()
 
 
@@ -419,8 +433,22 @@ def test_main_config_error_is_exit_1(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
-def test_main_unknown_flag_is_exit_1():
+def test_main_unknown_flag_is_exit_1(capsys):
     assert main(["--does-not-exist"]) == 1
+    assert main(["--gen", "sea", "--lr-dsic", "0.1"]) == 1
+    assert "error: unrecognized arguments: --lr-dsic 0.1" in capsys.readouterr().err
+    assert main(["--gen", "sea", "--lr-di", "0.1"]) == 1  # not taken as --lr-disc
+    assert "error: unrecognized arguments: --lr-di 0.1" in capsys.readouterr().err
+
+
+def test_python_m_parsnet_runs_the_cli_without_a_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parsnet.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [path for path in [os.environ.get("PYTHONPATH")] if path])}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "parsnet",
+                           "--help"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: parsnet")
 
 
 def test_main_runtime_failure_is_exit_2(tmp_path, monkeypatch):
@@ -444,48 +472,52 @@ def test_main_reads_config_file(tmp_path, capsys):
 
 
 # Every flag as a literal, so that the parser generated from the config fields
-# cannot drop, rename or retype one, or add one: (choices, takes a value,
-# argparse action, value type).
+# cannot drop, rename or retype one, or add one: (metavar, which shows any
+# choices in --help; takes a value; argparse action; type its text becomes).
+# Argparse converts and checks no value itself.
 FLAGS = {
     "--config": (None, True, "_StoreAction", "str"),
-    "--data": (None, True, "_StoreAction", "str"),
-    "--gen": (("sea", "hyperplane"), True, "_StoreAction", "str"),
-    "--gen-size": (None, True, "_StoreAction", "int"),
-    "--gen-seed": (None, True, "_StoreAction", "int"),
-    "--label-noise": (None, True, "_StoreAction", "float"),
-    "--drift": (None, True, "_StoreAction", "float"),
-    "--scenario": (("sporadic", "delay"), True, "_StoreAction", "str"),
-    "--label-frac": (None, True, "_StoreAction", "float"),
-    "--batch": (None, True, "_StoreAction", "int"),
-    "--seeds": (None, True, "_StoreAction", "str"),
-    "--ablate": (("agmm", "evolve", "slash"), True, "_AppendAction", "str"),
-    "--out": (None, True, "_StoreAction", "str"),
     "--agmm-conf": (None, True, "_StoreAction", "float"),
     "--net-conf": (None, True, "_StoreAction", "float"),
     "--init-spread": (None, True, "_StoreAction", "float"),
     "--lr-gen": (None, True, "_StoreAction", "float"),
     "--lr-disc": (None, True, "_StoreAction", "float"),
-    "--loss": (("cross_entropy", "squared"), True, "_StoreAction", "str"),
+    "--loss": ("{cross_entropy,squared}", True, "_StoreAction", "str"),
     "--mask-frac": (None, True, "_StoreAction", "float"),
     "--prune-grace": (None, True, "_StoreAction", "int"),
-    "--prune-holdoff": (None, True, "_StoreAction", "int"),
     "--hedge-eps": (None, True, "_StoreAction", "float"),
     "--init-nodes": (None, True, "_StoreAction", "int"),
     "--max-hidden": (None, True, "_StoreAction", "int"),
-    "--augment-mode": (("tabular", "image"), True, "_StoreAction", "str"),
-    "--log": (None, False, "_StoreTrueAction", "str"),
+    "--prune-holdoff": (None, True, "_StoreAction", "int"),
+    "--augment-mode": ("{tabular,image}", True, "_StoreAction", "str"),
+    "--ablate": ("{agmm,evolve,slash}", True, "_AppendAction", "str"),
+    "--data": (None, True, "_StoreAction", "str"),
+    "--gen": ("{sea,hyperplane}", True, "_StoreAction", "str"),
+    "--gen-size": (None, True, "_StoreAction", "int"),
+    "--gen-seed": (None, True, "_StoreAction", "int"),
+    "--label-noise": (None, True, "_StoreAction", "float"),
+    "--drift": (None, True, "_StoreAction", "float"),
+    "--scenario": ("{sporadic,delay}", True, "_StoreAction", "str"),
+    "--label-frac": (None, True, "_StoreAction", "float"),
+    "--batch": (None, True, "_StoreAction", "int"),
+    "--seeds": (None, True, "_StoreAction", "int"),
+    "--out": (None, True, "_StoreAction", "str"),
+    "--log": (None, False, "_StoreTrueAction", "bool"),
 }
 
 
 def test_the_flag_set_is_pinned():
+    kinds = {entry.metadata.get("key", entry.name): entry.metadata["type"].__name__
+             for entry in fields(ExperimentConfig) if "help" in entry.metadata}
     found = {}
     for action in build_parser()._actions:
         if action.dest == "help":
             continue
         (flag,) = action.option_strings
         assert action.dest == flag[2:].replace("-", "_") and action.default is None, flag
-        found[flag] = (tuple(action.choices) if action.choices else None, action.nargs != 0,
-                       type(action).__name__, getattr(action.type, "__name__", "str"))
+        assert action.type is None and action.choices is None, flag
+        found[flag] = (action.metavar, action.nargs != 0, type(action).__name__,
+                       kinds.get(action.dest, "str"))
     assert found == FLAGS
 
 
@@ -546,14 +578,16 @@ HYPERPARAMETERS = [
 
 
 def captured_run_configs(monkeypatch):
-    """Record every RunConfig that the CLI hands to ``prequential_run``."""
+    """Record the RunConfig fields of every config that the CLI hands to
+    ``prequential_run``."""
     import parsnet.cli as cli
 
     seen = []
     original = cli.prequential_run
 
     def capture(config, scenario, log=None):
-        seen.append(config)
+        seen.append(RunConfig(**{entry.name: getattr(config, entry.name)
+                                 for entry in fields(RunConfig)}))
         return original(config, scenario, log)
 
     monkeypatch.setattr(cli, "prequential_run", capture)
@@ -595,7 +629,7 @@ def test_ablations_and_logs_reach_the_run_config(tmp_path, monkeypatch):
     assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "4",
                  "--out", str(out), "--ablate", "agmm", "--ablate", "slash",
                  "--log"]) == 0
-    assert seen == [RunConfig(seed=4, agmm_off=True, slash_off=True)]
+    assert seen == [RunConfig(seed=4, ablate=["agmm", "slash"])]
     assert (out / "log_seed4.jsonl").exists()
     seen.clear()
     config = tmp_path / "abl.cfg"
@@ -603,7 +637,7 @@ def test_ablations_and_logs_reach_the_run_config(tmp_path, monkeypatch):
     config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=4\nout={out}\n"
                       "ablate=evolve\nlog=true\n")
     assert main(["--config", str(config)]) == 0
-    assert seen == [RunConfig(seed=4, evolve_off=True)]
+    assert seen == [RunConfig(seed=4, ablate=["evolve"])]
     assert (out / "log_seed4.jsonl").exists()
     seen.clear()
     out = tmp_path / "abl-none"

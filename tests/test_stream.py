@@ -281,7 +281,7 @@ def learner_state(learner):
 @pytest.mark.parametrize("agmm_off", [False, True])
 @pytest.mark.parametrize("bad", [2, 9, -2])
 def test_out_of_range_label_rejected_before_any_state_change(bad, agmm_off):
-    learner = warmed_learner(agmm_off=agmm_off)
+    learner = warmed_learner(ablate=["agmm"] if agmm_off else [])
     before = learner_state(learner)
     labels = np.array([0, 1, -1, bad, 0])
     with pytest.raises(ValueError, match=f"label {bad} "):
@@ -314,8 +314,9 @@ def test_batch_shape_mismatch_rejected_before_any_state_change():
 
 
 def test_library_callers_get_the_option_checks(monkeypatch):
-    # A zero hedge_eps turns the network parameters NaN, and a negative mask
-    # fraction means nothing: both must raise before any state exists.
+    # A zero hedge_eps turns the network parameters NaN, a negative mask
+    # fraction means nothing and a misspelt ablation would switch nothing off:
+    # each must raise before any state exists.
     def unbuilt(*args, **kwargs):
         raise AssertionError("learner state built before the config was checked")
 
@@ -323,7 +324,8 @@ def test_library_callers_get_the_option_checks(monkeypatch):
     scenario = make_sporadic(gen_sea(600, seed=1, batch_size=200), 0.5,
                              np.random.default_rng(1))
     for change, key in (({"hedge_eps": 0.0}, "hedge_eps"),
-                        ({"mask_fraction": -0.5}, "mask_frac")):
+                        ({"mask_fraction": -0.5}, "mask_frac"),
+                        ({"ablate": ["evolv"]}, "ablate")):
         config = RunConfig(seed=1, **change)
         with pytest.raises(ValueError, match=f"^{key}: "):
             StreamLearner(3, 2, config)
@@ -395,14 +397,14 @@ def test_classification_rate_is_batch_mean():
 def test_evolution_off_keeps_width_constant():
     scenario = make_sporadic(blob_batches(n_batches=6, size=200), 0.5,
                              np.random.default_rng(4))
-    metrics = prequential_run(RunConfig(seed=1, evolve_off=True), scenario)
+    metrics = prequential_run(RunConfig(seed=1, ablate=["evolve"]), scenario)
     assert set(metrics.hidden_nodes) == {1}
     assert not any(kind.startswith("node") for _, kind in metrics.events)
 
 
 def test_slash_off_emits_no_pseudo_labels():
     scenario = make_infinite_delay(blob_batches(n_batches=6, size=200))
-    metrics = prequential_run(RunConfig(seed=1, slash_off=True), scenario)
+    metrics = prequential_run(RunConfig(seed=1, ablate=["slash"]), scenario)
     assert metrics.pseudo_labels == 0
     assert metrics.counters["disc_aug_steps"] == 0
 
@@ -421,7 +423,7 @@ def test_fully_labelled_stream_has_no_pseudo_labels():
 def test_agmm_off_runs_with_static_unit_mixture():
     scenario = make_sporadic(blob_batches(n_batches=5, size=200), 0.5,
                              np.random.default_rng(5))
-    metrics = prequential_run(RunConfig(seed=1, agmm_off=True), scenario)
+    metrics = prequential_run(RunConfig(seed=1, ablate=["agmm"]), scenario)
     assert set(metrics.mixture_sizes) == {1}
     assert metrics.pseudo_labels == 0  # frozen mixture never sees labels
     assert not any(kind.startswith("mixture") for _, kind in metrics.events)

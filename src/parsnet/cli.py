@@ -49,7 +49,7 @@ class ExperimentConfig(RunConfig):
     drift: float = option(2e-5, "hyperplane weight drift per sample")
     scenario: str = option("sporadic", "labels in a fraction of each batch, or the first only",
                            choices=("sporadic", "delay"))
-    label_frac: float = option(0.5, "labelled fraction per batch")
+    label_frac: float = option(0.5, "labelled fraction per batch", range="(0, 1)")
     batch: int = option(1000, "batch size", range="[1, inf)")
     seeds: list[int] = option([1, 2, 3, 4, 5], "comma-separated run seeds", type=int,
                               range="[0, inf)")
@@ -76,17 +76,20 @@ def load_csv(path: str, batch_size: int) -> list[Batch]:
         if header is None:
             raise ConfigError(f"{path}: file is empty")
         names = [name.strip() for name in header]
-        if "label" not in names:
-            raise ConfigError(f"{path}: no 'label' column in header {names}")
+        if "label" not in names or len(names) < 2:
+            raise ConfigError(f"{path}: header {names} needs a 'label' and a feature column")
         label_at = names.index("label")
         feature_at = [i for i in range(len(names)) if i != label_at]
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(names):
+                raise ConfigError(f"{path}: line {line} has {len(row)} fields, "
+                                  f"the header {len(names)}")
             try:
                 features.append([float(row[i]) for i in feature_at])
                 label = float(row[label_at])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"{path}: malformed row at line {line}: {exc}") from exc
             if not all(map(math.isfinite, features[-1])):
                 raise ConfigError(f"{path}: non-finite feature at line {line}")
@@ -163,6 +166,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     runs, write reports and print the headline."""
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
+    if len(set(cfg.seeds)) < len(cfg.seeds):
+        raise ConfigError(f"seeds: {cfg.seeds} repeats a seed")
     try:
         check_options(cfg)
         batches, dataset = _build_batches(cfg)

@@ -13,7 +13,10 @@ it).  The classifier gradients, the hedge's pull addend and its stores share
 the layout, so one SGD step or one accumulator update is one vector
 operation.  The decoder bias ``d`` is stored on its own.  A structural
 change builds a new vector and rebinds the views; code that keeps a view
-across ``add_nodes`` or ``prune_nodes`` holds the old parameters.
+across ``add_nodes`` or ``prune_nodes`` holds the old parameters.  Both return
+flat positions, so any vector in the layout follows with one index operation:
+``new[carried] = old`` after ``carried = add_nodes(...)``, ``new = old[kept]``
+after ``kept = prune_nodes(...)``.
 
 Validation contract: the inference and step methods check their input once,
 on entry (batch, or sample with :func:`check_sample`, shape and finiteness,
@@ -311,27 +314,35 @@ class Network:
 
     # -- structural changes --------------------------------------------------
 
-    def add_nodes(self, count: int, rng: np.random.Generator) -> None:
-        """Append ``count`` freshly initialised hidden units; old units untouched."""
+    def _positions(self, units) -> np.ndarray:
+        """The positions in ``params`` of hidden units ``units``' entries, then ``c_out``'s."""
+        w_in, b_in, w_out, c_out = theta_views(
+            np.arange(self.params.shape[0]), self.n_inputs, self.n_classes).values()
+        return flatten_theta(w_in[units], b_in[units], w_out[units], c_out)
+
+    def add_nodes(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Append ``count`` freshly initialised hidden units, old units untouched;
+        returns where the old entries now sit in ``params``."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        total = self.n_hidden + count
+        old, total = self.n_hidden, self.n_hidden + count
         new_w_in = self._xavier(rng, (count, self.n_inputs), self.n_inputs, total)
         new_w_out = self._xavier(rng, (count, self.n_classes), total, self.n_classes)
         self._bind(flatten_theta(np.vstack([self.w_in, new_w_in]),
                                  np.append(self.b_in, np.zeros(count)),
                                  np.vstack([self.w_out, new_w_out]), self.c_out))
+        return self._positions(slice(old))
 
     def prune_nodes(self, indexes) -> np.ndarray:
-        """Remove the listed hidden units; returns the survivors' old indices, in order."""
+        """Remove the listed hidden units; returns where the survivors' entries
+        sat in the old ``params``."""
         indexes = np.unique(np.asarray(indexes, dtype=int))
         if indexes.size == 0:
-            return np.arange(self.n_hidden)
+            return np.arange(self.params.shape[0])
         if indexes.min() < 0 or indexes.max() >= self.n_hidden:
             raise IndexError("hidden-unit index out of range")
         if indexes.size >= self.n_hidden:
             raise ValueError("refusing to prune every hidden unit")
-        keep = np.setdiff1d(np.arange(self.n_hidden), indexes)
-        self._bind(flatten_theta(self.w_in[keep], self.b_in[keep], self.w_out[keep],
-                                 self.c_out))
-        return keep
+        kept = self._positions(np.setdiff1d(np.arange(self.n_hidden), indexes))
+        self._bind(self.params[kept])
+        return kept

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .network import constants, flatten_theta, normalized_top2, theta_bounds, theta_views
+from .network import constants, flatten_theta, normalized_top2, theta_bounds
 
 # Pseudo-label decision outcomes, as recorded in the learner's gate log.
 ACCEPTED = "accepted"
@@ -35,9 +35,9 @@ DISAGREEMENT = "disagreement"
 # Jitter std per augmentation mode; image noise is 33 grey levels of 0..255.
 AUGMENT_NOISE_STD = {"tabular": math.sqrt(1e-3), "image": 33.0 / 255.0}
 
-HIDDEN_AXIS_KEYS = ("w_in", "b_in", "w_out")  # rows indexed by hidden unit
-
 _ZERO, _ONE = constants(0.0, 1.0)
+
+_STORES = ("_anchor", "_importance", "_loss_drop", "_movement")
 
 
 def mixture_confidence(agmm_probs: np.ndarray | None, agmm_threshold: float) -> float | None:
@@ -97,11 +97,10 @@ class HedgeState:
     normalising jointly to unit length yields the importance weights; the
     anchor is the parameter snapshot taken after the last true-label update.
 
-    The four stores are flat vectors in the layout of ``Network.params``
-    (see :func:`~parsnet.network.theta_views`), so ``record_step``, ``pull``
-    and ``set_anchor`` each work on whole vectors.  The ``anchor``,
-    ``importance``, ``loss_drop`` and ``movement`` properties name their
-    segments, for reading and for writing in place.
+    The four stores (``_anchor``, ``_importance``, ``_loss_drop``, ``_movement``)
+    are flat vectors in the layout of ``Network.params``, so ``record_step``,
+    ``pull`` and ``set_anchor`` each work on whole vectors, and a structural
+    change resizes each with the positions that the network returned.
 
     The importance weights are a pure function of the accumulators, so they
     are recomputed only after a method that changes the accumulators marks
@@ -110,21 +109,12 @@ class HedgeState:
 
     def __init__(self, theta: dict[str, np.ndarray], eps: float = 1e-8):
         self.eps = eps
-        self.steps = 0
         self._stale = True
         self.n_inputs = theta["w_in"].shape[1]
         self.n_classes = theta["c_out"].shape[0]
         self._anchor = flatten_theta(**theta)
         self._importance, self._loss_drop, self._movement = (
             np.zeros_like(self._anchor) for _ in range(3))
-
-    def _named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return theta_views(flat, self.n_inputs, self.n_classes)
-
-    anchor = property(lambda self: self._named(self._anchor))
-    importance = property(lambda self: self._named(self._importance))
-    loss_drop = property(lambda self: self._named(self._loss_drop))
-    movement = property(lambda self: self._named(self._movement))
 
     # -- accumulation (real labels only) ------------------------------------
 
@@ -137,7 +127,6 @@ class HedgeState:
         delta = (-lr) * grads
         self._loss_drop -= delta * grads
         self._movement += np.abs(delta)
-        self.steps += 1
         self._stale = True
 
     def refresh_importance(self) -> None:
@@ -178,29 +167,22 @@ class HedgeState:
 
     # -- structural resizes ----------------------------------------------------
 
-    def grow_hidden(self, params: np.ndarray) -> None:
-        """Extend the state after hidden units were appended to ``params``.
-
-        New rows enter the anchor at their freshly initialised values and the
-        accumulators at zero: new units have no history to protect.
-        """
-        for name in ("_anchor", "_importance", "_loss_drop", "_movement"):
-            old = self._named(getattr(self, name))
+    def grow_hidden(self, params: np.ndarray, carried: np.ndarray) -> None:
+        """Extend every store to the grown ``params`` at the ``carried`` positions
+        that ``Network.add_nodes`` returned; new entries start at their initial
+        values in the anchor and at zero in the accumulators (no history yet)."""
+        for name in _STORES:
             grown = params.copy() if name == "_anchor" else np.zeros_like(params)
-            new = self._named(grown)
-            for key in HIDDEN_AXIS_KEYS:
-                new[key][:old[key].shape[0]] = old[key]
-            new["c_out"][:] = old["c_out"]
+            grown[carried] = getattr(self, name)
             setattr(self, name, grown)
         self._stale = True
 
-    def prune_hidden(self, keep: np.ndarray) -> None:
-        """Drop the rows of removed hidden units from every store."""
-        for name in ("_anchor", "_importance", "_loss_drop", "_movement"):
-            old = self._named(getattr(self, name))
-            setattr(self, name, flatten_theta(old["w_in"][keep], old["b_in"][keep],
-                                              old["w_out"][keep], old["c_out"]))
-        # Dropping rows changes the joint norm, so the survivors renormalise.
+    def prune_hidden(self, kept: np.ndarray) -> None:
+        """Keep the ``kept`` positions that ``Network.prune_nodes`` returned,
+        in every store."""
+        for name in _STORES:
+            setattr(self, name, getattr(self, name)[kept])
+        # Dropping entries changes the joint norm, so the survivors renormalise.
         self._stale = True
 
 

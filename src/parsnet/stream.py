@@ -320,8 +320,9 @@ class StreamLearner:
         bias_sq, variance = bias_variance(e_hidden, target, self.net, phase)
         if monitor.observe_bias(bias_sq):
             if "evolve" not in cfg.ablate and self.net.n_hidden < cfg.max_hidden:
-                self.net.add_nodes(self.mixture.size, self.rng)
-                self.hedge.grow_hidden(self.net.params)
+                # add_nodes rebinds params, so it runs before params is read.
+                carried = self.net.add_nodes(self.mixture.size, self.rng)
+                self.hedge.grow_hidden(self.net.params, carried)
                 self.events.append((sample, "node_grow"))
                 self._last_growth = sample
         elif monitor.observe_variance(variance) and "evolve" not in cfg.ablate:

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from parsnet.network import THETA_KEYS
+from parsnet.network import THETA_KEYS, theta_views
 from parsnet.stream import StreamLearner, prequential_run
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -49,10 +49,12 @@ def _named_state(learner: StreamLearner):
     for key in MIXTURE_ARRAYS:
         yield f"mixture.{key}", getattr(mixture, key)
     for store in HEDGE_STORES:
-        named = getattr(hedge, store)
+        named = theta_views(getattr(hedge, "_" + store), net.n_inputs, net.n_classes)
         for key in THETA_KEYS:
             yield f"hedge.{store}.{key}", named[key]
-    yield "hedge.steps", hedge.steps
+    # The hedge records two steps per labelled sample: the label and its
+    # augmented copy, the only steps that count in ``disc_aug_steps``.
+    yield "hedge.steps", 2 * learner.counters["disc_aug_steps"]
     for phase in ("gen_monitor", "disc_monitor"):
         monitor = getattr(learner, phase)
         yield f"{phase}.levels", (monitor.bias_level, monitor.var_level)

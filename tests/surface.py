@@ -1,16 +1,23 @@
-"""Line count, public-symbol count and settable-option count of the package.
+"""Line count, public-symbol count and settable-option count of the package,
+and the public symbols that nothing reads.
 
     python3 tests/surface.py [PACKAGE_DIR]
 
 prints, for each ``*.py`` file of ``PACKAGE_DIR`` (default ``src/parsnet``),
 its line count (as ``wc -l`` counts) and its public symbols, then the totals;
-then the settable options of each config class, then their total.
+then the settable options of each config class, then their total; then the
+public symbols that no file of the package or of the benchmark directory
+(``perfbench`` next to the package's ``src``) reads.
 A public symbol is a module-level function, class or constant whose name does
 not start with an underscore, or such a member of a public class: a method,
 property or class attribute, dataclass fields included.  A config class is a
 dataclass whose name ends in ``Config``; its settable options are the fields
-its own body declares, so a subclass does not count its base's again.  The
-files are parsed, not imported.
+its own body declares, so a subclass does not count its base's again.  A
+read is a name or an attribute in load context (``x``, ``obj.x``, not
+``obj.x = ...``), an entry of ``__all__`` or an entry of the benchmark's span
+``TARGETS``; a member counts as read where any attribute of its name is, so
+the list errs toward missing an unread symbol.  The files are parsed, not
+imported.
 """
 
 from __future__ import annotations
@@ -72,20 +79,43 @@ def config_options(source: str) -> list[tuple[str, int]]:
             and any("dataclass" in ast.unparse(deco) for deco in node.decorator_list)]
 
 
+def reads(source: str) -> set[str]:
+    """The names one module reads, by the rule in the module docstring."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif {"__all__", "TARGETS"} & set(_assigned(node)):
+            found.update(item.value for item in ast.walk(node.value)
+                         if isinstance(item, ast.Constant) and isinstance(item.value, str))
+    return found
+
+
 def main(package: pathlib.Path) -> None:
     lines = symbols = options = 0
-    configs = []
+    configs, public, read = [], [], set()
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
-        count, found = text.count("\n"), len(public_symbols(text))
-        lines, symbols = lines + count, symbols + found
+        found = public_symbols(text)
+        count = text.count("\n")
+        lines, symbols = lines + count, symbols + len(found)
         configs += config_options(text)
-        print(f"{path.name:16} {count:6} lines {found:5} public symbols")
+        public += [f"{path.stem}.{name}" for name in found]
+        read |= reads(text)
+        print(f"{path.name:16} {count:6} lines {len(found):5} public symbols")
+    for path in sorted((package.parents[1] / "perfbench").glob("*.py")):
+        read |= reads(path.read_text())
     print(f"{'total':16} {lines:6} lines {symbols:5} public symbols")
     for name, count in configs:
         options += count
         print(f"{name:16} {count:6} settable options")
     print(f"{'total':16} {options:6} settable options")
+    unread = [name for name in public if name.rsplit(".", 1)[-1] not in read]
+    print(f"{len(unread)} public symbols that nothing reads:")
+    for name in unread:
+        print(f"  {name}")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,11 @@ def report(number, ok, detail):
     assert ok, line
 
 
+def stored(hedge, name):
+    """One of the hedge's flat stores by segment: views that read and write it."""
+    return theta_views(getattr(hedge, "_" + name), hedge.n_inputs, hedge.n_classes)
+
+
 # -- shared heavy inputs --------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -108,9 +113,9 @@ def test_criterion_1_gradient_correctness():
 
         # classifier gradients, without and with the anchored pull
         hedge = HedgeState(net.theta())
-        for part in hedge.importance.values():
+        for part in stored(hedge, "importance").values():
             part[...] = rng.normal(0.0, 0.3, part.shape)
-        for key, part in hedge.anchor.items():
+        for key, part in stored(hedge, "anchor").items():
             part[...] = net.theta()[key] + rng.normal(0.0, 0.2, part.shape)
         strength = 0.7
 
@@ -120,10 +125,10 @@ def test_criterion_1_gradient_correctness():
 
         def total_objective():
             loss_value, _ = net.discriminative_gradients(x, target)
-            for key in hedge.anchor:
-                dev = net.theta()[key] - hedge.anchor[key]
+            for key in stored(hedge, "anchor"):
+                dev = net.theta()[key] - stored(hedge, "anchor")[key]
                 loss_value += 0.5 * strength * float(
-                    np.sum(hedge.importance[key] * dev * dev))
+                    np.sum(stored(hedge, "importance")[key] * dev * dev))
             return loss_value
 
         for name in ("w_in", "b_in", "w_out", "c_out"):
@@ -250,12 +255,12 @@ def test_criterion_5_hedge_containment():
             x = np.clip(means[y] + noise, 0.0, 1.0)
             pull = hedge.pull(net.params, strength=1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr, grad_addend=pull)
-        hedged = gap(net, hedge.anchor)
+        hedged = gap(net, stored(hedge, "anchor"))
         net = copy.deepcopy(start)
         for y, noise in flips:
             x = np.clip(means[y] + noise, 0.0, 1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr)
-        margins.append(gap(net, hedge.anchor) - hedged)
+        margins.append(gap(net, stored(hedge, "anchor")) - hedged)
 
     elapsed = time.perf_counter() - started
     ok = all(m > 0.0 for m in margins) and elapsed < 10.0

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -187,6 +188,33 @@ def test_non_finite_csv_feature_is_a_config_error_before_any_output(tmp_path, ca
     assert not out.exists()
 
 
+# A row must hold one field per header column: an extra field is not dropped,
+# a missing one is not a bare index error, and either way no output is made.
+@pytest.mark.parametrize("row, count", [("0.3,0.4,1,9", 4), ("0.3,1", 2)])
+def test_load_csv_row_of_the_wrong_width_is_a_config_error(tmp_path, capsys, row, count):
+    path = tmp_path / "wide.csv"
+    write_csv(path, ["0.1,0.2,0", row])
+    message = f"{path}: line 3 has {count} fields, the header 3"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_csv(str(path), batch_size=10)
+    out = tmp_path / "width"
+    assert main(["--data", str(path), "--seeds", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_load_csv_without_a_feature_column_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "labels.csv"
+    write_csv(path, ["0", "1"], header="label")
+    message = f"{path}: header ['label'] needs a 'label' and a feature column"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_csv(str(path), batch_size=10)
+    out = tmp_path / "bare"
+    assert main(["--data", str(path), "--seeds", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_load_csv_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_csv("/nonexistent/nope.csv", batch_size=10)
@@ -293,24 +321,47 @@ def test_config_value_outside_the_flag_choices_is_a_config_error(tmp_path, capsy
 
 # Values of the right type that the learner or the stream builder cannot use
 # (a zero ``hedge_eps`` turns the parameters NaN) stop the run before any output.
-@pytest.mark.parametrize("flag, text", [
+# ``label_frac`` is checked under the delay scenario too, which never reads it.
+REJECTED = [(flag, text, "sporadic") for flag, text in [
     ("--gen-size", "0"), ("--batch", "0"), ("--init-nodes", "0"), ("--init-spread", "0"),
     ("--mask-frac", "1.0"), ("--lr-gen", "-0.01"), ("--lr-disc", "-0.01"),
     ("--hedge-eps", "0"), ("--label-noise", "2"), ("--agmm-conf", "7"), ("--net-conf", "-3"),
     ("--max-hidden", "0"), ("--prune-grace", "-5"), ("--prune-holdoff", "-1"),
-    ("--gen-seed", "-1"), ("--seeds", "-1")])
+    ("--gen-seed", "-1"), ("--seeds", "-1"), ("--label-frac", "5")]] + [
+    ("--label-frac", "5", "delay")]
+
+
+@pytest.mark.parametrize("flag, text, scenario", REJECTED, ids=[
+    f"{flag}-{text}" + ("" if scenario == "sporadic" else f"-{scenario}")
+    for flag, text, scenario in REJECTED])
 def test_value_the_learner_rejects_is_a_config_error_before_any_output(
-        tmp_path, capsys, flag, text):
+        tmp_path, capsys, flag, text, scenario):
     key = flag[2:].replace("-", "_")
     out = tmp_path / "rejected"
     base = ["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "1",
-            "--out", str(out)]
+            "--scenario", scenario, "--out", str(out)]
     assert main(base + [flag, text]) == 1
-    assert key in capsys.readouterr().err
+    assert f"error: {key}: " in capsys.readouterr().err
     config = tmp_path / "rejected.cfg"
-    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nout={out}\n{key}={text}\n")
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nscenario={scenario}\n"
+                      f"out={out}\n{key}={text}\n")
     assert main(["--config", str(config)]) == 1
-    assert key in capsys.readouterr().err
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A repeated seed would run twice and count twice in the summary's mean and spread.
+def test_repeated_seed_is_a_config_error_before_any_output(tmp_path, capsys):
+    out = tmp_path / "twice"
+    assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "1,2,1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seeds: [1, 2, 1] repeats a seed\n"
+    config = tmp_path / "twice.cfg"
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=3 3\nout={out}\n")
+    assert main(["--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: seeds: [3, 3] repeats a seed\n"
+    with pytest.raises(ConfigError, match=r"^seeds: \[5, 5\] repeats a seed$"):
+        run_experiment(tiny_config(tmp_path, seeds=[5, 5], out=str(out)))
     assert not out.exists()
 
 

@@ -482,10 +482,49 @@ def test_prune_preserves_survivor_order():
 
 
 def test_prune_returns_the_old_indices_of_the_survivors():
+    # Flat positions: w_in at 0-14, b_in at 15-19, w_out at 20-29, c_out at 30-31.
     net = Network(3, 2, 5, np.random.default_rng(0))
-    assert net.prune_nodes([3, 1, 3]).tolist() == [0, 2, 4]
-    assert net.prune_nodes([]).tolist() == [0, 1, 2]
+    old = net.params.copy()
+    kept = net.prune_nodes([3, 1, 3])  # units 0, 2 and 4 survive
+    assert kept.tolist() == [0, 1, 2, 6, 7, 8, 12, 13, 14, 15, 17, 19,
+                             20, 21, 24, 25, 28, 29, 30, 31]
+    assert net.params.tobytes() == old[kept].tobytes()
+    assert net.prune_nodes([]).tolist() == list(range(20))
     assert net.n_hidden == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_inputs=st.integers(1, 8), n_classes=st.integers(2, 6), n_hidden=st.integers(1, 10),
+       count=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_add_and_prune_return_the_positions_of_the_carried_and_kept_entries(
+        n_inputs, n_classes, n_hidden, count, seed, data):
+    net = Network(n_inputs, n_classes, n_hidden, np.random.default_rng(seed))
+    old = net.params.copy()
+    carried = net.add_nodes(count, np.random.default_rng(seed))
+    new = net.params
+    assert new[carried].tobytes() == old.tobytes()
+    # Every other entry belongs to a fresh unit: Xavier rows and a zero bias,
+    # drawn like the network draws them.
+    twin, total = np.random.default_rng(seed), n_hidden + count
+    bound_in, bound_out = np.sqrt(6.0 / (n_inputs + total)), np.sqrt(6.0 / (total + n_classes))
+    fresh = (twin.uniform(-bound_in, bound_in, (count, n_inputs)), np.zeros(count),
+             twin.uniform(-bound_out, bound_out, (count, n_classes)))
+    others = np.ones(new.shape[0], dtype=bool)
+    others[carried] = False
+    assert new[others].tobytes() == np.concatenate(fresh, axis=None).tobytes()
+    named = theta_views(new, n_inputs, n_classes)
+    for key, rows in zip(("w_in", "b_in", "w_out"), fresh):
+        assert named[key][n_hidden:].tobytes() == rows.tobytes(), key
+
+    doomed = data.draw(st.lists(st.integers(0, total - 1), max_size=total - 1, unique=True))
+    survivors = np.setdiff1d(np.arange(total), doomed)
+    grown = new.copy()
+    kept = net.prune_nodes(doomed)
+    assert net.params.tobytes() == grown[kept].tobytes()
+    before, after = theta_views(grown, n_inputs, n_classes), net.theta()
+    for key in ("w_in", "b_in", "w_out"):
+        assert after[key].tobytes() == before[key][survivors].tobytes(), key
+    assert after["c_out"].tobytes() == before["c_out"].tobytes()
 
 
 def test_prune_everything_rejected():

@@ -26,6 +26,11 @@ def tiny_params(value=0.0):
     return flatten_theta(**tiny_theta(value))
 
 
+def stored(hedge, name):
+    """One of the hedge's flat stores by segment: views that read and write it."""
+    return theta_views(getattr(hedge, "_" + name), hedge.n_inputs, hedge.n_classes)
+
+
 # -- self-labelling gate ---------------------------------------------------------
 
 DEFAULTS = RunConfig()
@@ -174,25 +179,23 @@ def test_scaler_monotone_given_fixed_extrema():
 def test_record_step_zero_delta_only_counts():
     hedge = HedgeState(tiny_theta())
     hedge.record_step(0.0, tiny_params(1.0))
-    assert hedge.steps == 1
-    assert all(not hedge.loss_drop[k].any() for k in hedge.loss_drop)
-    assert all(not hedge.movement[k].any() for k in hedge.movement)
+    assert all(not stored(hedge, "loss_drop")[k].any() for k in stored(hedge, "loss_drop"))
+    assert all(not stored(hedge, "movement")[k].any() for k in stored(hedge, "movement"))
 
 
 def test_record_step_scalar_arithmetic():
     # movement against the gradient books a positive loss drop
     hedge = HedgeState(tiny_theta())
     hedge.record_step(0.1, tiny_params(1.0))
-    assert hedge.loss_drop["w_in"][0, 0] == pytest.approx(0.1)
-    assert hedge.movement["w_in"][0, 0] == pytest.approx(0.1)
+    assert stored(hedge, "loss_drop")["w_in"][0, 0] == pytest.approx(0.1)
+    assert stored(hedge, "movement")["w_in"][0, 0] == pytest.approx(0.1)
 
 
 def test_record_step_is_additive():
     hedge = HedgeState(tiny_theta())
     for _ in range(2):
         hedge.record_step(0.1, tiny_params(1.0))
-    assert hedge.loss_drop["b_in"][0] == pytest.approx(0.2)
-    assert hedge.steps == 2
+    assert stored(hedge, "loss_drop")["b_in"][0] == pytest.approx(0.2)
 
 
 def test_record_step_equals_the_delta_dict_form():
@@ -201,8 +204,8 @@ def test_record_step_equals_the_delta_dict_form():
     rng = np.random.default_rng(8)
     net = Network(4, 3, 5, rng)
     hedge = HedgeState(net.theta())
-    loss_drop = {k: np.zeros_like(v) for k, v in hedge.loss_drop.items()}
-    movement = {k: np.zeros_like(v) for k, v in hedge.movement.items()}
+    loss_drop = {k: np.zeros_like(v) for k, v in stored(hedge, "loss_drop").items()}
+    movement = {k: np.zeros_like(v) for k, v in stored(hedge, "movement").items()}
     for lr in rng.uniform(0.0, 0.2, 50):
         _, flat_grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], lr)
         hedge.record_step(lr, flat_grads)
@@ -212,9 +215,8 @@ def test_record_step_equals_the_delta_dict_form():
             loss_drop[key] -= delta[key] * grads[key]
             movement[key] += np.abs(delta[key])
     for key in THETA_KEYS:
-        assert hedge.loss_drop[key].tobytes() == loss_drop[key].tobytes(), key
-        assert hedge.movement[key].tobytes() == movement[key].tobytes(), key
-    assert hedge.steps == 50
+        assert stored(hedge, "loss_drop")[key].tobytes() == loss_drop[key].tobytes(), key
+        assert stored(hedge, "movement")[key].tobytes() == movement[key].tobytes(), key
 
 
 def test_importance_inert_without_history():
@@ -225,21 +227,21 @@ def test_importance_inert_without_history():
 
 def test_importance_scalar_normalisation():
     hedge = HedgeState(tiny_theta())
-    hedge.loss_drop["w_in"][0, 0] = 2.0
-    hedge.movement["w_in"][0, 0] = 1.0
+    stored(hedge, "loss_drop")["w_in"][0, 0] = 2.0
+    stored(hedge, "movement")["w_in"][0, 0] = 1.0
     hedge.refresh_importance()
-    assert hedge.importance["w_in"][0, 0] == pytest.approx(1.0, rel=1e-6)
-    assert hedge.importance["c_out"] == pytest.approx([0.0, 0.0])
+    assert stored(hedge, "importance")["w_in"][0, 0] == pytest.approx(1.0, rel=1e-6)
+    assert stored(hedge, "importance")["c_out"] == pytest.approx([0.0, 0.0])
 
 
 def test_importance_keeps_accumulator_sign():
     hedge = HedgeState(tiny_theta())
-    hedge.loss_drop["w_in"][0, 0] = 2.0
-    hedge.loss_drop["w_in"][1, 1] = -1.0
-    hedge.movement["w_in"][:] = 1.0
+    stored(hedge, "loss_drop")["w_in"][0, 0] = 2.0
+    stored(hedge, "loss_drop")["w_in"][1, 1] = -1.0
+    stored(hedge, "movement")["w_in"][:] = 1.0
     hedge.refresh_importance()
-    assert hedge.importance["w_in"][0, 0] > 0.0
-    assert hedge.importance["w_in"][1, 1] < 0.0
+    assert stored(hedge, "importance")["w_in"][0, 0] > 0.0
+    assert stored(hedge, "importance")["w_in"][1, 1] < 0.0
 
 
 def test_importance_norm_over_flat_slices_equals_the_per_key_sums():
@@ -252,19 +254,19 @@ def test_importance_norm_over_flat_slices_equals_the_per_key_sums():
             grads = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
             hedge.record_step(10.0 ** rng.uniform(-3.0, 0.0), grads)
         hedge.refresh_importance()
-        loss_drop = flatten_theta(**hedge.loss_drop)
-        movement = flatten_theta(**hedge.movement)
+        loss_drop = flatten_theta(**stored(hedge, "loss_drop"))
+        movement = flatten_theta(**stored(hedge, "movement"))
         raw = loss_drop / (movement ** 2 + hedge.eps)
         total_sq = 0.0
         for part in theta_views(raw * raw, u, c).values():
             total_sq += float(np.add.reduce(part, axis=None))
         expected = raw / math.sqrt(total_sq)
-        assert flatten_theta(**hedge.importance).tobytes() == expected.tobytes()
+        assert flatten_theta(**stored(hedge, "importance")).tobytes() == expected.tobytes()
 
 
 def test_pull_zero_at_anchor():
     hedge = HedgeState(tiny_theta(0.7))
-    for part in hedge.importance.values():
+    for part in stored(hedge, "importance").values():
         part[...] = 1.0
     hedge.set_anchor(tiny_params(0.7))
     assert not hedge.pull(tiny_params(0.7), strength=1.0).any()
@@ -272,7 +274,7 @@ def test_pull_zero_at_anchor():
 
 def test_pull_arithmetic():
     hedge = HedgeState(tiny_theta(0.0))
-    for part in hedge.importance.values():
+    for part in stored(hedge, "importance").values():
         part[...] = 0.5
     pull = theta_views(hedge.pull(tiny_params(2.0), strength=1.0), 3, 2)
     assert pull["w_out"][0, 0] == pytest.approx(1.0)
@@ -295,30 +297,28 @@ def test_pull_and_refresh_leave_accumulators_untouched():
         _, grads = net.discriminative_step(rng.random(4), np.eye(2)[0], 0.05)
         hedge.record_step(0.05, grads)
     hedge.set_anchor(net.params)
-    snapshot = {k: v.copy() for k, v in hedge.loss_drop.items()}
-    moves = {k: v.copy() for k, v in hedge.movement.items()}
-    steps = hedge.steps
+    snapshot = {k: v.copy() for k, v in stored(hedge, "loss_drop").items()}
+    moves = {k: v.copy() for k, v in stored(hedge, "movement").items()}
     for _ in range(10):  # pseudo-label-style traffic: scoring only
         hedge.refresh_importance()
         hedge.pull(net.params, strength=0.7)
-    assert hedge.steps == steps
     for key in snapshot:
-        assert np.array_equal(snapshot[key], hedge.loss_drop[key])
-        assert np.array_equal(moves[key], hedge.movement[key])
+        assert np.array_equal(snapshot[key], stored(hedge, "loss_drop")[key])
+        assert np.array_equal(moves[key], stored(hedge, "movement")[key])
 
 
 def test_grow_hidden_anchors_fresh_units_at_initial_values():
     rng = np.random.default_rng(3)
     net = Network(3, 2, 2, rng)
     hedge = HedgeState(net.theta())
-    hedge.loss_drop["w_in"][:] = 1.0
-    net.add_nodes(2, rng)
-    hedge.grow_hidden(net.params)
-    assert hedge.anchor["w_in"].shape == (4, 3)
-    assert np.array_equal(hedge.anchor["w_in"][2:], net.w_in[2:])
-    assert not hedge.importance["w_in"][2:].any()
-    assert not hedge.loss_drop["w_in"][2:].any()
-    assert hedge.loss_drop["w_in"][:2].all()
+    stored(hedge, "loss_drop")["w_in"][:] = 1.0
+    carried = net.add_nodes(2, rng)
+    hedge.grow_hidden(net.params, carried)
+    assert stored(hedge, "anchor")["w_in"].shape == (4, 3)
+    assert np.array_equal(stored(hedge, "anchor")["w_in"][2:], net.w_in[2:])
+    assert not stored(hedge, "importance")["w_in"][2:].any()
+    assert not stored(hedge, "loss_drop")["w_in"][2:].any()
+    assert stored(hedge, "loss_drop")["w_in"][:2].all()
     # pull works again after the resize
     hedge.pull(net.params, strength=1.0)
 
@@ -326,11 +326,9 @@ def test_grow_hidden_anchors_fresh_units_at_initial_values():
 def test_prune_hidden_drops_matching_rows():
     net = Network(3, 2, 4, np.random.default_rng(4))
     hedge = HedgeState(net.theta())
-    hedge.movement["b_in"][:] = [1.0, 2.0, 3.0, 4.0]
-    keep = np.array([0, 2])
-    net.prune_nodes([1, 3])
-    hedge.prune_hidden(keep)
-    assert hedge.movement["b_in"].tolist() == [1.0, 3.0]
+    stored(hedge, "movement")["b_in"][:] = [1.0, 2.0, 3.0, 4.0]
+    hedge.prune_hidden(net.prune_nodes([1, 3]))
+    assert stored(hedge, "movement")["b_in"].tolist() == [1.0, 3.0]
     hedge.pull(net.params, strength=1.0)
 
 
@@ -338,7 +336,8 @@ def importance_from_scratch(hedge):
     """The normalised importance recomputed from copies of the accumulators."""
     raw, total_sq = {}, 0.0
     for key in THETA_KEYS:
-        value = hedge.loss_drop[key].copy() / (hedge.movement[key].copy() ** 2 + hedge.eps)
+        movement = stored(hedge, "movement")[key].copy()
+        value = stored(hedge, "loss_drop")[key].copy() / (movement ** 2 + hedge.eps)
         raw[key] = value
         total_sq += float(np.sum(value * value))
     norm = math.sqrt(total_sq)
@@ -359,18 +358,15 @@ def test_cached_importance_equals_recomputation_after_mixed_changes():
             _, grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], 0.1)
             hedge.record_step(0.1, grads)
         elif op == "grow" and net.n_hidden < 12:
-            net.add_nodes(int(rng.integers(1, 3)), rng)
-            hedge.grow_hidden(net.params)
+            carried = net.add_nodes(int(rng.integers(1, 3)), rng)
+            hedge.grow_hidden(net.params, carried)
         elif op == "prune" and net.n_hidden > 1:
-            doomed = [int(rng.integers(net.n_hidden))]
-            keep = np.setdiff1d(np.arange(net.n_hidden), doomed)
-            net.prune_nodes(doomed)
-            hedge.prune_hidden(keep)
+            hedge.prune_hidden(net.prune_nodes([int(rng.integers(net.n_hidden))]))
         elif op == "refresh":
             hedge.refresh_importance()
             expected = importance_from_scratch(hedge)
             for key in THETA_KEYS:
-                assert np.array_equal(hedge.importance[key], expected[key]), (op, key)
+                assert np.array_equal(stored(hedge, "importance")[key], expected[key]), (op, key)
 
 
 def test_flat_steps_and_hedge_equal_their_per_key_forms():
@@ -422,11 +418,11 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
                 assert named_addend[key].tobytes() == pull.tobytes(), key
                 ref[key] -= lr * (grads[key] + pull)
             for key in THETA_KEYS:
-                assert hedge.importance[key].tobytes() == importance[key].tobytes(), key
+                assert stored(hedge, "importance")[key].tobytes() == importance[key].tobytes(), key
         elif op == "grow" and net.n_hidden < 10:
             prev = net.n_hidden
-            net.add_nodes(int(rng.integers(1, 3)), rng)
-            hedge.grow_hidden(net.params)
+            carried = net.add_nodes(int(rng.integers(1, 3)), rng)
+            hedge.grow_hidden(net.params, carried)
             for key in hidden_keys:
                 fresh = net.theta()[key][prev:]
                 ref[key] = np.concatenate([ref[key], fresh])
@@ -436,8 +432,7 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
         elif op == "prune" and net.n_hidden > 1:
             doomed = [int(rng.integers(net.n_hidden))]
             keep = np.setdiff1d(np.arange(net.n_hidden), doomed)
-            net.prune_nodes(doomed)
-            hedge.prune_hidden(keep)
+            hedge.prune_hidden(net.prune_nodes(doomed))
             for key in hidden_keys:
                 for store in (ref, anchor, importance, loss_drop, movement):
                     store[key] = store[key][keep]
@@ -446,9 +441,9 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
         counts[op] += 1
         for key in THETA_KEYS:
             assert net.theta()[key].tobytes() == ref[key].tobytes(), (op, key)
-            assert hedge.anchor[key].tobytes() == anchor[key].tobytes(), (op, key)
-            assert hedge.loss_drop[key].tobytes() == loss_drop[key].tobytes(), (op, key)
-            assert hedge.movement[key].tobytes() == movement[key].tobytes(), (op, key)
+            assert stored(hedge, "anchor")[key].tobytes() == anchor[key].tobytes(), (op, key)
+            assert stored(hedge, "loss_drop")[key].tobytes() == loss_drop[key].tobytes(), (op, key)
+            assert stored(hedge, "movement")[key].tobytes() == movement[key].tobytes(), (op, key)
     assert min(counts.values()) >= 30, counts
 
 
@@ -529,12 +524,12 @@ def test_hedge_contains_flipped_pseudo_labels():
             x = np.clip(means[y] + noise, 0.0, 1.0)
             addend = hedge.pull(net.params, strength=1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr, grad_addend=addend)
-        hedged = theta_gap(net, hedge.anchor)
+        hedged = theta_gap(net, stored(hedge, "anchor"))
 
         net = copy.deepcopy(start)
         for y, noise in flips:
             x = np.clip(means[y] + noise, 0.0, 1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr)
-        plain = theta_gap(net, hedge.anchor)
+        plain = theta_gap(net, stored(hedge, "anchor"))
 
         assert hedged < plain, f"seed {seed}: {hedged:.6f} !< {plain:.6f}"

@@ -78,6 +78,8 @@ def load_csv(path: str, batch_size: int) -> list[Batch]:
         names = [name.strip() for name in header]
         if "label" not in names or len(names) < 2:
             raise ConfigError(f"{path}: header {names} needs a 'label' and a feature column")
+        if names.count("label") > 1:
+            raise ConfigError(f"{path}: header {names} names 'label' more than once")
         label_at = names.index("label")
         feature_at = [i for i in range(len(names)) if i != label_at]
         for line, row in enumerate(reader, start=2):
@@ -313,10 +315,6 @@ def merge_config(file_values: dict, cli_values: dict) -> ExperimentConfig:
         if name not in _OPTIONS:
             raise ConfigError(f"unknown config key {name!r}")
         setattr(cfg, _OPTIONS[name].name, _coerce(name, value))
-    if not cli_values.get("seeds") and "seeds" not in file_values:
-        env_seed = os.environ.get("PARSNET_SEED")
-        if env_seed:
-            cfg.seeds = [_parse("PARSNET_SEED", int, env_seed)]
     return cfg
 
 

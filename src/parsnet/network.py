@@ -3,7 +3,9 @@
 The decoder weight is the transpose of the encoder weight by construction
 (never stored separately), and the encoder weight and bias double as the
 first layer of the classifier.  The hidden layer can grow and shrink at
-runtime; all training is plain per-sample SGD on squared error.
+runtime; all training is plain per-sample SGD, on squared error for the
+reconstruction and on cross-entropy (default) or squared error for the
+classifier.
 
 Parameter layout: the classifier parameters ``w_in``, ``b_in``, ``w_out``
 and ``c_out`` live back to back, in :data:`THETA_KEYS` order, in one float64

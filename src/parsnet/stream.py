@@ -14,11 +14,11 @@ Validation contract: each public entry point checks its input once, before
 any state changes, and private helpers trust their input.  ``train_on_batch``
 checks the shapes and every label of a batch up front and finds its
 non-finite rows with one vectorised mask (those rows are skipped and
-counted); ``train_on_sample`` checks its label, and its sample with the
-shared :func:`~parsnet.network.check_sample`.  A rejected input raises
-``ValueError`` and leaves the learner untouched.  The network and mixture
-methods the learner calls are entry points of their own modules and keep
-their own single checks.
+counted); ``train_on_sample`` checks its label, and leaves its sample to its
+first callee, ``Network.generative_step``, which checks it before any state
+changes.  A rejected input raises ``ValueError`` and leaves the learner
+untouched.  The network and mixture methods the learner calls are entry
+points of their own modules and keep their own single checks.
 
 An unlabelled sample is scored by the network only where the mixture side of
 the gate passes or a log is attached; the self-labelled step then passes
@@ -38,10 +38,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .agmm import AgmmModel, NoClassEvidenceError
-from .network import LOSSES, Network, check_sample, normalized_top2
+from .network import LOSSES, Network, normalized_top2
 from .plasticity import PhaseMonitor, bias_variance, expected_hidden, prune_candidates
 from .slash import (AUGMENT_NOISE_STD, HedgeState, ReconScaler, augment,
                     mixture_confidence, propose_label)
+
+# Hidden growth stops at MAX_HIDDEN units, a guard against runaway growth and
+# not a hyperparameter; pruning waits PRUNE_HOLDOFF samples after the last
+# growth (see ``StreamLearner._evolve``).
+MAX_HIDDEN = 1024
+PRUNE_HOLDOFF = 1000
 
 
 @dataclass
@@ -61,7 +67,6 @@ class Batch:
 class StreamScenario:
     batches: list[Batch]
     num_classes: int
-    policy: str
     label_fraction: float
 
 
@@ -99,7 +104,7 @@ def make_sporadic(batches: list[Batch], fraction: float,
         labels = np.full(n, -1, dtype=np.int64)
         labels[keep] = batch.truth[keep]
         masked.append(Batch(batch.features, labels, batch.truth))
-    return StreamScenario(masked, _class_count(batches), "sporadic", fraction)
+    return StreamScenario(masked, _class_count(batches), fraction)
 
 
 def make_infinite_delay(batches: list[Batch]) -> StreamScenario:
@@ -112,7 +117,7 @@ def make_infinite_delay(batches: list[Batch]) -> StreamScenario:
                             np.full(batch.truth.shape[0], -1, dtype=np.int64),
                             batch.truth))
     total = sum(b.truth.shape[0] for b in batches)
-    return StreamScenario(masked, _class_count(batches), "infinite_delay",
+    return StreamScenario(masked, _class_count(batches),
                           batches[0].truth.shape[0] / total)
 
 
@@ -202,13 +207,6 @@ class RunConfig:
     loss: str = option("cross_entropy", "classifier training loss", choices=LOSSES)
     mask_fraction: float = option(0.1, "masked fraction of input features",
                                   key="mask_frac", range="[0, 1)")
-    prune_grace: int = option(40, "mixture pruning grace period", range="[0, inf)")
-    hedge_eps: float = option(1e-8, "importance division guard", range="(0, inf)")
-    init_nodes: int = option(1, "initial hidden units", range="[1, inf)")
-    max_hidden: int = option(1024, "hard cap on hidden growth (plumbing guard)",
-                             range="[1, inf)")
-    prune_holdoff: int = option(1000, "samples after hidden growth before pruning may act",
-                                range="[0, inf)")
     augment_mode: str = option("tabular", "noise level of the augmented labelled copy",
                                choices=tuple(AUGMENT_NOISE_STD))
     # agmm: a static unit Gaussian, so growth is one unit at a time; evolve: no
@@ -274,22 +272,18 @@ class StreamLearner:
         self.config = config
         self.log = log
         self.rng = np.random.default_rng(config.seed)
-        self.net = Network(n_inputs, n_classes, config.init_nodes, self.rng,
-                           loss=config.loss)
+        self.net = Network(n_inputs, n_classes, rng=self.rng, loss=config.loss)
         if "agmm" in config.ablate:
             # Frozen stand-in: one standard-normal component, never updated,
             # never labelled, so growth falls back to one unit at a time and
             # self-labelling stays silent.
-            self.mixture = AgmmModel(n_inputs, n_classes, init_spread=1.0,
-                                     prune_grace=config.prune_grace)
+            self.mixture = AgmmModel(n_inputs, n_classes, init_spread=1.0)
             self.mixture.insert(np.zeros(n_inputs))
         else:
-            self.mixture = AgmmModel(n_inputs, n_classes,
-                                     init_spread=config.init_spread,
-                                     prune_grace=config.prune_grace)
+            self.mixture = AgmmModel(n_inputs, n_classes, init_spread=config.init_spread)
         self.gen_monitor = PhaseMonitor()
         self.disc_monitor = PhaseMonitor()
-        self.hedge = HedgeState(self.net.theta(), config.hedge_eps)
+        self.hedge = HedgeState(self.net.theta())
         self.scaler = ReconScaler()
         self._last_growth = -(10 ** 9)
         self.counters = {"samples": 0, "skipped": 0, "gen_steps": 0,
@@ -319,14 +313,14 @@ class StreamLearner:
         e_hidden = expected_hidden(self.net, self.mixture)
         bias_sq, variance = bias_variance(e_hidden, target, self.net, phase)
         if monitor.observe_bias(bias_sq):
-            if "evolve" not in cfg.ablate and self.net.n_hidden < cfg.max_hidden:
+            if "evolve" not in cfg.ablate and self.net.n_hidden < MAX_HIDDEN:
                 # add_nodes rebinds params, so it runs before params is read.
                 carried = self.net.add_nodes(self.mixture.size, self.rng)
                 self.hedge.grow_hidden(self.net.params, carried)
                 self.events.append((sample, "node_grow"))
                 self._last_growth = sample
         elif monitor.observe_variance(variance) and "evolve" not in cfg.ablate:
-            settled = sample - self._last_growth >= cfg.prune_holdoff
+            settled = sample - self._last_growth >= PRUNE_HOLDOFF
             doomed = prune_candidates(e_hidden) if settled else []
             if doomed:
                 self.hedge.prune_hidden(self.net.prune_nodes(doomed))
@@ -348,13 +342,14 @@ class StreamLearner:
         not a finite vector of ``n_inputs`` features or a label outside
         ``-1..n_classes - 1``.
         """
-        x = check_sample(x, self.net.n_inputs)
         self._check_label(label)
+        x = np.asarray(x, dtype=float)  # the one array that every step below reads
         cfg, counters = self.config, self.counters
-        counters["samples"] += 1
 
-        # Generative phase: every sample, masked input, clean target.
+        # Generative phase: every sample, masked input, clean target.  The step
+        # checks the sample before it changes any state.
         recon_error = self.net.generative_step(x, cfg.lr_gen, cfg.mask_fraction, self.rng)
+        counters["samples"] += 1
         counters["gen_steps"] += 1
         hedge_strength = self.scaler.rescale(recon_error)
         if self.mixture.size:

@@ -1,7 +1,9 @@
+import ast
 import csv
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -215,6 +217,19 @@ def test_load_csv_without_a_feature_column_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# A second 'label' column would be read as a feature.
+def test_load_csv_header_naming_label_twice_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    write_csv(path, ["0,0.1,1", "1,0.2,0"], header="label,f1,label")
+    message = f"{path}: header ['label', 'f1', 'label'] names 'label' more than once"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_csv(str(path), batch_size=10)
+    out = tmp_path / "twice"
+    assert main(["--data", str(path), "--seeds", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_load_csv_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_csv("/nonexistent/nope.csv", batch_size=10)
@@ -244,7 +259,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         merge_config(parse_config_file(str(config)), {})
 
 
-def test_malformed_value_is_a_config_error_naming_the_key(tmp_path, monkeypatch, capsys):
+def test_malformed_value_is_a_config_error_naming_the_key(tmp_path, capsys):
     out = str(tmp_path / "bad")
     for key, text in (("lr_disc", "abc"), ("seeds", "1,x")):
         config = tmp_path / f"{key}.cfg"
@@ -255,13 +270,10 @@ def test_malformed_value_is_a_config_error_naming_the_key(tmp_path, monkeypatch,
         assert main(["--gen", "sea", "--out", out, "--" + key.replace("_", "-"), text]) == 1
         assert capsys.readouterr().err == error
     assert not os.path.exists(out)
-    monkeypatch.setenv("PARSNET_SEED", "x")
-    assert main(["--gen", "sea", "--out", out]) == 1
-    assert "PARSNET_SEED" in capsys.readouterr().err
 
 
 FLOAT_KEYS = ("label_noise", "drift", "label_frac", "agmm_conf", "net_conf",
-              "init_spread", "lr_gen", "lr_disc", "mask_frac", "hedge_eps")
+              "init_spread", "lr_gen", "lr_disc", "mask_frac")
 
 
 def test_non_finite_float_is_a_config_error_naming_the_key(tmp_path, capsys):
@@ -320,13 +332,12 @@ def test_config_value_outside_the_flag_choices_is_a_config_error(tmp_path, capsy
 
 
 # Values of the right type that the learner or the stream builder cannot use
-# (a zero ``hedge_eps`` turns the parameters NaN) stop the run before any output.
-# ``label_frac`` is checked under the delay scenario too, which never reads it.
+# stop the run before any output.  ``label_frac`` is checked under the delay
+# scenario too, which never reads it.
 REJECTED = [(flag, text, "sporadic") for flag, text in [
-    ("--gen-size", "0"), ("--batch", "0"), ("--init-nodes", "0"), ("--init-spread", "0"),
+    ("--gen-size", "0"), ("--batch", "0"), ("--init-spread", "0"),
     ("--mask-frac", "1.0"), ("--lr-gen", "-0.01"), ("--lr-disc", "-0.01"),
-    ("--hedge-eps", "0"), ("--label-noise", "2"), ("--agmm-conf", "7"), ("--net-conf", "-3"),
-    ("--max-hidden", "0"), ("--prune-grace", "-5"), ("--prune-holdoff", "-1"),
+    ("--label-noise", "2"), ("--agmm-conf", "7"), ("--net-conf", "-3"),
     ("--gen-seed", "-1"), ("--seeds", "-1"), ("--label-frac", "5")]] + [
     ("--label-frac", "5", "delay")]
 
@@ -367,7 +378,7 @@ def test_repeated_seed_is_a_config_error_before_any_output(tmp_path, capsys):
 
 def test_run_experiment_checks_the_run_config_before_any_output(tmp_path):
     out = tmp_path / "direct"
-    for run in ({"loss": "squard"}, {"augment_mode": "imag"}, {"init_nodes": 0},
+    for run in ({"loss": "squard"}, {"augment_mode": "imag"}, {"mask_fraction": 1.0},
                 {"lr_disc": math.nan}):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(gen="sea", gen_size=600, batch=300, seeds=[1],
@@ -375,12 +386,33 @@ def test_run_experiment_checks_the_run_config_before_any_output(tmp_path):
     assert not out.exists()
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("PARSNET_SEED", "123")
-    cfg = merge_config({}, {})
-    assert cfg.seeds == [123]
-    monkeypatch.delenv("PARSNET_SEED")
-    assert merge_config({}, {}).seeds == [1, 2, 3, 4, 5]
+# Implementation constants (stream.MAX_HIDDEN, ...) and component defaults
+# (Network's n_hidden, ...) are not options: no flag, key or field sets them.
+@pytest.mark.parametrize("key", ["init_nodes", "prune_grace", "hedge_eps", "max_hidden",
+                                 "prune_holdoff"])
+def test_removed_options_are_refused(tmp_path, capsys, key):
+    out = tmp_path / "removed"
+    flag = "--" + key.replace("_", "-")
+    assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "1",
+                 "--out", str(out), flag, "64"]) == 1
+    assert f"error: unrecognized arguments: {flag} 64" in capsys.readouterr().err
+    config = tmp_path / "removed.cfg"
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nout={out}\n{key}=5\n")
+    assert main(["--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not out.exists()
+    with pytest.raises(TypeError, match=key):
+        RunConfig(**{key: 1})
+
+
+def test_the_package_reads_no_environment_variable():
+    # Flags and the config file are the only ways to set an option.
+    sources = sorted(pathlib.Path(parsnet.__file__).parent.glob("*.py"))
+    assert len(sources) >= 7
+    sites = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")]
+    assert sites == []
 
 
 # -- experiment runner --------------------------------------------------------------------
@@ -535,11 +567,6 @@ FLAGS = {
     "--lr-disc": (None, True, "_StoreAction", "float"),
     "--loss": ("{cross_entropy,squared}", True, "_StoreAction", "str"),
     "--mask-frac": (None, True, "_StoreAction", "float"),
-    "--prune-grace": (None, True, "_StoreAction", "int"),
-    "--hedge-eps": (None, True, "_StoreAction", "float"),
-    "--init-nodes": (None, True, "_StoreAction", "int"),
-    "--max-hidden": (None, True, "_StoreAction", "int"),
-    "--prune-holdoff": (None, True, "_StoreAction", "int"),
     "--augment-mode": ("{tabular,image}", True, "_StoreAction", "str"),
     "--ablate": ("{agmm,evolve,slash}", True, "_AppendAction", "str"),
     "--data": (None, True, "_StoreAction", "str"),
@@ -619,11 +646,6 @@ HYPERPARAMETERS = [
     ("--lr-disc", "lr_disc", "lr_disc", 0.004),
     ("--loss", "loss", "loss", "squared"),
     ("--mask-frac", "mask_frac", "mask_fraction", 0.2),
-    ("--prune-grace", "prune_grace", "prune_grace", 17),
-    ("--prune-holdoff", "prune_holdoff", "prune_holdoff", 333),
-    ("--hedge-eps", "hedge_eps", "hedge_eps", 1e-6),
-    ("--init-nodes", "init_nodes", "init_nodes", 3),
-    ("--max-hidden", "max_hidden", "max_hidden", 64),
     ("--augment-mode", "augment_mode", "augment_mode", "image"),
 ]
 

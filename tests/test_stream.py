@@ -87,7 +87,8 @@ def test_infinite_delay_strips_all_but_first():
 
 def test_infinite_delay_two_batches_minimum():
     batches = blob_batches(n_batches=2)
-    assert make_infinite_delay(batches).policy == "infinite_delay"
+    assert all((batch.labels == -1).all()
+               for batch in make_infinite_delay(batches).batches[1:])
     with pytest.raises(ValueError):
         make_infinite_delay(batches[:1])
 
@@ -314,17 +315,15 @@ def test_batch_shape_mismatch_rejected_before_any_state_change():
 
 
 def test_library_callers_get_the_option_checks(monkeypatch):
-    # A zero hedge_eps turns the network parameters NaN, a negative mask
-    # fraction means nothing and a misspelt ablation would switch nothing off:
-    # each must raise before any state exists.
+    # A negative mask fraction means nothing and a misspelt ablation would
+    # switch nothing off: each must raise before any state exists.
     def unbuilt(*args, **kwargs):
         raise AssertionError("learner state built before the config was checked")
 
     monkeypatch.setattr(stream_module, "Network", unbuilt)
     scenario = make_sporadic(gen_sea(600, seed=1, batch_size=200), 0.5,
                              np.random.default_rng(1))
-    for change, key in (({"hedge_eps": 0.0}, "hedge_eps"),
-                        ({"mask_fraction": -0.5}, "mask_frac"),
+    for change, key in (({"mask_fraction": -0.5}, "mask_frac"),
                         ({"ablate": ["evolv"]}, "ablate")):
         config = RunConfig(seed=1, **change)
         with pytest.raises(ValueError, match=f"^{key}: "):
@@ -415,7 +414,7 @@ def test_fully_labelled_stream_has_no_pseudo_labels():
     # force every label present: rebuild with full labels
     full = [Batch(b.features, b.truth.copy(), b.truth) for b in batches]
     from parsnet.stream import StreamScenario
-    scenario = StreamScenario(full, scenario_like.num_classes, "full", 1.0)
+    scenario = StreamScenario(full, scenario_like.num_classes, 1.0)
     metrics = prequential_run(RunConfig(seed=1), scenario)
     assert metrics.pseudo_labels == 0
 

@@ -57,9 +57,8 @@ class ExperimentConfig(RunConfig):
     log: bool = option(False, "write structural checks and gate decisions as JSON lines")
 
 
-# Every flag and config key, with the field it sets.
-_OPTIONS = {entry.metadata.get("key", entry.name): entry
-            for entry in fields(ExperimentConfig) if "help" in entry.metadata}
+# Every option by name: its field, config key and flag (dashes for underscores).
+_OPTIONS = {entry.name: entry for entry in fields(ExperimentConfig) if "help" in entry.metadata}
 
 
 # -- data sources ------------------------------------------------------------
@@ -67,8 +66,8 @@ _OPTIONS = {entry.metadata.get("key", entry.name): entry
 def load_csv(path: str, batch_size: int) -> list[Batch]:
     """Read a headered CSV (feature columns plus a ``label`` column) into
     fully labelled batches, preserving file order."""
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset not found: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"dataset file not found: {path}")
     features, labels = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -168,8 +167,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     runs, write reports and print the headline."""
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
-    if len(set(cfg.seeds)) < len(cfg.seeds):
-        raise ConfigError(f"seeds: {cfg.seeds} repeats a seed")
     try:
         check_options(cfg)
         batches, dataset = _build_batches(cfg)
@@ -178,7 +175,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
                      for seed in cfg.seeds]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create directory {cfg.out!r}: {exc.strerror}") from exc
 
     cr, final_hidden, final_mixture, pseudo, precisions, recalls = [], [], [], [], [], []
     for seed, scenario in zip(cfg.seeds, scenarios):
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config_file(path: str) -> dict:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     values = {}
     with open(path) as fh:
@@ -266,7 +266,10 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ConfigError(f"{path}:{line_no}: {key} is set twice")
+            values[key] = value.strip()
     return values
 
 
@@ -314,7 +317,7 @@ def merge_config(file_values: dict, cli_values: dict) -> ExperimentConfig:
     for name, value in {**file_values, **flags}.items():
         if name not in _OPTIONS:
             raise ConfigError(f"unknown config key {name!r}")
-        setattr(cfg, _OPTIONS[name].name, _coerce(name, value))
+        setattr(cfg, name, _coerce(name, value))
     return cfg
 
 

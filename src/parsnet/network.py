@@ -4,8 +4,7 @@ The decoder weight is the transpose of the encoder weight by construction
 (never stored separately), and the encoder weight and bias double as the
 first layer of the classifier.  The hidden layer can grow and shrink at
 runtime; all training is plain per-sample SGD, on squared error for the
-reconstruction and on cross-entropy (default) or squared error for the
-classifier.
+reconstruction and on cross-entropy for the classifier.
 
 Parameter layout: the classifier parameters ``w_in``, ``b_in``, ``w_out``
 and ``c_out`` live back to back, in :data:`THETA_KEYS` order, in one float64
@@ -144,30 +143,24 @@ def normalized_top2(probs: np.ndarray) -> float:
     return first / (second + first)
 
 
-LOSSES = ("cross_entropy", "squared")
-
-
 class Network:
     """Growable tied-weight autoencoder/classifier parameter bundle.
 
-    The classifier can train under cross-entropy (default) or summed squared
-    error; the reconstruction path is always squared error.
+    The classifier trains under cross-entropy; the reconstruction path is
+    squared error.
     """
 
     def __init__(self, n_inputs: int, n_classes: int, n_hidden: int = 1,
-                 rng: np.random.Generator | None = None, loss: str = "cross_entropy"):
+                 rng: np.random.Generator | None = None):
         if n_inputs < 1:
             raise ValueError("n_inputs must be >= 1")
         if n_classes < 2:
             raise ValueError("n_classes must be >= 2")
         if n_hidden < 1:
             raise ValueError("n_hidden must be >= 1")
-        if loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}")
         rng = rng if rng is not None else np.random.default_rng()
         self.n_inputs = n_inputs
         self.n_classes = n_classes
-        self.loss = loss
         w_in = self._xavier(rng, (n_hidden, n_inputs), n_inputs, n_hidden)
         w_out = self._xavier(rng, (n_hidden, n_classes), n_hidden, n_classes)
         self.d = np.zeros(n_inputs)
@@ -271,7 +264,7 @@ class Network:
         return error
 
     def discriminative_gradients(self, x: np.ndarray, target: np.ndarray):
-        """Classification loss and its gradients under the configured loss.
+        """Cross-entropy loss of the classifier and its gradients.
 
         The gradients come as one fresh flat vector in the layout of
         ``params``; :func:`theta_views` names its segments.
@@ -279,13 +272,8 @@ class Network:
         return self._classifier_gradients(x, target, *self._classify(x))
 
     def _classifier_gradients(self, x, target, hidden, probs):
-        diff = probs - target
-        if self.loss == "squared":
-            loss = 0.5 * float(diff.dot(diff))
-            delta_logits = probs * (diff - float(diff.dot(probs)))
-        else:
-            loss = -float(target.dot(np.log(np.maximum(probs, _TINY))))
-            delta_logits = diff
+        loss = -float(target.dot(np.log(np.maximum(probs, _TINY))))
+        delta_logits = probs - target
         delta_hidden = self.w_out.dot(delta_logits) * hidden * (_ONE - hidden)
         grads = flatten_theta(delta_hidden[:, None] * x, delta_hidden,
                               hidden[:, None] * delta_logits, delta_logits)

@@ -32,8 +32,8 @@ UNAVAILABLE = "unavailable"       # mixture has no class evidence yet
 LOW_CONFIDENCE = "low_confidence"
 DISAGREEMENT = "disagreement"
 
-# Jitter std per augmentation mode; image noise is 33 grey levels of 0..255.
-AUGMENT_NOISE_STD = {"tabular": math.sqrt(1e-3), "image": 33.0 / 255.0}
+# Jitter std of the augmented copy, on the normalised [0, 1] feature scale.
+AUGMENT_NOISE_STD = math.sqrt(1e-3)
 
 _ZERO, _ONE = constants(0.0, 1.0)
 
@@ -186,14 +186,11 @@ class HedgeState:
         self._stale = True
 
 
-def augment(x: np.ndarray, rng: np.random.Generator, mode: str = "tabular") -> np.ndarray:
-    """Zero-mean Gaussian jitter of a labelled sample, which keeps its label.
+def augment(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A labelled sample plus zero-mean Gaussian jitter of std
+    :data:`AUGMENT_NOISE_STD`; the copy keeps the sample's label.
 
-    Features are expected on the normalised [0, 1] scale; the image noise
-    level corresponds to 33 grey levels of a 0..255 image.  The result is
+    Features are expected on the normalised [0, 1] scale; the result is
     clipped back into [0, 1].
     """
-    if mode not in AUGMENT_NOISE_STD:
-        raise ValueError(f"unknown augmentation mode {mode!r}")
-    std = AUGMENT_NOISE_STD[mode]
-    return np.minimum(np.maximum(x + rng.normal(0.0, std, x.shape), _ZERO), _ONE)
+    return np.minimum(np.maximum(x + rng.normal(0.0, AUGMENT_NOISE_STD, x.shape), _ZERO), _ONE)

@@ -38,10 +38,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .agmm import AgmmModel, NoClassEvidenceError
-from .network import LOSSES, Network, normalized_top2
+from .network import Network, normalized_top2
 from .plasticity import PhaseMonitor, bias_variance, expected_hidden, prune_candidates
-from .slash import (AUGMENT_NOISE_STD, HedgeState, ReconScaler, augment,
-                    mixture_confidence, propose_label)
+from .slash import HedgeState, ReconScaler, augment, mixture_confidence, propose_label
 
 # Hidden growth stops at MAX_HIDDEN units, a guard against runaway growth and
 # not a hyperparameter; pruning waits PRUNE_HOLDOFF samples after the last
@@ -159,10 +158,10 @@ def normalize_batches(batches: list[Batch]) -> list[Batch]:
 
 
 def option(default, help: str, **extra):
-    """A config field that is also a flag and config key.  ``extra`` may give
-    its ``choices``, valid ``range`` (``"[1, inf)"``), ``key`` where that is not
-    the field name, the ``type`` of its text where the default does not show
-    it (``None``, a list's items) and an argparse ``action``."""
+    """A config field that is also the flag and config key of its name.
+    ``extra`` may give its ``choices``, valid ``range`` (``"[1, inf)"``), the
+    ``type`` of its text where the default does not show it (``None``, a
+    list's items) and an argparse ``action``."""
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata={"help": help, "type": str, **extra})
     return field(default=default, metadata={"help": help, "type": type(default), **extra})
@@ -170,18 +169,21 @@ def option(default, help: str, **extra):
 
 def check_options(config) -> None:
     """Raise ``ValueError``, naming the key, for a value of a dataclass of
-    :func:`option` fields that lies outside its option's choices or range."""
+    :func:`option` fields that lies outside its option's choices or range, or
+    a list that holds an item twice."""
     for entry in fields(config):
-        value = getattr(config, entry.name)
+        key, value = entry.name, getattr(config, entry.name)
         if "help" not in entry.metadata or value is None:  # None: unset, nothing to check
             continue
-        key = entry.metadata.get("key", entry.name)
         allowed, interval = entry.metadata.get("choices"), entry.metadata.get("range")
-        for item in value if isinstance(value, list) else [value]:
+        items = value if isinstance(value, list) else [value]
+        for item in items:
             if allowed is not None and item not in allowed:
                 raise ValueError(f"{key}: {item!r} is not one of {', '.join(allowed)}")
             if interval is not None and not _within(item, interval):
                 raise ValueError(f"{key}: {item!r} is outside {interval}")
+        if len(set(items)) < len(items):
+            raise ValueError(f"{key}: {value!r} repeats an item")
 
 
 def _within(value, interval: str) -> bool:
@@ -203,12 +205,7 @@ class RunConfig:
     init_spread: float = option(0.1, "spread of new mixture components", range="(0, inf)")
     lr_gen: float = option(0.01, "generative learning rate", range="[0, inf)")
     lr_disc: float = option(0.001, "discriminative learning rate", range="[0, inf)")
-    # NS stays squared-error whatever the classifier loss.
-    loss: str = option("cross_entropy", "classifier training loss", choices=LOSSES)
-    mask_fraction: float = option(0.1, "masked fraction of input features",
-                                  key="mask_frac", range="[0, 1)")
-    augment_mode: str = option("tabular", "noise level of the augmented labelled copy",
-                               choices=tuple(AUGMENT_NOISE_STD))
+    mask_frac: float = option(0.1, "masked fraction of input features", range="[0, 1)")
     # agmm: a static unit Gaussian, so growth is one unit at a time; evolve: no
     # hidden-unit structural changes; slash: no pseudo labels, hedge or augmentation.
     ablate: list[str] = option([], "learner piece to switch off (repeatable)",
@@ -272,7 +269,7 @@ class StreamLearner:
         self.config = config
         self.log = log
         self.rng = np.random.default_rng(config.seed)
-        self.net = Network(n_inputs, n_classes, rng=self.rng, loss=config.loss)
+        self.net = Network(n_inputs, n_classes, rng=self.rng)
         if "agmm" in config.ablate:
             # Frozen stand-in: one standard-normal component, never updated,
             # never labelled, so growth falls back to one unit at a time and
@@ -348,7 +345,7 @@ class StreamLearner:
 
         # Generative phase: every sample, masked input, clean target.  The step
         # checks the sample before it changes any state.
-        recon_error = self.net.generative_step(x, cfg.lr_gen, cfg.mask_fraction, self.rng)
+        recon_error = self.net.generative_step(x, cfg.lr_gen, cfg.mask_frac, self.rng)
         counters["samples"] += 1
         counters["gen_steps"] += 1
         hedge_strength = self.scaler.rescale(recon_error)
@@ -370,7 +367,7 @@ class StreamLearner:
             counters["disc_label_steps"] += 1
             if "slash" not in cfg.ablate:
                 self.hedge.record_step(cfg.lr_disc, grads)
-                jittered = augment(x, self.rng, cfg.augment_mode)
+                jittered = augment(x, self.rng)
                 _, grads = self.net.discriminative_step(jittered, target, cfg.lr_disc)
                 counters["disc_aug_steps"] += 1
                 self.hedge.record_step(cfg.lr_disc, grads)

@@ -94,8 +94,7 @@ def test_criterion_1_gradient_correctness():
         u = int(rng.integers(2, 7))
         r = int(rng.integers(1, 6))
         c = int(rng.integers(2, 5))
-        loss = "squared" if trial % 2 else "cross_entropy"
-        net = Network(u, c, r, rng, loss=loss)
+        net = Network(u, c, r, rng)
         net.b_in += rng.normal(0.0, 0.5, r)
         net.d += rng.normal(0.0, 0.5, u)
         net.c_out += rng.normal(0.0, 0.5, c)
@@ -140,7 +139,7 @@ def test_criterion_1_gradient_correctness():
     elapsed = time.perf_counter() - started
     report(1, worst <= 1e-5 and elapsed < 5.0,
            f"worst relative gradient gap {worst:.2e} over 20 configs "
-           f"(both losses, with/without pull) in {elapsed:.1f}s")
+           f"(with/without pull) in {elapsed:.1f}s")
 
 
 # -- criterion 2: expected-activation fidelity ---------------------------------------------

@@ -16,7 +16,7 @@ import parsnet
 from parsnet.cli import (ConfigError, ExperimentConfig, build_parser,
                          gen_hyperplane, gen_sea, load_csv, main,
                          merge_config, parse_config_file, run_experiment)
-from parsnet.stream import RunConfig
+from parsnet.stream import RunConfig, StreamLearner
 
 # -- generators -----------------------------------------------------------------
 
@@ -311,8 +311,7 @@ def test_misspelt_boolean_is_a_config_error_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, text", [("loss", "squard"), ("augment_mode", "imag"),
-                                       ("gen", "seas"), ("scenario", "delayed"),
+@pytest.mark.parametrize("key, text", [("gen", "seas"), ("scenario", "delayed"),
                                        ("ablate", "agmm,slsh")])
 def test_config_value_outside_the_flag_choices_is_a_config_error(tmp_path, capsys, key, text):
     # A flag's value is converted and checked like the config file's, so both
@@ -353,9 +352,11 @@ def test_value_the_learner_rejects_is_a_config_error_before_any_output(
             "--scenario", scenario, "--out", str(out)]
     assert main(base + [flag, text]) == 1
     assert f"error: {key}: " in capsys.readouterr().err
+    # The value under test replaces its key's base value: a key is set once.
+    values = {"gen": "sea", "gen_size": "600", "batch": "300", "seeds": "1",
+              "scenario": scenario, "out": str(out), key: text}
     config = tmp_path / "rejected.cfg"
-    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nscenario={scenario}\n"
-                      f"out={out}\n{key}={text}\n")
+    config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
     assert main(["--config", str(config)]) == 1
     assert f"error: {key}: " in capsys.readouterr().err
     assert not out.exists()
@@ -366,30 +367,85 @@ def test_repeated_seed_is_a_config_error_before_any_output(tmp_path, capsys):
     out = tmp_path / "twice"
     assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "1,2,1",
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: seeds: [1, 2, 1] repeats a seed\n"
+    assert capsys.readouterr().err == "error: seeds: [1, 2, 1] repeats an item\n"
     config = tmp_path / "twice.cfg"
     config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=3 3\nout={out}\n")
     assert main(["--config", str(config)]) == 1
-    assert capsys.readouterr().err == "error: seeds: [3, 3] repeats a seed\n"
-    with pytest.raises(ConfigError, match=r"^seeds: \[5, 5\] repeats a seed$"):
+    assert capsys.readouterr().err == "error: seeds: [3, 3] repeats an item\n"
+    with pytest.raises(ConfigError, match=r"^seeds: \[5, 5\] repeats an item$"):
         run_experiment(tiny_config(tmp_path, seeds=[5, 5], out=str(out)))
     assert not out.exists()
 
 
+# A repeated ablation would switch nothing off twice, and be listed twice in the summary.
+def test_repeated_ablation_is_a_config_error_before_any_output(tmp_path, capsys):
+    out = tmp_path / "twice"
+    message = "error: ablate: ['slash', 'slash'] repeats an item\n"
+    assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "1",
+                 "--out", str(out), "--ablate", "slash", "--ablate", "slash"]) == 1
+    assert capsys.readouterr().err == message
+    config = tmp_path / "twice.cfg"
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nout={out}\n"
+                      "ablate=slash,slash\n")
+    assert main(["--config", str(config)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    with pytest.raises(ValueError, match=r"^ablate: \['slash', 'slash'\] repeats an item$"):
+        StreamLearner(3, 2, RunConfig(ablate=["slash", "slash"]))
+
+
+# The last of two values would win without a word.
+def test_config_key_set_twice_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "twice"
+    config = tmp_path / "twice.cfg"
+    config.write_text(f"gen=sea\ngen_size=600\nbatch=300\nseeds=1\nout={out}\n"
+                      "lr_disc=0.1\n# a second value\nlr_disc = 0.2\n")
+    assert main(["--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}:8: lr_disc is set twice\n"
+    assert not out.exists()
+
+
+# A path that names a directory, or where no directory can be made, is a
+# configuration problem like a path that names nothing.
+@pytest.mark.parametrize("flag, message", [("--config", "config file not found"),
+                                           ("--data", "dataset file not found")],
+                         ids=["config", "data"])
+def test_directory_given_as_an_input_file_is_a_config_error(tmp_path, capsys, flag, message):
+    out = tmp_path / "out"
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert main([flag, str(folder), "--seeds", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}: {folder}\n"
+    assert not out.exists()
+
+
+def test_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    for out in ("", str(blocker), str(blocker / "runs")):
+        assert main(["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "1",
+                     "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out: cannot create directory {out!r}: "), err
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "a file\n"
+
+
 def test_run_experiment_checks_the_run_config_before_any_output(tmp_path):
     out = tmp_path / "direct"
-    for run in ({"loss": "squard"}, {"augment_mode": "imag"}, {"mask_fraction": 1.0},
-                {"lr_disc": math.nan}):
+    for run in ({"ablate": ["evolv"]}, {"mask_frac": 1.0}, {"lr_disc": math.nan}):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(gen="sea", gen_size=600, batch=300, seeds=[1],
                                             out=str(out), **run))
     assert not out.exists()
 
 
-# Implementation constants (stream.MAX_HIDDEN, ...) and component defaults
-# (Network's n_hidden, ...) are not options: no flag, key or field sets them.
+# Implementation constants (stream.MAX_HIDDEN, ...), component defaults
+# (Network's n_hidden, ...) and the fixed classifier loss and augmentation noise
+# are not options, and mask_frac has no second name: no flag, key or field sets them.
 @pytest.mark.parametrize("key", ["init_nodes", "prune_grace", "hedge_eps", "max_hidden",
-                                 "prune_holdoff"])
+                                 "prune_holdoff", "loss", "augment_mode", "mask_fraction"])
 def test_removed_options_are_refused(tmp_path, capsys, key):
     out = tmp_path / "removed"
     flag = "--" + key.replace("_", "-")
@@ -565,9 +621,7 @@ FLAGS = {
     "--init-spread": (None, True, "_StoreAction", "float"),
     "--lr-gen": (None, True, "_StoreAction", "float"),
     "--lr-disc": (None, True, "_StoreAction", "float"),
-    "--loss": ("{cross_entropy,squared}", True, "_StoreAction", "str"),
     "--mask-frac": (None, True, "_StoreAction", "float"),
-    "--augment-mode": ("{tabular,image}", True, "_StoreAction", "str"),
     "--ablate": ("{agmm,evolve,slash}", True, "_AppendAction", "str"),
     "--data": (None, True, "_StoreAction", "str"),
     "--gen": ("{sea,hyperplane}", True, "_StoreAction", "str"),
@@ -585,7 +639,7 @@ FLAGS = {
 
 
 def test_the_flag_set_is_pinned():
-    kinds = {entry.metadata.get("key", entry.name): entry.metadata["type"].__name__
+    kinds = {entry.name: entry.metadata["type"].__name__
              for entry in fields(ExperimentConfig) if "help" in entry.metadata}
     found = {}
     for action in build_parser()._actions:
@@ -611,7 +665,6 @@ def test_log_flag(tmp_path):
 
 def test_log_closed_when_a_run_raises(tmp_path, monkeypatch):
     import parsnet.cli as cli
-    from parsnet.stream import StreamLearner
 
     logs, run, train = [], cli.prequential_run, StreamLearner.train_on_batch
 
@@ -636,17 +689,15 @@ def test_log_closed_when_a_run_raises(tmp_path, monkeypatch):
 
 # -- hyperparameter plumbing ------------------------------------------------------------
 
-# Every hyperparameter flag, its config-file key and the RunConfig field it sets,
-# each with a value that differs from the default.
+# Every hyperparameter flag and the config-file key and RunConfig field of its
+# name, each with a value that differs from the default.
 HYPERPARAMETERS = [
-    ("--agmm-conf", "agmm_conf", "agmm_conf", 0.61),
-    ("--net-conf", "net_conf", "net_conf", 0.72),
-    ("--init-spread", "init_spread", "init_spread", 0.3),
-    ("--lr-gen", "lr_gen", "lr_gen", 0.02),
-    ("--lr-disc", "lr_disc", "lr_disc", 0.004),
-    ("--loss", "loss", "loss", "squared"),
-    ("--mask-frac", "mask_frac", "mask_fraction", 0.2),
-    ("--augment-mode", "augment_mode", "augment_mode", "image"),
+    ("--agmm-conf", "agmm_conf", 0.61),
+    ("--net-conf", "net_conf", 0.72),
+    ("--init-spread", "init_spread", 0.3),
+    ("--lr-gen", "lr_gen", 0.02),
+    ("--lr-disc", "lr_disc", 0.004),
+    ("--mask-frac", "mask_frac", 0.2),
 ]
 
 
@@ -668,18 +719,17 @@ def captured_run_configs(monkeypatch):
 
 
 def hyperparameter_run_config(seed):
-    return RunConfig(seed=seed, **{run_field: value
-                                   for _, _, run_field, value in HYPERPARAMETERS})
+    return RunConfig(seed=seed, **{key: value for _, key, value in HYPERPARAMETERS})
 
 
 def test_every_hyperparameter_flag_reaches_the_run_config(tmp_path, monkeypatch):
-    for _, _, run_field, value in HYPERPARAMETERS:
+    for _, key, value in HYPERPARAMETERS:
         # A value equal to its default would hide a flag that is dropped.
-        assert getattr(RunConfig(), run_field) != value, run_field
+        assert getattr(RunConfig(), key) != value, key
     seen = captured_run_configs(monkeypatch)
     argv = ["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "5,6",
             "--out", str(tmp_path / "flags")]
-    for flag, _, _, value in HYPERPARAMETERS:
+    for flag, _, value in HYPERPARAMETERS:
         argv += [flag, str(value)]
     assert main(argv) == 0
     assert seen == [hyperparameter_run_config(5), hyperparameter_run_config(6)]
@@ -689,7 +739,7 @@ def test_every_hyperparameter_key_reaches_the_run_config(tmp_path, monkeypatch):
     seen = captured_run_configs(monkeypatch)
     lines = ["gen=sea", "gen_size=600", "batch=300", "seeds=5",
              f"out={tmp_path / 'keys'}"]
-    lines += [f"{key}={value}" for _, key, _, value in HYPERPARAMETERS]
+    lines += [f"{key}={value}" for _, key, value in HYPERPARAMETERS]
     config = tmp_path / "exp.cfg"
     config.write_text("\n".join(lines) + "\n")
     assert main(["--config", str(config)]) == 0

@@ -177,12 +177,10 @@ def test_generative_gradients_match_finite_differences():
             assert relative_gap(grads[name], numeric) <= 1e-5, (trial, name)
 
 
-@pytest.mark.parametrize("loss", ["cross_entropy", "squared"])
-def test_discriminative_gradients_match_finite_differences(loss):
+def test_discriminative_gradients_match_finite_differences():
     rng = np.random.default_rng(13)
     for trial in range(5):
         net = random_net(rng)
-        net.loss = loss
         x = rng.random(5)
         target = np.eye(3)[rng.integers(0, 3)]
         grads = named(net, net.discriminative_gradients(x, target)[1])
@@ -190,12 +188,6 @@ def test_discriminative_gradients_match_finite_differences(loss):
             param = getattr(net, name)
             numeric = fd_gradient(lambda: net.discriminative_gradients(x, target)[0], param)
             assert relative_gap(grads[name], numeric) <= 1e-5, (trial, name)
-
-
-def test_loss_choice_validated():
-    with pytest.raises(ValueError):
-        Network(3, 2, loss="hinge")
-    assert Network(3, 2, 2, np.random.default_rng(0), loss="squared").loss == "squared"
 
 
 # -- SGD steps --------------------------------------------------------------------------
@@ -283,11 +275,9 @@ def test_generative_step_is_sgd_on_its_gradients(mask_fraction):
 
 
 @pytest.mark.parametrize("with_addend", [False, True])
-@pytest.mark.parametrize("loss", ["cross_entropy", "squared"])
-def test_discriminative_step_is_sgd_on_its_gradients(with_addend, loss):
+def test_discriminative_step_is_sgd_on_its_gradients(with_addend):
     rng = np.random.default_rng(32)
     net = random_net(rng)
-    net.loss = loss
     for _ in range(20):
         x, target, lr = rng.random(5), np.eye(3)[rng.integers(3)], 0.05
         addend = ({key: rng.normal(0.0, 1.0, value.shape) for key, value in net.theta().items()}

@@ -6,7 +6,7 @@ import pytest
 
 from parsnet.network import (THETA_KEYS, Network, flatten_theta,
                              normalized_top2, theta_views)
-from parsnet.slash import (ACCEPTED, DISAGREEMENT, LOW_CONFIDENCE,
+from parsnet.slash import (ACCEPTED, AUGMENT_NOISE_STD, DISAGREEMENT, LOW_CONFIDENCE,
                            UNAVAILABLE, HedgeState, ReconScaler, augment,
                            mixture_confidence, propose_label)
 from parsnet.stream import RunConfig
@@ -452,7 +452,7 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
 def test_augment_keeps_label_and_range():
     rng = np.random.default_rng(0)
     x = rng.random(10)
-    jittered = augment(x, rng, mode="tabular")
+    jittered = augment(x, rng)
     assert jittered.shape == x.shape
     assert np.all(jittered >= 0.0) and np.all(jittered <= 1.0)
 
@@ -460,40 +460,34 @@ def test_augment_keeps_label_and_range():
 def test_augment_noise_is_zero_mean():
     rng = np.random.default_rng(1)
     x = np.full(4, 0.5)
-    draws = np.array([augment(x, rng, mode="tabular") for _ in range(10_000)])
+    draws = np.array([augment(x, rng) for _ in range(10_000)])
     std_err = math.sqrt(1e-3) / math.sqrt(10_000 * 4)
     assert np.abs(draws.mean(axis=(0, 1)) - 0.5) < 3 * std_err * 2
 
 
-def test_augment_image_noise_scale():
-    # half-normal mean: (33/255) * sqrt(2/pi) ~ 26.3 grey levels of 255
+def test_augment_noise_scale():
+    # half-normal mean of the jitter: AUGMENT_NOISE_STD * sqrt(2/pi)
+    assert AUGMENT_NOISE_STD == math.sqrt(1e-3)
     rng = np.random.default_rng(2)
     x = np.full(8, 0.5)
-    deltas = np.concatenate(
-        [np.abs(augment(x, rng, mode="image") - x) for _ in range(4000)])
-    expected = (33.0 / 255.0) * math.sqrt(2.0 / math.pi)
+    deltas = np.concatenate([np.abs(augment(x, rng) - x) for _ in range(4000)])
+    expected = AUGMENT_NOISE_STD * math.sqrt(2.0 / math.pi)
     assert deltas.mean() == pytest.approx(expected, rel=0.03)
-    assert deltas.mean() * 255 == pytest.approx(26.3, rel=0.05)
 
 
 def test_augment_clips_at_the_borders():
     rng = np.random.default_rng(3)
     x = np.zeros(50)
-    jittered = augment(x, rng, mode="image")
+    jittered = augment(x, rng)
     assert np.all(jittered >= 0.0)
     assert (jittered == 0.0).sum() > 10  # negative jitter clipped away
 
 
 def test_augment_equals_clipped_reference():
     x = np.linspace(0.0, 1.0, 50)
-    jittered = augment(x, np.random.default_rng(4), mode="image")
-    noise = np.random.default_rng(4).normal(0.0, 33.0 / 255.0, x.shape)
+    jittered = augment(x, np.random.default_rng(4))
+    noise = np.random.default_rng(4).normal(0.0, AUGMENT_NOISE_STD, x.shape)
     assert np.array_equal(jittered, np.clip(x + noise, 0.0, 1.0))
-
-
-def test_augment_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        augment(np.zeros(3), np.random.default_rng(0), mode="audio")
 
 
 # -- containment of adversarial pseudo labels ----------------------------------------------

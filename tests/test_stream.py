@@ -323,7 +323,7 @@ def test_library_callers_get_the_option_checks(monkeypatch):
     monkeypatch.setattr(stream_module, "Network", unbuilt)
     scenario = make_sporadic(gen_sea(600, seed=1, batch_size=200), 0.5,
                              np.random.default_rng(1))
-    for change, key in (({"mask_fraction": -0.5}, "mask_frac"),
+    for change, key in (({"mask_frac": -0.5}, "mask_frac"),
                         ({"ablate": ["evolv"]}, "ablate")):
         config = RunConfig(seed=1, **change)
         with pytest.raises(ValueError, match=f"^{key}: "):

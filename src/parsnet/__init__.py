@@ -9,8 +9,7 @@ labels.  A prequential harness covers the sporadic-label and first-batch-
 only label protocols.
 """
 
-from .agmm import (AgmmModel, EmptyModelError, NoClassEvidenceError,
-                   insertion_threshold)
+from .agmm import AgmmModel, EmptyModelError, insertion_threshold
 from .cli import (ConfigError, ExperimentConfig, gen_hyperplane, gen_sea,
                   load_csv, run_experiment)
 from .network import Network, mask_input, normalized_top2
@@ -24,7 +23,7 @@ from .stream import (Batch, RunConfig, RunMetrics, StreamLearner,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgmmModel", "EmptyModelError", "NoClassEvidenceError", "insertion_threshold",
+    "AgmmModel", "EmptyModelError", "insertion_threshold",
     "Network", "mask_input", "normalized_top2",
     "PhaseMonitor", "RunningStat", "bias_variance", "expected_hidden",
     "prune_candidates",

@@ -14,22 +14,24 @@ All operations are strictly single-pass: each sample is looked at once and
 never stored.
 
 Validation contract: every public method checks its input once, on entry
-(a sample through :func:`~parsnet.network.check_sample`, the check the
-network and the stream learner share, and the class label range); the
-private helpers it calls (``_activations``, ``_insert``, ``_tune``,
-``_observe_label``) trust their input.  A streaming step therefore pays for
-one check per sample, and a rejected sample leaves the mixture untouched.
+(a sample through :func:`~parsnet.network.check_sample` and a label, ``-1``
+meaning "no label", through :func:`~parsnet.network.check_label`, the checks
+that the network and the stream learner share); the private helpers it calls
+(``_activations``, ``_insert``, ``_tune``, ``_observe_label``) trust their
+input.  A streaming step therefore pays for one check per sample, and a
+rejected sample leaves the mixture untouched.
 ``_should_insert`` takes its threshold from :func:`insertion_threshold`, the
 one owner of that formula and of its check on the confidence.
 
 Cached class conditionals: ``class_posterior`` needs, per component, the
 class frequencies normalised by the component's label total (uniform for a
-component that has seen no label).  They depend on ``class_counts`` alone,
-which changes only when a label is credited or a component is added or
-removed, while the posterior is asked for on every unlabelled sample.  The
-matrix is therefore kept in ``_conditionals`` and rebuilt on the next
-``class_posterior`` after ``_insert``, ``_observe_label`` or a
-``prune_inactive`` that removes a component clears it.  Code that writes
+component that has seen no label; while no component has seen one there is
+no class evidence, and the posterior is ``None``).  They depend on
+``class_counts`` alone, which changes only when a label is credited or a
+component is added or removed, while the posterior is asked for on every
+unlabelled sample.  The matrix is therefore kept in ``_conditionals`` and
+rebuilt on the next ``class_posterior`` after ``_insert``, ``_observe_label``
+or a ``prune_inactive`` that removes a component clears it.  Code that writes
 ``class_counts`` directly must clear it too.  A rebuild divides by the totals
 floored at 1, then makes the rows without a label uniform.  The per-state
 cache, ``_priors`` and ``_shrunk`` (read-only results of ``prior_weights`` and
@@ -66,7 +68,7 @@ import math
 
 import numpy as np
 
-from .network import check_sample, constants
+from .network import check_label, check_sample, constants
 
 # Variance floor: tuning on a near-constant stream collapses the spread,
 # and both activation and likelihood divide by it.
@@ -79,10 +81,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 class EmptyModelError(RuntimeError):
     """An operation required at least one component."""
-
-
-class NoClassEvidenceError(RuntimeError):
-    """Class posterior requested before any label has been observed."""
 
 
 def insertion_threshold(dim: int, confidence: float) -> float:
@@ -149,10 +147,6 @@ class AgmmModel:
 
     # -- scoring -----------------------------------------------------------
 
-    def _check_label(self, label: int) -> None:
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"label {label} outside 0..{self.num_classes - 1}")
-
     def _activations(self, x: np.ndarray) -> np.ndarray:
         """Activation of every component for ``x`` (empty array when size is 0).
 
@@ -200,17 +194,20 @@ class AgmmModel:
         # The largest term is its prior times exp(0), so the sum stays positive.
         return priors * np.exp(log_lik - peak)
 
-    def class_posterior(self, x: np.ndarray) -> np.ndarray:
+    def class_posterior(self, x: np.ndarray) -> np.ndarray | None:
         """Class probabilities from per-component label frequency counts.
 
         Components that have never seen a label contribute a uniform class
-        conditional.  Raises :class:`NoClassEvidenceError` when no label has
-        been observed anywhere, signalling the caller to skip self-labelling.
+        conditional.  ``None`` while no label has been observed anywhere:
+        the mixture has no class evidence, and the caller skips
+        self-labelling.
         """
         x = check_sample(x, self.input_dim)
         if self.size == 0:
             raise EmptyModelError("mixture has no components yet")
         conditionals = self._class_conditionals()
+        if conditionals is None:
+            return None
         # One component weighs exactly 1.0 (see the module docstring).
         scores = (conditionals[0] if self.centers.shape[0] == 1
                   else self._weighted_likelihoods(x).dot(conditionals))
@@ -219,12 +216,13 @@ class AgmmModel:
             raise AssertionError("class posterior lost the partition of unity")
         return posterior
 
-    def _class_conditionals(self) -> np.ndarray:
-        """Per-component class frequencies, cached until ``class_counts`` changes."""
+    def _class_conditionals(self) -> np.ndarray | None:
+        """Per-component class frequencies, cached until ``class_counts`` changes;
+        ``None`` while no component has seen a label."""
         if self._conditionals is None:
             totals = np.add.reduce(self.class_counts, axis=1)
             if sum(totals.tolist()) == 0:
-                raise NoClassEvidenceError("no labelled observations recorded")
+                return None
             conditionals = self.class_counts / np.maximum(totals, 1)[:, None]
             conditionals[totals == 0] = 1.0 / self.num_classes
             self._conditionals = conditionals
@@ -324,33 +322,31 @@ class AgmmModel:
         return removed.tolist()
 
     def update(self, x: np.ndarray, confidence: float,
-               label: int | None = None) -> tuple[bool, list[int]]:
-        """One full streaming step: age, insert-or-tune, prune, credit label.
+               label: int = -1) -> tuple[bool, list[int]]:
+        """One full streaming step: age, insert-or-tune, prune, credit ``label`` (-1: none).
 
         Returns ``(inserted, pruned_indices)`` so callers can log structural
         events.  The very first sample bootstraps the mixture.  The sample and
         the label are checked before any state changes.
         """
         x = check_sample(x, self.input_dim)
-        if label is not None:
-            self._check_label(label)
+        check_label(label, self.num_classes)
         if self.size == 0:
             self._insert(x)
-            if label is not None:
-                self._observe_label(x, label)
-            return True, []
-        # Aging leaves centres and spreads as they are, so these activations
-        # also drive the insertion gate.
-        acts = self._activations(x)
-        self.lifespan += 1
-        self.activity += acts
-        inserted = self._should_insert(acts, confidence)
-        if inserted:
-            self._insert(x)
+            inserted, pruned = True, []
         else:
-            self._tune(int(acts.argmax()), x)
-        pruned = self.prune_inactive()
-        if label is not None:
-            # The winner is taken again: the step above moved the mixture.
+            # Aging leaves centres and spreads as they are, so these activations
+            # also drive the insertion gate.
+            acts = self._activations(x)
+            self.lifespan += 1
+            self.activity += acts
+            inserted = self._should_insert(acts, confidence)
+            if inserted:
+                self._insert(x)
+            else:
+                self._tune(int(acts.argmax()), x)
+            pruned = self.prune_inactive()
+        if label >= 0:
+            # The winner is taken after the step above, which moved the mixture.
             self._observe_label(x, label)
         return inserted, pruned

@@ -34,10 +34,11 @@ class ExperimentConfig(RunConfig):
     """Everything one experiment needs: the options of each seed's run and
     its own.
 
-    Each seed of ``seeds`` runs the config with ``seed`` set to it;
-    ``freeze_after_first`` keeps its default.  ``log`` makes each seed's run
-    write ``log_seed<k>.jsonl`` into ``out``: one JSON object per record the
-    learner logs, its kind under ``"kind"``.
+    Each seed of ``seeds`` runs the config with ``seed`` set to it and every
+    other field as given (no flag or key sets ``freeze_after_first``, so the
+    CLI runs it at ``False``).  ``log`` makes each seed's run write
+    ``log_seed<k>.jsonl`` into ``out``: one JSON object per record the learner
+    logs, its kind under ``"kind"``.
     """
 
     data: str | None = option(None, "CSV dataset (feature columns + 'label')", type=str)
@@ -237,8 +238,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per option.  A flag's value stays text, converted and checked
-    like a config-file value; a flag that is not given parses as ``None``."""
+    """One flag per option.  Every non-``bool`` flag collects its texts, converted
+    and checked like a config-file value; a flag not given parses as ``None``."""
     # No prefix of a flag stands for it: a config key must be spelt in full too.
     parser = _Parser(prog="parsnet", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="flat key=value config file")
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
             how = {"action": "store_true", "default": None}
         else:
             choices = meta.get("choices")
-            how = {"action": meta.get("action"),
+            how = {"action": "append",
                    "metavar": "{" + ",".join(choices) + "}" if choices else None}
         parser.add_argument("--" + key.replace("_", "-"), help=meta["help"], **how)
     return parser
@@ -285,9 +286,11 @@ def _parse(name: str, kind, text: str):
 
 
 def _coerce(name: str, value):
-    """Turn the text of a config-file value or a flag into the type of the
-    field that the key sets; a float must be finite, whatever its source."""
-    if isinstance(value, list):  # a repeated flag's texts
+    """Turn a config-file text, or a flag's texts (a list's items joined, a
+    scalar's only one), into the field's type; a float must be finite."""
+    if isinstance(value, list):  # a flag's texts, one each time it was given
+        if len(value) > 1 and _OPTIONS[name].default is not MISSING:  # not a list
+            raise ConfigError(f"{name} is set twice")
         value = " ".join(value)
     if isinstance(value, str):
         value = _from_text(name, value)

@@ -21,10 +21,11 @@ after ``kept = prune_nodes(...)``.
 
 Validation contract: the inference and step methods check their input once,
 on entry (batch, or sample with :func:`check_sample`, shape and finiteness,
-learning rate, target shape); the gradient methods they call
-(``generative_gradients``, ``discriminative_gradients``) check nothing and
-trust their input.  The step methods run once or more per sample of a
-stream, so each check is made once and in its cheapest form.
+learning rate, target shape); ``generative_gradients``, which
+``generative_step`` calls, checks nothing and trusts its input.  The step
+methods run once or more per sample of a stream, so each check is made once
+and in its cheapest form.  :func:`check_label` is the label check of the
+mixture and the stream learner, kept here beside :func:`check_sample`.
 
 Forward reuse: ``predict_proba`` keeps its checked sample, hidden layer and
 probabilities in ``_forward``; the next ``discriminative_step`` on that same
@@ -61,7 +62,7 @@ def constants(*values: float) -> tuple[np.ndarray, ...]:
     return tuple(np.broadcast_to(float(value), ()) for value in values)
 
 
-_ONE, _LOW, _HIGH, _TINY = constants(1.0, -ACTIVATION_CLAMP, ACTIVATION_CLAMP, 1e-300)
+_ONE, _LOW, _HIGH = constants(1.0, -ACTIVATION_CLAMP, ACTIVATION_CLAMP)
 
 
 def theta_bounds(length: int, n_inputs: int, n_classes: int) -> tuple[int, int, int, int]:
@@ -127,6 +128,16 @@ def check_sample(x, n_inputs: int) -> np.ndarray:
     if np.count_nonzero(np.isfinite(x)) != n_inputs:
         raise ValueError("sample contains non-finite values")
     return x
+
+
+def check_label(label, n_classes: int) -> None:
+    """``ValueError`` unless ``label`` is an integer in ``-1..n_classes - 1``,
+    ``-1`` meaning "no label": the label check of the mixture and learner."""
+    # type() first: the plain int of a stream's labels skips isinstance.
+    if type(label) is not int and not isinstance(label, np.integer):
+        raise ValueError(f"label {label!r} is not an integer")
+    if not -1 <= label < n_classes:
+        raise ValueError(f"label {label} outside -1..{n_classes - 1} (-1 means unlabelled)")
 
 
 def normalized_top2(probs: np.ndarray) -> float:
@@ -263,29 +274,12 @@ class Network:
             self.d -= lr * grads["d"]
         return error
 
-    def discriminative_gradients(self, x: np.ndarray, target: np.ndarray):
-        """Cross-entropy loss of the classifier and its gradients.
-
-        The gradients come as one fresh flat vector in the layout of
-        ``params``; :func:`theta_views` names its segments.
-        """
-        return self._classifier_gradients(x, target, *self._classify(x))
-
-    def _classifier_gradients(self, x, target, hidden, probs):
-        loss = -float(target.dot(np.log(np.maximum(probs, _TINY))))
-        delta_logits = probs - target
-        delta_hidden = self.w_out.dot(delta_logits) * hidden * (_ONE - hidden)
-        grads = flatten_theta(delta_hidden[:, None] * x, delta_hidden,
-                              hidden[:, None] * delta_logits, delta_logits)
-        return loss, grads
-
     def discriminative_step(self, x: np.ndarray, target: np.ndarray, lr: float,
-                            grad_addend: np.ndarray | None = None):
-        """One SGD step on the classifier; returns ``(loss, data_gradients)``.
-
-        ``grad_addend`` is added to the data gradient before the step (used
-        for the anchored importance pull on self-labelled samples).  Both
-        are flat vectors in the layout of ``params``.
+                            grad_addend: np.ndarray | None = None) -> np.ndarray:
+        """One SGD step on the classifier's cross-entropy; returns the data
+        gradient, a fresh flat vector in the layout of ``params`` (at ``lr=0.0``
+        nothing moves).  ``grad_addend``, a vector in the same layout, is added
+        to it before the step: the anchored importance pull of a pseudo label.
         """
         if not 0.0 <= lr < math.inf:  # false for NaN too
             raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
@@ -294,13 +288,15 @@ class Network:
         if target.shape != (self.n_classes,):
             raise ValueError("target must be a one-hot vector over the classes")
         forward, self._forward = self._forward, None
-        if forward is not None and forward[0] is x:
-            loss, grads = self._classifier_gradients(x, target, forward[1], forward[2])
-        else:
-            loss, grads = self.discriminative_gradients(x, target)
+        hidden, probs = (forward[1:] if forward is not None and forward[0] is x
+                         else self._classify(x))
+        delta_logits = probs - target
+        delta_hidden = self.w_out.dot(delta_logits) * hidden * (_ONE - hidden)
+        grads = flatten_theta(delta_hidden[:, None] * x, delta_hidden,
+                              hidden[:, None] * delta_logits, delta_logits)
         if lr > 0.0:
             self.params -= lr * (grads if grad_addend is None else grads + grad_addend)
-        return loss, grads
+        return grads
 
     # -- structural changes --------------------------------------------------
 

@@ -11,9 +11,10 @@ the hedge pull.  Evaluation is strictly test-then-train: every batch is
 scored with the model state produced by the preceding batches only.
 
 Validation contract: each public entry point checks its input once, before
-any state changes, and private helpers trust their input.  ``train_on_batch``
-checks the shapes and every label of a batch up front and finds its
-non-finite rows with one vectorised mask (those rows are skipped and
+any state changes, and private helpers trust their input; a label goes
+through :func:`~parsnet.network.check_label` (``-1``: no label, in every layer).
+``train_on_batch`` checks the shapes and every label of a batch up front and
+finds its non-finite rows with one vectorised mask (those rows are skipped and
 counted); ``train_on_sample`` checks its label, and leaves its sample to its
 first callee, ``Network.generative_step``, which checks it before any state
 changes.  A rejected input raises ``ValueError`` and leaves the learner
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .agmm import AgmmModel, NoClassEvidenceError
-from .network import Network, normalized_top2
+from .agmm import AgmmModel
+from .network import Network, check_label, normalized_top2
 from .plasticity import PhaseMonitor, bias_variance, expected_hidden, prune_candidates
 from .slash import HedgeState, ReconScaler, augment, mixture_confidence, propose_label
 
@@ -69,13 +70,23 @@ class StreamScenario:
     label_fraction: float
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as int64, or ``ValueError`` naming one that is not an integer."""
+    labels = np.asarray(labels)
+    stray = (~(np.isfinite(labels) & (np.trunc(labels) == labels)) if labels.dtype.kind == "f"
+             else np.full(labels.shape, labels.dtype.kind not in "biu"))
+    if stray.any():
+        raise ValueError(f"label {labels[stray][0].item()!r} is not an integer")
+    return labels.astype(np.int64, copy=False)
+
+
 def as_batches(features: np.ndarray, labels: np.ndarray, batch_size: int) -> list[Batch]:
     """Split arrays into fully labelled batches, keeping the original order.
 
     The final batch keeps whatever is left over.
     """
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_labels(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("features must be a non-empty (n, dim) array")
     if labels.shape != (features.shape[0],):
@@ -159,9 +170,9 @@ def normalize_batches(batches: list[Batch]) -> list[Batch]:
 
 def option(default, help: str, **extra):
     """A config field that is also the flag and config key of its name.
-    ``extra`` may give its ``choices``, valid ``range`` (``"[1, inf)"``), the
+    ``extra`` may give its ``choices``, valid ``range`` (``"[1, inf)"``) and the
     ``type`` of its text where the default does not show it (``None``, a
-    list's items) and an argparse ``action``."""
+    list's items)."""
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata={"help": help, "type": str, **extra})
     return field(default=default, metadata={"help": help, "type": type(default), **extra})
@@ -209,7 +220,7 @@ class RunConfig:
     # agmm: a static unit Gaussian, so growth is one unit at a time; evolve: no
     # hidden-unit structural changes; slash: no pseudo labels, hedge or augmentation.
     ablate: list[str] = option([], "learner piece to switch off (repeatable)",
-                               choices=("agmm", "evolve", "slash"), action="append")
+                               choices=("agmm", "evolve", "slash"))
     freeze_after_first: bool = False  # baseline: stop all training after the first batch
 
 
@@ -327,19 +338,14 @@ class StreamLearner:
                      bias_level=monitor.bias_level, var_level=monitor.var_level,
                      hidden=self.net.n_hidden, components=self.mixture.size)
 
-    def _check_label(self, label: int) -> None:
-        if not -1 <= label < self.net.n_classes:
-            raise ValueError(
-                f"label {label} outside -1..{self.net.n_classes - 1} (-1 means unlabelled)")
-
     def train_on_sample(self, x: np.ndarray, label: int) -> None:
         """Single-pass treatment of one sample (label -1 means unlabelled).
 
         Raises ``ValueError``, before any state changes, for a sample that is
-        not a finite vector of ``n_inputs`` features or a label outside
-        ``-1..n_classes - 1``.
+        not a finite vector of ``n_inputs`` features or a label that is not an
+        integer in ``-1..n_classes - 1``.
         """
-        self._check_label(label)
+        check_label(label, self.net.n_classes)
         x = np.asarray(x, dtype=float)  # the one array that every step below reads
         cfg, counters = self.config, self.counters
 
@@ -354,8 +360,7 @@ class StreamLearner:
 
         # Mixture update consumes the freshest bias confidence level.
         if "agmm" not in cfg.ablate:
-            inserted, pruned = self.mixture.update(
-                x, self.gen_monitor.bias_level, label if label >= 0 else None)
+            inserted, pruned = self.mixture.update(x, self.gen_monitor.bias_level, label)
             if inserted:
                 self.events.append((counters["samples"], "mixture_insert"))
             if pruned:
@@ -363,12 +368,12 @@ class StreamLearner:
 
         if label >= 0:
             target = self._eye[label]
-            _, grads = self.net.discriminative_step(x, target, cfg.lr_disc)
+            grads = self.net.discriminative_step(x, target, cfg.lr_disc)
             counters["disc_label_steps"] += 1
             if "slash" not in cfg.ablate:
                 self.hedge.record_step(cfg.lr_disc, grads)
                 jittered = augment(x, self.rng)
-                _, grads = self.net.discriminative_step(jittered, target, cfg.lr_disc)
+                grads = self.net.discriminative_step(jittered, target, cfg.lr_disc)
                 counters["disc_aug_steps"] += 1
                 self.hedge.record_step(cfg.lr_disc, grads)
                 self.hedge.set_anchor(self.net.params)
@@ -376,10 +381,7 @@ class StreamLearner:
             self._evolve(self.disc_monitor, target, "discriminative")
         elif "slash" not in cfg.ablate:
             self.hedge.refresh_importance()
-            try:
-                agmm_probs = self.mixture.class_posterior(x)
-            except NoClassEvidenceError:
-                agmm_probs = None
+            agmm_probs = self.mixture.class_posterior(x)
             agmm_conf = mixture_confidence(agmm_probs, cfg.agmm_conf)
             # Scored only where the mixture side can pass, or for the log.
             net_probs = (self.net.predict_proba(x) if self.log is not None
@@ -402,19 +404,19 @@ class StreamLearner:
         and counted.
 
         Raises ``ValueError``, before any sample is trained on, when the
-        shapes do not match the learner or any label lies outside
+        shapes do not match the learner or any label is not an integer in
         ``-1..n_classes - 1``.
         """
         features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _integer_labels(labels)
         if features.ndim != 2 or features.shape[1] != self.net.n_inputs:
             raise ValueError(
                 f"expected features of shape (n, {self.net.n_inputs}), got {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must align with features")
         if labels.size:
-            self._check_label(int(labels.min()))
-            self._check_label(int(labels.max()))
+            check_label(int(labels.min()), self.net.n_classes)
+            check_label(int(labels.max()), self.net.n_classes)
         finite = np.isfinite(features).all(axis=1)
         for x, label, ok in zip(features, labels.tolist(), finite.tolist()):
             if not ok:

@@ -4,7 +4,9 @@ and the public symbols that nothing reads.
     python3 tests/surface.py [PACKAGE_DIR]
 
 prints, for each ``*.py`` file of ``PACKAGE_DIR`` (default ``src/parsnet``),
-its line count (as ``wc -l`` counts) and its public symbols, then the totals;
+its line count (as ``wc -l`` counts), its code lines (the lines that are not
+blank, not only a comment and not part of a docstring) and its public
+symbols, then the totals;
 then the settable options of each config class, then their total; then the
 public symbols that no file of the package or of the benchmark directory
 (``perfbench`` next to the package's ``src``) reads.
@@ -58,6 +60,21 @@ def _defined(body: list[ast.stmt]) -> list[tuple[str, ast.stmt]]:
     return out
 
 
+def code_lines(source: str) -> int:
+    """The lines of one module that are not blank, not only a comment and not
+    part of a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), start=1)
+               if line.strip() and not line.lstrip().startswith("#")
+               and number not in docstrings)
+
+
 def public_symbols(source: str) -> list[str]:
     """The public symbols of one module, classes' members as ``Class.member``."""
     found = []
@@ -94,20 +111,21 @@ def reads(source: str) -> set[str]:
 
 
 def main(package: pathlib.Path) -> None:
-    lines = symbols = options = 0
+    lines = code = symbols = options = 0
     configs, public, read = [], [], set()
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         found = public_symbols(text)
-        count = text.count("\n")
-        lines, symbols = lines + count, symbols + len(found)
+        count, own_code = text.count("\n"), code_lines(text)
+        lines, code, symbols = lines + count, code + own_code, symbols + len(found)
         configs += config_options(text)
         public += [f"{path.stem}.{name}" for name in found]
         read |= reads(text)
-        print(f"{path.name:16} {count:6} lines {len(found):5} public symbols")
+        print(f"{path.name:16} {count:6} lines {own_code:6} code lines "
+              f"{len(found):5} public symbols")
     for path in sorted((package.parents[1] / "perfbench").glob("*.py")):
         read |= reads(path.read_text())
-    print(f"{'total':16} {lines:6} lines {symbols:5} public symbols")
+    print(f"{'total':16} {lines:6} lines {code:6} code lines {symbols:5} public symbols")
     for name, count in configs:
         options += count
         print(f"{name:16} {count:6} settable options")

@@ -101,7 +101,8 @@ def test_criterion_1_gradient_correctness():
         x = rng.random(u)
         masked = x.copy()
         masked[rng.integers(0, u)] = 0.0
-        target = np.eye(c)[rng.integers(0, c)]
+        label = int(rng.integers(0, c))
+        target = np.eye(c)[label]
 
         # tied-weight reconstruction gradients
         _, gen_grads = net.generative_gradients(x, masked)
@@ -118,12 +119,16 @@ def test_criterion_1_gradient_correctness():
             part[...] = net.theta()[key] + rng.normal(0.0, 0.2, part.shape)
         strength = 0.7
 
-        _, grads = net.discriminative_gradients(x, target)
+        # the step at lr=0.0 returns the data gradient and moves nothing
+        grads = net.discriminative_step(x, target, 0.0)
         pull = hedge.pull(net.params, strength)
         grads, pull = (theta_views(flat, u, c) for flat in (grads, pull))
 
+        def cross_entropy():
+            return -math.log(net.predict_proba(x)[label])
+
         def total_objective():
-            loss_value, _ = net.discriminative_gradients(x, target)
+            loss_value = cross_entropy()
             for key in stored(hedge, "anchor"):
                 dev = net.theta()[key] - stored(hedge, "anchor")[key]
                 loss_value += 0.5 * strength * float(
@@ -131,8 +136,7 @@ def test_criterion_1_gradient_correctness():
             return loss_value
 
         for name in ("w_in", "b_in", "w_out", "c_out"):
-            plain = fd_gradient(lambda: net.discriminative_gradients(x, target)[0],
-                                getattr(net, name))
+            plain = fd_gradient(cross_entropy, getattr(net, name))
             worst = max(worst, relative_gap(grads[name], plain))
             total = fd_gradient(total_objective, getattr(net, name))
             worst = max(worst, relative_gap(grads[name] + pull[name], total))
@@ -242,7 +246,7 @@ def test_criterion_5_hedge_containment():
         for _ in range(300):
             y = int(rng.integers(0, 2))
             x = np.clip(means[y] + rng.normal(0.0, 0.1, 8), 0.0, 1.0)
-            _, grads = net.discriminative_step(x, np.eye(2)[y], lr)
+            grads = net.discriminative_step(x, np.eye(2)[y], lr)
             hedge.record_step(lr, grads)
         hedge.set_anchor(net.params)
         hedge.refresh_importance()

@@ -348,13 +348,12 @@ def test_value_the_learner_rejects_is_a_config_error_before_any_output(
         tmp_path, capsys, flag, text, scenario):
     key = flag[2:].replace("-", "_")
     out = tmp_path / "rejected"
-    base = ["--gen", "sea", "--gen-size", "600", "--batch", "300", "--seeds", "1",
-            "--scenario", scenario, "--out", str(out)]
-    assert main(base + [flag, text]) == 1
-    assert f"error: {key}: " in capsys.readouterr().err
-    # The value under test replaces its key's base value: a key is set once.
+    # The value under test replaces its key's base value: a key or flag is set once.
     values = {"gen": "sea", "gen_size": "600", "batch": "300", "seeds": "1",
               "scenario": scenario, "out": str(out), key: text}
+    assert main([word for k, v in values.items()
+                 for word in ("--" + k.replace("_", "-"), v)]) == 1
+    assert f"error: {key}: " in capsys.readouterr().err
     config = tmp_path / "rejected.cfg"
     config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
     assert main(["--config", str(config)]) == 1
@@ -403,6 +402,30 @@ def test_config_key_set_twice_is_a_config_error(tmp_path, capsys):
     assert main(["--config", str(config)]) == 1
     assert capsys.readouterr().err == f"error: {config}:8: lr_disc is set twice\n"
     assert not out.exists()
+
+
+# A flag follows the config-file rule: a value given twice is refused, not
+# overwritten; only a list takes more items.
+@pytest.mark.parametrize("flag, first, second", [
+    ("--lr-disc", "0.1", "0.2"), ("--gen-size", "600", "600"),
+    ("--scenario", "delay", "sporadic"), ("--gen-seed", "5", "6")])
+def test_scalar_flag_given_twice_is_a_config_error(tmp_path, capsys, flag, first, second):
+    out = tmp_path / "twice"
+    assert main(["--gen", "sea", "--batch", "300", "--seeds", "1", "--out", str(out),
+                 flag, first, flag, second]) == 1
+    assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} is set twice\n"
+    assert not out.exists()
+
+
+def test_list_flag_given_twice_takes_the_items_of_both(tmp_path, capsys):
+    out = tmp_path / "both"
+    base = ["--gen", "sea", "--gen-size", "600", "--batch", "300", "--out", str(out)]
+    assert main(base + ["--seeds", "1,2", "--seeds", "3"]) == 0
+    assert json.loads((out / "summary.json").read_text())["seeds"] == [1, 2, 3]
+    again = tmp_path / "again"
+    assert main(base[:-1] + [str(again), "--seeds", "1", "--seeds", "1"]) == 1
+    assert capsys.readouterr().err == "error: seeds: [1, 1] repeats an item\n"
+    assert not again.exists()
 
 
 # A path that names a directory, or where no directory can be made, is a
@@ -616,24 +639,24 @@ def test_main_reads_config_file(tmp_path, capsys):
 # Argparse converts and checks no value itself.
 FLAGS = {
     "--config": (None, True, "_StoreAction", "str"),
-    "--agmm-conf": (None, True, "_StoreAction", "float"),
-    "--net-conf": (None, True, "_StoreAction", "float"),
-    "--init-spread": (None, True, "_StoreAction", "float"),
-    "--lr-gen": (None, True, "_StoreAction", "float"),
-    "--lr-disc": (None, True, "_StoreAction", "float"),
-    "--mask-frac": (None, True, "_StoreAction", "float"),
+    "--agmm-conf": (None, True, "_AppendAction", "float"),
+    "--net-conf": (None, True, "_AppendAction", "float"),
+    "--init-spread": (None, True, "_AppendAction", "float"),
+    "--lr-gen": (None, True, "_AppendAction", "float"),
+    "--lr-disc": (None, True, "_AppendAction", "float"),
+    "--mask-frac": (None, True, "_AppendAction", "float"),
     "--ablate": ("{agmm,evolve,slash}", True, "_AppendAction", "str"),
-    "--data": (None, True, "_StoreAction", "str"),
-    "--gen": ("{sea,hyperplane}", True, "_StoreAction", "str"),
-    "--gen-size": (None, True, "_StoreAction", "int"),
-    "--gen-seed": (None, True, "_StoreAction", "int"),
-    "--label-noise": (None, True, "_StoreAction", "float"),
-    "--drift": (None, True, "_StoreAction", "float"),
-    "--scenario": ("{sporadic,delay}", True, "_StoreAction", "str"),
-    "--label-frac": (None, True, "_StoreAction", "float"),
-    "--batch": (None, True, "_StoreAction", "int"),
-    "--seeds": (None, True, "_StoreAction", "int"),
-    "--out": (None, True, "_StoreAction", "str"),
+    "--data": (None, True, "_AppendAction", "str"),
+    "--gen": ("{sea,hyperplane}", True, "_AppendAction", "str"),
+    "--gen-size": (None, True, "_AppendAction", "int"),
+    "--gen-seed": (None, True, "_AppendAction", "int"),
+    "--label-noise": (None, True, "_AppendAction", "float"),
+    "--drift": (None, True, "_AppendAction", "float"),
+    "--scenario": ("{sporadic,delay}", True, "_AppendAction", "str"),
+    "--label-frac": (None, True, "_AppendAction", "float"),
+    "--batch": (None, True, "_AppendAction", "int"),
+    "--seeds": (None, True, "_AppendAction", "int"),
+    "--out": (None, True, "_AppendAction", "str"),
     "--log": (None, False, "_StoreTrueAction", "bool"),
 }
 

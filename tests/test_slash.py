@@ -207,7 +207,7 @@ def test_record_step_equals_the_delta_dict_form():
     loss_drop = {k: np.zeros_like(v) for k, v in stored(hedge, "loss_drop").items()}
     movement = {k: np.zeros_like(v) for k, v in stored(hedge, "movement").items()}
     for lr in rng.uniform(0.0, 0.2, 50):
-        _, flat_grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], lr)
+        flat_grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], lr)
         hedge.record_step(lr, flat_grads)
         grads = theta_views(flat_grads, 4, 3)
         delta = {k: -lr * g for k, g in grads.items()}
@@ -294,7 +294,7 @@ def test_pull_and_refresh_leave_accumulators_untouched():
     net = Network(4, 2, 3, rng)
     hedge = HedgeState(net.theta())
     for _ in range(5):
-        _, grads = net.discriminative_step(rng.random(4), np.eye(2)[0], 0.05)
+        grads = net.discriminative_step(rng.random(4), np.eye(2)[0], 0.05)
         hedge.record_step(0.05, grads)
     hedge.set_anchor(net.params)
     snapshot = {k: v.copy() for k, v in stored(hedge, "loss_drop").items()}
@@ -355,7 +355,7 @@ def test_cached_importance_equals_recomputation_after_mixed_changes():
                            "prune", "refresh", "refresh"], ops])
     for op in ops:
         if op == "record":
-            _, grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], 0.1)
+            grads = net.discriminative_step(rng.random(4), np.eye(3)[rng.integers(3)], 0.1)
             hedge.record_step(0.1, grads)
         elif op == "grow" and net.n_hidden < 12:
             carried = net.add_nodes(int(rng.integers(1, 3)), rng)
@@ -389,7 +389,7 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
         lr = float(rng.uniform(0.01, 0.5))
         if op == "label":
             for _ in range(2):  # the true label and its augmented copy
-                _, flat = net.discriminative_step(x, target, lr)
+                flat = net.discriminative_step(x, target, lr)
                 hedge.record_step(lr, flat)
                 grads = theta_views(flat, 4, 3)
                 for key in THETA_KEYS:
@@ -404,7 +404,7 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
             hedge.refresh_importance()
             net.predict_proba(x)
             addend = hedge.pull(net.params, strength)
-            _, flat = net.discriminative_step(x, target, lr, grad_addend=addend)
+            flat = net.discriminative_step(x, target, lr, grad_addend=addend)
             raw = {key: loss_drop[key] / (movement[key] ** 2 + hedge.eps) for key in THETA_KEYS}
             total_sq = 0.0
             for key in THETA_KEYS:
@@ -507,7 +507,7 @@ def test_hedge_contains_flipped_pseudo_labels():
         for _ in range(300):
             y = int(rng.integers(0, 2))
             x = np.clip(means[y] + rng.normal(0.0, 0.1, 8), 0.0, 1.0)
-            _, grads = net.discriminative_step(x, np.eye(2)[y], lr)
+            grads = net.discriminative_step(x, np.eye(2)[y], lr)
             hedge.record_step(lr, grads)
         hedge.set_anchor(net.params)
         hedge.refresh_importance()

@@ -41,6 +41,18 @@ def test_as_batches_shapes_and_tail():
     assert np.array_equal(batches[-1].truth, [4])
 
 
+@pytest.mark.parametrize("truth", [[0.4, 1.9, 2.2], [0.0, 1.0, np.nan], [0.0, np.inf, 1.0],
+                                   ["0", "1", "2"]])
+def test_as_batches_refuses_a_label_that_is_not_an_integer(truth):
+    with pytest.raises(ValueError, match="is not an integer$"):
+        as_batches(np.ones((3, 2)), np.asarray(truth), 2)
+
+
+def test_as_batches_takes_whole_float_labels_as_integers():
+    (batch,) = as_batches(np.ones((3, 2)), np.array([0.0, 1.0, 2.0]), 3)
+    assert batch.truth.dtype == np.int64 and batch.truth.tolist() == [0, 1, 2]
+
+
 def test_as_batches_validates():
     with pytest.raises(ValueError):
         as_batches(np.empty((0, 3)), np.empty(0, dtype=int), 10)
@@ -280,7 +292,7 @@ def learner_state(learner):
 
 
 @pytest.mark.parametrize("agmm_off", [False, True])
-@pytest.mark.parametrize("bad", [2, 9, -2])
+@pytest.mark.parametrize("bad", [2, 9, -2, 1.5, np.nan])
 def test_out_of_range_label_rejected_before_any_state_change(bad, agmm_off):
     learner = warmed_learner(ablate=["agmm"] if agmm_off else [])
     before = learner_state(learner)
@@ -302,6 +314,30 @@ def test_bad_sample_rejected_before_counters_move(x):
         learner.train_on_sample(x, 1)
     assert learner_state(learner) == before
     assert learner.counters["samples"] == 60
+
+
+def test_whole_float_batch_labels_train_as_integers():
+    features = np.random.default_rng(3).random((40, 3))
+    labels = np.tile([0, 1, -1, 1], 10)
+    learners = [warmed_learner(), warmed_learner()]
+    learners[0].train_on_batch(features, labels)
+    learners[1].train_on_batch(features, labels.astype(float))
+    assert learner_state(learners[0]) == learner_state(learners[1])
+
+
+# A float, even a whole one, is no label, nor is None: -1 means "no label".
+@pytest.mark.parametrize("label", [2, 9, -2, 1.5, 1.0, np.float64(0.0), None, "1"])
+def test_learner_and_mixture_refuse_a_label_with_one_message(label):
+    learner = warmed_learner()
+    before = learner_state(learner)
+    messages = []
+    for call in (lambda: learner.train_on_sample(np.full(3, 0.5), label),
+                 lambda: learner.mixture.update(np.full(3, 0.5), 1.0, label)):
+        with pytest.raises(ValueError) as caught:
+            call()
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] and messages[0].startswith(f"label {label!r} ")
+    assert learner_state(learner) == before
 
 
 def test_batch_shape_mismatch_rejected_before_any_state_change():
@@ -353,7 +389,9 @@ def test_the_mixture_posterior_is_ranked_once_per_unlabelled_sample(monkeypatch)
     StreamLearner(3, 2, RunConfig(seed=0)).train_on_batch(rng.random((300, 3)), labels)
     assert len(posteriors) > 100
     ids = [id(probs) for probs in ranked]
-    assert [ids.count(id(posterior)) for posterior in posteriors] == [1] * len(posteriors)
+    # A None posterior (no class evidence) is not ranked at all.
+    assert [ids.count(id(posterior)) for posterior in posteriors] == \
+        [int(posterior is not None) for posterior in posteriors]
 
 
 def test_seed_determinism_bit_identical():

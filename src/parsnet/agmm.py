@@ -20,8 +20,17 @@ that the network and the stream learner share); the private helpers it calls
 (``_activations``, ``_insert``, ``_tune``, ``_observe_label``) trust their
 input.  A streaming step therefore pays for one check per sample, and a
 rejected sample leaves the mixture untouched.
-``_should_insert`` takes its threshold from :func:`insertion_threshold`, the
-one owner of that formula and of its check on the confidence.
+``update`` computes its insertion threshold on entry, through
+:func:`insertion_threshold` (the one owner of that formula and of its check
+on the confidence), and hands it to ``_should_insert``.
+
+Component rows: :data:`_ROWS` names the per-component arrays, one row per
+component, and ``_new_row`` gives a fresh component's entries keyed by those
+names, each with its dtype spelt out (the centres take the float dtype of a
+checked sample, and an integer ``init_spread`` still gives float spreads).
+A new mixture's empty arrays are those entries cut to no row, and
+``_insert`` and ``prune_inactive`` walk that list by name, so an array
+listed there follows every structural change.
 
 Cached class conditionals: ``class_posterior`` needs, per component, the
 class frequencies normalised by the component's label total (uniform for a
@@ -78,6 +87,9 @@ _MINUS_HALF, _FLOOR, _ONE, _PROBIT = constants(-0.5, VARIANCE_FLOOR, 1.0, PROBIT
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# The per-component arrays, by name; ``AgmmModel._new_row`` gives each one's entry.
+_ROWS = ("centers", "spreads", "support", "lifespan", "activity", "class_counts")
+
 
 class EmptyModelError(RuntimeError):
     """An operation required at least one component."""
@@ -92,8 +104,8 @@ def insertion_threshold(dim: int, confidence: float) -> float:
     """
     if dim < 1:
         raise ValueError("insertion_threshold: dim must be >= 1")
-    if confidence <= 0.0:
-        raise ValueError("insertion_threshold: confidence must be positive")
+    if not confidence > 0.0:  # false for NaN too
+        raise ValueError(f"insertion_threshold: confidence must be positive, got {confidence}")
     return math.exp(-(dim * confidence) / (4.0 - 2.0 * math.exp(-dim / 20.0)))
 
 
@@ -131,12 +143,8 @@ class AgmmModel:
         self.num_classes = num_classes
         self.init_spread = init_spread
         self.prune_grace = prune_grace
-        self.centers = np.empty((0, input_dim))
-        self.spreads = np.empty((0, input_dim))
-        self.support = np.empty(0, dtype=np.int64)
-        self.lifespan = np.empty(0, dtype=np.int64)
-        self.activity = np.empty(0)
-        self.class_counts = np.empty((0, num_classes), dtype=np.int64)
+        for name, row in self._new_row(np.zeros(input_dim)).items():
+            setattr(self, name, row[:0])
         self._conditionals = self._priors = self._shrunk = None
 
     # -- structure ---------------------------------------------------------
@@ -234,14 +242,18 @@ class AgmmModel:
         """Add a component centred on ``x`` with the initial spread."""
         self._insert(check_sample(x, self.input_dim))
 
+    def _new_row(self, x: np.ndarray) -> dict[str, np.ndarray]:
+        """A fresh component centred on ``x``: a one-row array for each of :data:`_ROWS`."""
+        return {"centers": x[None, :],
+                "spreads": np.full((1, self.input_dim), self.init_spread, dtype=float),
+                "support": np.ones(1, dtype=np.int64), "lifespan": np.zeros(1, dtype=np.int64),
+                "activity": np.zeros(1, dtype=float),
+                "class_counts": np.zeros((1, self.num_classes), dtype=np.int64)}
+
     def _insert(self, x: np.ndarray) -> None:
-        self.centers = np.vstack([self.centers, x[None, :]])
-        self.spreads = np.vstack([self.spreads, np.full((1, self.input_dim), self.init_spread)])
-        self.support = np.append(self.support, 1)
-        self.lifespan = np.append(self.lifespan, 0)
-        self.activity = np.append(self.activity, 0.0)
-        self.class_counts = np.vstack(
-            [self.class_counts, np.zeros((1, self.num_classes), dtype=np.int64)])
+        row = self._new_row(x)
+        for name in _ROWS:
+            setattr(self, name, np.concatenate((getattr(self, name), row[name])))
         self._conditionals = self._priors = self._shrunk = None
 
     def vigilance_passes(self, win: int) -> bool:
@@ -262,10 +274,11 @@ class AgmmModel:
         span = np.add.reduce(self.spreads, axis=1) / self.input_dim
         return bool(span[win] >= rho * (np.add.reduce(span) - span[win]))
 
-    def _should_insert(self, acts: np.ndarray, confidence: float) -> bool:
-        """Insertion gate: uncovered by every component AND vigilance passes."""
+    def _should_insert(self, acts: np.ndarray, threshold: float) -> bool:
+        """Insertion gate: every activation below ``threshold`` (see
+        :func:`insertion_threshold`) AND vigilance passes."""
         win = int(acts.argmax())
-        if acts[win] >= insertion_threshold(self.input_dim, confidence):
+        if acts[win] >= threshold:
             return False
         return self.vigilance_passes(win)
 
@@ -312,12 +325,8 @@ class AgmmModel:
             doomed[int(rate.argmax())] = False
         removed = np.flatnonzero(doomed)
         keep = ~doomed
-        self.centers = self.centers[keep]
-        self.spreads = self.spreads[keep]
-        self.support = self.support[keep]
-        self.lifespan = self.lifespan[keep]
-        self.activity = self.activity[keep]
-        self.class_counts = self.class_counts[keep]
+        for name in _ROWS:
+            setattr(self, name, getattr(self, name)[keep])
         self._conditionals = self._priors = self._shrunk = None
         return removed.tolist()
 
@@ -326,11 +335,12 @@ class AgmmModel:
         """One full streaming step: age, insert-or-tune, prune, credit ``label`` (-1: none).
 
         Returns ``(inserted, pruned_indices)`` so callers can log structural
-        events.  The very first sample bootstraps the mixture.  The sample and
-        the label are checked before any state changes.
+        events.  The very first sample bootstraps the mixture.  The sample, the
+        label and ``confidence`` are checked before any state changes.
         """
         x = check_sample(x, self.input_dim)
         check_label(label, self.num_classes)
+        threshold = insertion_threshold(self.input_dim, confidence)
         if self.size == 0:
             self._insert(x)
             inserted, pruned = True, []
@@ -340,7 +350,7 @@ class AgmmModel:
             acts = self._activations(x)
             self.lifespan += 1
             self.activity += acts
-            inserted = self._should_insert(acts, confidence)
+            inserted = self._should_insert(acts, threshold)
             if inserted:
                 self._insert(x)
             else:

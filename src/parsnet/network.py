@@ -83,10 +83,10 @@ def theta_views(flat: np.ndarray, n_inputs: int, n_classes: int) -> dict[str, np
     hidden size follows from its length.  Each segment is a C-contiguous
     view, so writing to it writes to ``flat``.
     """
-    bounds = theta_bounds(flat.shape[0], n_inputs, n_classes)
-    w_in, b_in, w_out, c_out = np.split(flat, bounds[:3])
-    return {"w_in": w_in.reshape(-1, n_inputs), "b_in": b_in,
-            "w_out": w_out.reshape(-1, n_classes), "c_out": c_out}
+    w_in_end, b_in_end, w_out_end, _ = theta_bounds(flat.shape[0], n_inputs, n_classes)
+    return {"w_in": flat[:w_in_end].reshape(-1, n_inputs), "b_in": flat[w_in_end:b_in_end],
+            "w_out": flat[b_in_end:w_out_end].reshape(-1, n_classes),
+            "c_out": flat[w_out_end:]}
 
 
 def flatten_theta(w_in, b_in, w_out, c_out) -> np.ndarray:
@@ -265,8 +265,8 @@ class Network:
         if not 0.0 <= lr < math.inf:  # false for NaN too
             raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
         x = check_sample(x, self.n_inputs)
+        masked = mask_input(x, mask_fraction, rng)
         self._forward = None
-        masked = mask_input(x, mask_fraction, rng) if mask_fraction > 0.0 else x
         error, grads = self.generative_gradients(x, masked)
         if lr > 0.0:
             self.w_in -= lr * grads["w_in"]
@@ -314,17 +314,20 @@ class Network:
         old, total = self.n_hidden, self.n_hidden + count
         new_w_in = self._xavier(rng, (count, self.n_inputs), self.n_inputs, total)
         new_w_out = self._xavier(rng, (count, self.n_classes), total, self.n_classes)
-        self._bind(flatten_theta(np.vstack([self.w_in, new_w_in]),
-                                 np.append(self.b_in, np.zeros(count)),
-                                 np.vstack([self.w_out, new_w_out]), self.c_out))
+        # Layout order: each segment's old block, then its new one.
+        self._bind(np.concatenate((self.w_in, new_w_in, self.b_in, np.zeros(count),
+                                   self.w_out, new_w_out, self.c_out), axis=None))
         return self._positions(slice(old))
 
     def prune_nodes(self, indexes) -> np.ndarray:
         """Remove the listed hidden units; returns where the survivors' entries
         sat in the old ``params``."""
-        indexes = np.unique(np.asarray(indexes, dtype=int))
+        indexes = np.asarray(indexes)
         if indexes.size == 0:
             return np.arange(self.params.shape[0])
+        if indexes.dtype.kind not in "iu":
+            raise ValueError(f"hidden-unit indexes must be integers, got {indexes.dtype}")
+        indexes = np.unique(indexes)
         if indexes.min() < 0 or indexes.max() >= self.n_hidden:
             raise IndexError("hidden-unit index out of range")
         if indexes.size >= self.n_hidden:

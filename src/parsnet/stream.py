@@ -71,10 +71,11 @@ class StreamScenario:
 
 
 def _integer_labels(labels) -> np.ndarray:
-    """``labels`` as int64, or ``ValueError`` naming one that is not an integer."""
+    """``labels`` as int64, or ``ValueError`` naming one that is not an integer;
+    a boolean is none, as in :func:`~parsnet.network.check_label`."""
     labels = np.asarray(labels)
     stray = (~(np.isfinite(labels) & (np.trunc(labels) == labels)) if labels.dtype.kind == "f"
-             else np.full(labels.shape, labels.dtype.kind not in "biu"))
+             else np.full(labels.shape, labels.dtype.kind not in "iu"))
     if stray.any():
         raise ValueError(f"label {labels[stray][0].item()!r} is not an integer")
     return labels.astype(np.int64, copy=False)

@@ -6,7 +6,11 @@ hashes the state itself, by name: the network parameters, the mixture
 arrays, the hedge stores key by key, both phase monitors, the error scaler,
 the random generator, the counters and the events.  Reading every array
 through its name keeps the digest independent of how the arrays are laid
-out in memory.
+out in memory.  The mixture's rows, the hedge's stores and a running
+statistic's slots are read from the lists their own modules keep, so a
+piece of state listed there is hashed too.  Two derived caches are hashed
+as well, the mixture's class conditionals and the hedge's importance, so
+the digest also pins when each is refilled.
 
     PYTHONPATH=src python3 tests/state_digest.py
 
@@ -26,7 +30,9 @@ import sys
 
 import numpy as np
 
+from parsnet import agmm, slash
 from parsnet.network import THETA_KEYS, theta_views
+from parsnet.plasticity import RunningStat
 from parsnet.stream import StreamLearner, prequential_run
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -35,23 +41,18 @@ DIGEST_FILE = HERE / "state_digests.json"
 SEED = 0
 STREAMS = 3
 
-MIXTURE_ARRAYS = ("centers", "spreads", "support", "lifespan", "activity",
-                  "class_counts", "_conditionals")
-HEDGE_STORES = ("anchor", "importance", "loss_drop", "movement")
-STAT_SLOTS = ("n", "mean", "m2", "min_mean", "min_std")
-
 
 def _named_state(learner: StreamLearner):
     """Yield ``(name, value)`` for every piece of the learner's state."""
     net, mixture, hedge = learner.net, learner.mixture, learner.hedge
     for key in ("w_in", "b_in", "d", "w_out", "c_out"):
         yield f"net.{key}", getattr(net, key)
-    for key in MIXTURE_ARRAYS:
+    for key in (*agmm._ROWS, "_conditionals"):
         yield f"mixture.{key}", getattr(mixture, key)
-    for store in HEDGE_STORES:
-        named = theta_views(getattr(hedge, "_" + store), net.n_inputs, net.n_classes)
+    for store in slash._STORES:
+        named = theta_views(getattr(hedge, store), net.n_inputs, net.n_classes)
         for key in THETA_KEYS:
-            yield f"hedge.{store}.{key}", named[key]
+            yield f"hedge.{store.lstrip('_')}.{key}", named[key]
     # The hedge records two steps per labelled sample: the label and its
     # augmented copy, the only steps that count in ``disc_aug_steps``.
     yield "hedge.steps", 2 * learner.counters["disc_aug_steps"]
@@ -60,7 +61,8 @@ def _named_state(learner: StreamLearner):
         yield f"{phase}.levels", (monitor.bias_level, monitor.var_level)
         for stat in ("bias_stat", "var_stat"):
             running = getattr(monitor, stat)
-            yield f"{phase}.{stat}", tuple(getattr(running, slot) for slot in STAT_SLOTS)
+            yield f"{phase}.{stat}", tuple(getattr(running, slot)
+                                           for slot in RunningStat.__slots__)
     yield "scaler", (learner.scaler.e_min, learner.scaler.e_max)
     yield "rng", learner.rng.bit_generator.state
     counters = learner.counters

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.cluster.vq import kmeans2
 
-from parsnet.agmm import (PROBIT_SCALE, AgmmModel, EmptyModelError, _activity_cutoff,
+from parsnet.agmm import (_ROWS, PROBIT_SCALE, AgmmModel, EmptyModelError, _activity_cutoff,
                           insertion_threshold)
 
 
@@ -156,8 +156,9 @@ def test_insertion_threshold_high_dim():
 def test_insertion_threshold_validates():
     with pytest.raises(ValueError):
         insertion_threshold(0, 1.0)
-    with pytest.raises(ValueError):
-        insertion_threshold(4, 0.0)
+    for confidence in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="confidence must be positive"):
+            insertion_threshold(4, confidence)
 
 
 def test_insertion_gate_keeps_the_bits_of_the_precomputed_denominator():
@@ -171,9 +172,10 @@ def test_insertion_gate_keeps_the_bits_of_the_precomputed_denominator():
         denominator = 4.0 - 2.0 * math.exp(-dim / 20.0)
         for confidence in confidences.tolist():
             old = math.exp(-(dim * confidence) / denominator)
-            assert not model._should_insert(np.array([old]), confidence), (dim, confidence)
+            threshold = insertion_threshold(dim, confidence)
+            assert not model._should_insert(np.array([old]), threshold), (dim, confidence)
             below = np.array([np.nextafter(old, 0.0)])
-            assert model._should_insert(below, confidence), (dim, confidence)
+            assert model._should_insert(below, threshold), (dim, confidence)
 
 
 # -- vigilance & insertion gate ---------------------------------------------------
@@ -204,7 +206,8 @@ def test_vigilance_half_overlap_equal_spans():
 
 
 def should_insert(model, x, confidence):
-    return model._should_insert(model._activations(np.asarray(x, float)), confidence)
+    return model._should_insert(model._activations(np.asarray(x, float)),
+                                insertion_threshold(model.input_dim, confidence))
 
 
 def test_should_insert_false_at_center():
@@ -507,6 +510,43 @@ def test_prune_removes_dormant_component():
     assert model.size == 2
 
 
+def test_every_per_component_array_is_a_listed_row():
+    # An array with one row per component that ``_ROWS`` does not name would
+    # miss inserts, prunes and the state digest.
+    rng = np.random.default_rng(3)
+    model = AgmmModel(2, 3, prune_grace=5)
+    inserts = prunes = 0
+    for step in range(300):
+        # three clusters in turn, then the third falls silent
+        centre = step % 3 if step < 150 else step % 2
+        inserted, pruned = model.update(rng.normal(centre, 0.05, 2), 2.0,
+                                        label=int(rng.integers(-1, 3)))
+        inserts, prunes = inserts + inserted, prunes + len(pruned)
+    assert inserts > 2 and prunes > 0 and model.size >= 2
+    rows = [name for name, value in vars(model).items()
+            if not name.startswith("_") and isinstance(value, np.ndarray)
+            and value.ndim >= 1 and value.shape[0] == model.size]
+    assert sorted(rows) == sorted(_ROWS)
+    assert list(model._new_row(np.zeros(2))) == list(_ROWS)
+
+
+def test_an_integer_init_spread_learns_like_its_float():
+    # The spreads stay float: an integer array would truncate a tuned
+    # spread below 1 to 0 and divide by it.
+    rng = np.random.default_rng(5)
+    samples = rng.normal(0.0, 0.05, (20, 2))
+    models = [AgmmModel(2, 2, init_spread=spread) for spread in (1, 1.0)]
+    for model in models:
+        assert model.spreads.dtype == np.float64
+        for x in samples:
+            model.update(x, 1.0)
+    integer, real = models
+    assert 0.0 < real.spreads.min() < 1.0
+    for name in _ROWS:
+        a, b = getattr(integer, name), getattr(real, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_prune_never_empties_model():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -644,7 +684,8 @@ def composed_update(model, x, confidence, label):
     acts = model._activations(x)
     model.lifespan += 1
     model.activity += acts
-    inserted = model._should_insert(model._activations(x), confidence)
+    inserted = model._should_insert(model._activations(x),
+                                    insertion_threshold(model.input_dim, confidence))
     if inserted:
         model.insert(x)
     else:
@@ -715,11 +756,24 @@ def test_observe_label_refreshes_the_class_posterior():
 def test_update_rejects_bad_label_before_any_change(label):
     model = build([[0.0], [5.0]], [[1.0], [1.0]])
     model.update(np.array([0.2]), 2.0, label=0)
-    before = {name: getattr(model, name).copy()
-              for name in ("centers", "spreads", "support", "lifespan", "activity",
-                           "class_counts")}
+    before = {name: getattr(model, name).copy() for name in _ROWS}
     with pytest.raises(ValueError, match=re.escape(f"label {label!r} ")):
         model.update(np.array([0.3]), 2.0, label=label)
+    for name, value in before.items():
+        assert np.array_equal(getattr(model, name), value), name
+
+
+@pytest.mark.parametrize("confidence", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_update_rejects_bad_confidence_before_any_change(size, confidence):
+    # Checked on entry: the mixture neither ages nor, empty or with a
+    # component on the sample, inserts.
+    model = AgmmModel(1, 2)
+    for center in [0.0, 5.0][:size]:
+        model.update(np.array([center]), 2.0)
+    before = {name: getattr(model, name).copy() for name in _ROWS}
+    with pytest.raises(ValueError, match="confidence must be positive"):
+        model.update(np.array([0.0]), confidence, label=1)
     for name, value in before.items():
         assert np.array_equal(getattr(model, name), value), name
 

@@ -279,6 +279,21 @@ def test_generative_step_is_sgd_on_its_gradients(mask_fraction):
             assert np.array_equal(getattr(net, key), value), key
 
 
+@pytest.mark.parametrize("mask_fraction", [-0.5, math.nan, 1.0, 1.5])
+def test_generative_step_refuses_a_bad_mask_fraction_before_any_change(mask_fraction):
+    rng = np.random.default_rng(33)
+    net = random_net(rng)
+    x = rng.random(5)
+    net.predict_proba(x)
+    params, d, forward = net.params.copy(), net.d.copy(), net._forward
+    draws = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="mask fraction"):
+        net.generative_step(x, 0.1, mask_fraction, draws)
+    assert net.params.tobytes() == params.tobytes() and net.d.tobytes() == d.tobytes()
+    assert net._forward is forward
+    assert draws.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 @pytest.mark.parametrize("with_addend", [False, True])
 def test_discriminative_step_is_sgd_on_its_gradients(with_addend):
     rng = np.random.default_rng(32)
@@ -411,15 +426,27 @@ def test_dot_equals_matmul_on_every_product_shape_bit_for_bit():
             assert product.tobytes() == expected.tobytes(), (a.shape, b.shape)
 
 
+def package_sites(matches):
+    """``file:line`` of every syntax node of the package that ``matches``."""
+    sources = sorted(pathlib.Path(parsnet.__file__).parent.glob("*.py"))
+    assert len(sources) >= 7
+    return [f"{path.name}:{node.lineno}" for path in sources
+            for node in ast.walk(ast.parse(path.read_text())) if matches(node)]
+
+
 def test_the_package_uses_no_matmul_operator():
     # ``@`` goes through the matmul ufunc's dispatch; ``.dot`` calls the same
     # BLAS routine directly (see the network docstring).
-    sources = sorted(pathlib.Path(parsnet.__file__).parent.glob("*.py"))
-    assert len(sources) >= 7
-    sites = [f"{path.name}:{node.lineno}" for path in sources
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(getattr(node, "op", None), ast.MatMult)]
-    assert sites == []
+    assert package_sites(lambda node: isinstance(getattr(node, "op", None), ast.MatMult)) == []
+
+
+def test_the_package_calls_no_vstack_append_or_split():
+    # These wrap ``np.concatenate`` and slicing in Python; the structural
+    # changes build and cut the flat vector and the mixture rows directly.
+    assert package_sites(lambda node: isinstance(node, ast.Attribute)
+                         and node.attr in ("vstack", "append", "split")
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id in ("np", "numpy")) == []
 
 
 # -- structural changes --------------------------------------------------------------------
@@ -524,6 +551,15 @@ def test_prune_everything_rejected():
     net = Network(3, 2, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
         net.prune_nodes([0, 1])
+
+
+@pytest.mark.parametrize("indexes", [[1.7], [0, 1.7], [1.0], [True], np.array([0.5])])
+def test_prune_refuses_a_non_integer_index_before_any_change(indexes):
+    net = Network(3, 2, 3, np.random.default_rng(0))
+    params = net.params.copy()
+    with pytest.raises(ValueError, match="must be integers"):
+        net.prune_nodes(indexes)
+    assert net.params.tobytes() == params.tobytes() and net.n_hidden == 3
 
 
 def test_add_then_prune_new_nodes_is_identity():

@@ -316,6 +316,20 @@ def test_bad_sample_rejected_before_counters_move(x):
     assert learner.counters["samples"] == 60
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_labels_are_refused_alike_by_sample_batch_and_batching(flag):
+    learner = warmed_learner()
+    before = learner_state(learner)
+    message = f"^label {flag!r} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        learner.train_on_sample(np.full(3, 0.5), flag)
+    with pytest.raises(ValueError, match=message):
+        learner.train_on_batch(np.full((2, 3), 0.5), np.array([flag, not flag]))
+    assert learner_state(learner) == before
+    with pytest.raises(ValueError, match=message):
+        as_batches(np.ones((2, 3)), np.array([flag, not flag]), 2)
+
+
 def test_whole_float_batch_labels_train_as_integers():
     features = np.random.default_rng(3).random((40, 3))
     labels = np.tile([0, 1, -1, 1], 10)

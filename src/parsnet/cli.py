@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .stream import (Batch, RunConfig, as_batches, check_options, make_infinite_delay,
-                     make_sporadic, option, prequential_run)
+                     make_sporadic, normalize_batches, option, prequential_run)
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)  # concept per quartile of the stream
 GENERATOR_SIZES = {"sea": 120_000, "hyperplane": 25_000}
@@ -171,6 +171,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     try:
         check_options(cfg)
         batches, dataset = _build_batches(cfg)
+        normalize_batches(batches)  # refuses a stream that scales to one zero row
         scenarios = [make_sporadic(batches, cfg.label_frac, np.random.default_rng(seed))
                      if cfg.scenario == "sporadic" else make_infinite_delay(batches)
                      for seed in cfg.seeds]

@@ -70,14 +70,15 @@ class StreamScenario:
     label_fraction: float
 
 
-def _integer_labels(labels) -> np.ndarray:
-    """``labels`` as int64, or ``ValueError`` naming one that is not an integer;
-    a boolean is none, as in :func:`~parsnet.network.check_label`."""
+def _integer_labels(labels, name: str = "label") -> np.ndarray:
+    """``labels`` as int64, or ``ValueError`` naming, as ``<name> <value>``, one
+    that is not an integer; a boolean is none, as in
+    :func:`~parsnet.network.check_label`."""
     labels = np.asarray(labels)
     stray = (~(np.isfinite(labels) & (np.trunc(labels) == labels)) if labels.dtype.kind == "f"
              else np.full(labels.shape, labels.dtype.kind not in "iu"))
     if stray.any():
-        raise ValueError(f"label {labels[stray][0].item()!r} is not an integer")
+        raise ValueError(f"{name} {labels[stray][0].item()!r} is not an integer")
     return labels.astype(np.int64, copy=False)
 
 
@@ -105,7 +106,8 @@ def as_batches(features: np.ndarray, labels: np.ndarray, batch_size: int) -> lis
 def make_sporadic(batches: list[Batch], fraction: float,
                   rng: np.random.Generator) -> StreamScenario:
     """Keep exactly ``floor(fraction * n)`` labels per batch, chosen uniformly
-    with no regard for the class distribution."""
+    with no regard for the class distribution; the scenario's
+    ``label_fraction`` is the share of samples that kept a label."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("label fraction must lie strictly between 0 and 1")
     masked = []
@@ -115,7 +117,8 @@ def make_sporadic(batches: list[Batch], fraction: float,
         labels = np.full(n, -1, dtype=np.int64)
         labels[keep] = batch.truth[keep]
         masked.append(Batch(batch.features, labels, batch.truth))
-    return StreamScenario(masked, _class_count(batches), fraction)
+    kept = np.concatenate([batch.labels for batch in masked]) >= 0
+    return StreamScenario(masked, _class_count(batches), float(kept.mean()))
 
 
 def make_infinite_delay(batches: list[Batch]) -> StreamScenario:
@@ -145,8 +148,10 @@ def normalize_batches(batches: list[Batch]) -> list[Batch]:
     batch that holds one, clipped to [0, 1]; raises ``ValueError`` when no
     batch does.
 
-    Columns that are constant over those rows map to 0.  A non-finite entry
-    stays as it is, so that :func:`prequential_run` skips and counts its row.
+    Columns that are constant over those rows map to 0, and ``ValueError`` is
+    raised when every column is, since every sample would then map to one zero
+    row.  A non-finite entry stays as it is, so that :func:`prequential_run`
+    skips and counts its row.
     """
     finite = (batch.features[np.isfinite(batch.features).all(axis=1)] for batch in batches)
     first = next((rows for rows in finite if rows.shape[0]), None)
@@ -155,6 +160,8 @@ def normalize_batches(batches: list[Batch]) -> list[Batch]:
     lo = first.min(axis=0)
     span = first.max(axis=0) - lo
     flat = span == 0.0
+    if flat.all():
+        raise ValueError("every feature is constant over the scaling rows, so all scale to 0")
     safe = np.where(flat, 1.0, span)
     out = []
     for index, batch in enumerate(batches):
@@ -430,17 +437,30 @@ def prequential_run(config: RunConfig, scenario: StreamScenario, log=None) -> Ru
     """Test-then-train over every batch exactly once, logging to ``log``.  A row
     with a non-finite feature is left out of prediction, scoring and training
     and counted once as ``skipped``; a batch of such rows adds no per-batch
-    entry, and a stream of them raises ``ValueError``."""
+    entry, and a stream of them raises ``ValueError``.
+
+    Before the first batch is predicted, ``ValueError`` names a truth that is
+    not an integer in ``0..num_classes - 1`` or a training label that is not
+    one in ``-1..num_classes - 1``; a truth of whole-number floats is scored as
+    its integers."""
     batches = normalize_batches(scenario.batches)
-    n_inputs = batches[0].features.shape[1]
-    learner = StreamLearner(n_inputs, scenario.num_classes, config, log)
-    confusion = np.zeros((scenario.num_classes, scenario.num_classes), dtype=np.int64)
+    n_classes = scenario.num_classes
+    truths = [_integer_labels(batch.truth, "truth") for batch in batches]
+    truth = np.concatenate(truths)
+    stray = (truth < 0) | (truth >= n_classes)
+    if stray.any():
+        raise ValueError(f"truth {truth[stray][0]} outside 0..{n_classes - 1}")
+    labels = _integer_labels(np.concatenate([batch.labels for batch in batches]))
+    check_label(int(labels.min()), n_classes)
+    check_label(int(labels.max()), n_classes)
+    learner = StreamLearner(batches[0].features.shape[1], n_classes, config, log)
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     batch_accuracy, hidden, sizes, pseudo, cumtime = [], [], [], [], []
     started = time.perf_counter()
     for index, batch in enumerate(batches):
         finite = np.isfinite(batch.features).all(axis=1)
         learner.counters["skipped"] += finite.size - int(np.count_nonzero(finite))
-        features, truth = batch.features[finite], batch.truth[finite]
+        features, truth = batch.features[finite], truths[index][finite]
         if not truth.size:
             continue
         predictions = learner.predict(features)

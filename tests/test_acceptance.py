@@ -20,6 +20,8 @@ from parsnet.slash import HedgeState
 from parsnet.stream import (Batch, RunConfig, make_infinite_delay,
                             make_sporadic, prequential_run)
 
+from helpers import anchor_gap, drift_stream, fd_gradient, relative_gap, stored
+
 SEEDS = (1, 2, 3, 4, 5)
 
 
@@ -27,11 +29,6 @@ def report(number, ok, detail):
     line = f"[criterion {number}] {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
-
-
-def stored(hedge, name):
-    """One of the hedge's flat stores by segment: views that read and write it."""
-    return theta_views(getattr(hedge, "_" + name), hedge.n_inputs, hedge.n_classes)
 
 
 # -- shared heavy inputs --------------------------------------------------------
@@ -44,44 +41,6 @@ def sea_batches():
 @pytest.fixture(scope="module")
 def hyperplane_batches():
     return gen_hyperplane(25_000, seed=99, batch_size=1000)
-
-
-def drift_stream(n_batches, size, shift_at, seed):
-    """Criterion-4 drift generator: class-aligned blobs over a thin uniform
-    background whose means jump ~9 sigma to the outer diagonal mid-stream."""
-    rng = np.random.default_rng(seed)
-    pre = np.array([[0.4, 0.4], [0.6, 0.6]])
-    post = np.array([[0.12, 0.12], [0.88, 0.88]])
-    batches = []
-    for k in range(n_batches):
-        labels = rng.integers(0, 2, size=size)
-        means = post if k >= shift_at else pre
-        feats = means[labels] + rng.normal(0.0, 0.04, (size, 2))
-        stray = rng.random(size) < 0.06
-        feats[stray] = rng.random((int(stray.sum()), 2))
-        batches.append(Batch(feats, labels.copy(), labels))
-    return batches
-
-
-# -- oracles ------------------------------------------------------------------------
-
-def fd_gradient(loss_fn, param, eps=1e-6):
-    grad = np.zeros_like(param)
-    flat, gflat = param.ravel(), grad.ravel()
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + eps
-        high = loss_fn()
-        flat[i] = keep - eps
-        low = loss_fn()
-        flat[i] = keep
-        gflat[i] = (high - low) / (2.0 * eps)
-    return grad
-
-
-def relative_gap(analytic, numeric):
-    scale = max(np.abs(numeric).max(), 1e-8)
-    return float(np.abs(analytic - numeric).max() / scale)
 
 
 # -- criterion 1: gradient correctness ---------------------------------------------------
@@ -234,10 +193,6 @@ def test_criterion_5_hedge_containment():
     lr = 0.05
     means = np.array([[0.2] * 8, [0.8] * 8])
 
-    def gap(net, anchor):
-        return math.sqrt(sum(float(np.sum((net.theta()[k] - anchor[k]) ** 2))
-                             for k in anchor))
-
     margins = []
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
@@ -258,12 +213,12 @@ def test_criterion_5_hedge_containment():
             x = np.clip(means[y] + noise, 0.0, 1.0)
             pull = hedge.pull(net.params, strength=1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr, grad_addend=pull)
-        hedged = gap(net, stored(hedge, "anchor"))
+        hedged = anchor_gap(net, stored(hedge, "anchor"))
         net = copy.deepcopy(start)
         for y, noise in flips:
             x = np.clip(means[y] + noise, 0.0, 1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr)
-        margins.append(gap(net, stored(hedge, "anchor")) - hedged)
+        margins.append(anchor_gap(net, stored(hedge, "anchor")) - hedged)
 
     elapsed = time.perf_counter() - started
     ok = all(m > 0.0 for m in margins) and elapsed < 10.0

@@ -553,6 +553,16 @@ def test_delay_with_one_batch_is_a_config_error_before_any_output(tmp_path, caps
     assert not out.exists()
 
 
+def test_stream_that_scales_to_one_zero_row_is_a_config_error_before_any_output(
+        tmp_path, capsys):
+    out = tmp_path / "flat"
+    assert main(["--gen", "sea", "--gen-size", "3000", "--batch", "1", "--seeds", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "every feature is constant" in err
+    assert not out.exists()
+
+
 def test_run_experiment_rejects_bad_ablation(tmp_path):
     with pytest.raises(ConfigError):
         run_experiment(tiny_config(tmp_path, ablate=["everything"]))
@@ -603,14 +613,31 @@ def test_main_unknown_flag_is_exit_1(capsys):
     assert "error: unrecognized arguments: --lr-di 0.1" in capsys.readouterr().err
 
 
-def test_python_m_parsnet_runs_the_cli_without_a_warning():
+def run_python(*args):
+    """A fresh interpreter on ``args`` that imports this checkout's parsnet."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(parsnet.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [path for path in [os.environ.get("PYTHONPATH")] if path])}
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "parsnet",
-                           "--help"], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("module", ["parsnet", "parsnet.cli"])
+def test_python_m_parsnet_runs_the_cli_without_a_warning(module):
+    done = run_python("-W", "error::RuntimeWarning", "-m", module, "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: parsnet")
+
+
+def test_importing_the_package_root_loads_no_submodule_and_no_argparse():
+    done = run_python("-c", "import sys\n"
+                            "before = set(sys.modules)\n"
+                            "import parsnet\n"
+                            "print(sorted(set(sys.modules) - before))")
+    assert done.returncode == 0, done.stderr
+    loaded = ast.literal_eval(done.stdout)
+    assert "parsnet" in loaded
+    assert [name for name in loaded if name.startswith("parsnet.")] == []
+    assert "argparse" not in loaded
 
 
 def test_main_runtime_failure_is_exit_2(tmp_path, monkeypatch):

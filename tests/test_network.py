@@ -12,31 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import parsnet
-from parsnet import network
+from parsnet import agmm, network, slash
 from parsnet.network import (THETA_KEYS, Network, check_sample, flatten_theta, mask_input,
                              normalized_top2, sigmoid, softmax, theta_views)
 
-# -- finite-difference oracle ---------------------------------------------------
+from helpers import fd_gradient, relative_gap
 
-def fd_gradient(loss_fn, param, eps=1e-6):
-    """Central differences of ``loss_fn`` with respect to ``param`` in place."""
-    grad = np.zeros_like(param)
-    flat, gflat = param.ravel(), grad.ravel()
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + eps
-        high = loss_fn()
-        flat[i] = keep - eps
-        low = loss_fn()
-        flat[i] = keep
-        gflat[i] = (high - low) / (2.0 * eps)
-    return grad
-
-
-def relative_gap(analytic, numeric):
-    scale = max(np.abs(numeric).max(), 1e-8)
-    return np.abs(analytic - numeric).max() / scale
-
+# -- gradient-check fixtures ----------------------------------------------------
 
 def named(net, flat):
     """The segments of a flat classifier vector of ``net``, by name."""
@@ -642,7 +624,7 @@ def test_shared_operand_constants_are_read_only():
 
 def test_every_shared_constant_is_read_only():
     found = 0
-    for module in (network, parsnet.agmm, parsnet.slash):
+    for module in (network, agmm, slash):
         for name, value in vars(module).items():
             if isinstance(value, np.ndarray) and value.shape == ():
                 found += 1

@@ -11,6 +11,8 @@ from parsnet.slash import (ACCEPTED, AUGMENT_NOISE_STD, DISAGREEMENT, LOW_CONFID
                            mixture_confidence, propose_label)
 from parsnet.stream import RunConfig
 
+from helpers import anchor_gap, stored
+
 
 def tiny_theta(value=0.0):
     return {
@@ -24,11 +26,6 @@ def tiny_theta(value=0.0):
 def tiny_params(value=0.0):
     """``tiny_theta`` as one flat vector."""
     return flatten_theta(**tiny_theta(value))
-
-
-def stored(hedge, name):
-    """One of the hedge's flat stores by segment: views that read and write it."""
-    return theta_views(getattr(hedge, "_" + name), hedge.n_inputs, hedge.n_classes)
 
 
 # -- self-labelling gate ---------------------------------------------------------
@@ -492,11 +489,6 @@ def test_augment_equals_clipped_reference():
 
 # -- containment of adversarial pseudo labels ----------------------------------------------
 
-def theta_gap(net, anchor):
-    return math.sqrt(sum(float(np.sum((net.theta()[k] - anchor[k]) ** 2))
-                         for k in anchor))
-
-
 def test_hedge_contains_flipped_pseudo_labels():
     lr = 0.05
     means = np.array([[0.2] * 8, [0.8] * 8])
@@ -518,12 +510,12 @@ def test_hedge_contains_flipped_pseudo_labels():
             x = np.clip(means[y] + noise, 0.0, 1.0)
             addend = hedge.pull(net.params, strength=1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr, grad_addend=addend)
-        hedged = theta_gap(net, stored(hedge, "anchor"))
+        hedged = anchor_gap(net, stored(hedge, "anchor"))
 
         net = copy.deepcopy(start)
         for y, noise in flips:
             x = np.clip(means[y] + noise, 0.0, 1.0)
             net.discriminative_step(x, np.eye(2)[1 - y], lr)
-        plain = theta_gap(net, stored(hedge, "anchor"))
+        plain = anchor_gap(net, stored(hedge, "anchor"))
 
         assert hedged < plain, f"seed {seed}: {hedged:.6f} !< {plain:.6f}"

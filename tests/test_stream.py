@@ -1,6 +1,7 @@
 import dataclasses
 import pathlib
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from parsnet import stream as stream_module
 from parsnet.agmm import AgmmModel
 from parsnet.cli import gen_sea
 from parsnet.network import Network
-from parsnet.stream import (Batch, RunConfig, StreamLearner, as_batches,
+from parsnet.stream import (Batch, RunConfig, StreamLearner, StreamScenario, as_batches,
                             make_infinite_delay, make_sporadic,
                             normalize_batches, precision_recall,
                             prequential_run)
+
+from helpers import drift_stream
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -97,6 +100,15 @@ def test_infinite_delay_strips_all_but_first():
     assert scenario.label_fraction == pytest.approx(0.25)
 
 
+def test_sporadic_reports_the_share_of_samples_that_kept_a_label():
+    # 142 batches of 7 keep 3 labels each and the tail batch of 6 keeps 3.
+    scenario = make_sporadic(gen_sea(1000, seed=99, batch_size=7), 0.5,
+                             np.random.default_rng(1))
+    kept = sum(int((batch.labels >= 0).sum()) for batch in scenario.batches)
+    assert kept == 429
+    assert scenario.label_fraction == pytest.approx(0.429)
+
+
 def test_infinite_delay_two_batches_minimum():
     batches = blob_batches(n_batches=2)
     assert all((batch.labels == -1).all()
@@ -125,6 +137,14 @@ def test_normalize_constant_column_maps_to_zero():
     first = Batch(np.array([[3.0, 1.0], [3.0, 2.0]]), np.zeros(2, int), np.zeros(2, int))
     normed = normalize_batches([first])
     assert normed[0].features[:, 0] == pytest.approx([0.0, 0.0])
+
+
+def test_normalize_refuses_rows_that_are_constant_in_every_column():
+    with pytest.raises(ValueError, match="every feature is constant"):
+        normalize_batches(gen_sea(3000, seed=1, batch_size=1))
+    twin = Batch(np.array([[3.0, 1.0], [3.0, 1.0]]), np.zeros(2, int), np.zeros(2, int))
+    with pytest.raises(ValueError, match="every feature is constant"):
+        normalize_batches([twin])
 
 
 # -- metrics ---------------------------------------------------------------------------
@@ -266,6 +286,48 @@ def test_prequential_run_without_any_finite_row_raises():
         batch.features[:, 0] = np.nan
     with pytest.raises(ValueError, match="no batch holds a finite row"):
         prequential_run(RunConfig(seed=1), make_infinite_delay(batches))
+
+
+def hand_built(truth, labels):
+    """A two-class scenario of 20 samples in two batches of 10, built without
+    the scenario builders and so without their checks."""
+    features = np.random.default_rng(3).uniform(0.0, 1.0, (20, 2))
+    return StreamScenario([Batch(features[k:k + 10], labels[k:k + 10], truth[k:k + 10])
+                           for k in (0, 10)], 2, 0.5)
+
+
+def refuse_predict(self, features):
+    raise AssertionError("a batch was predicted before the scenario was checked")
+
+
+@pytest.mark.parametrize("bad, message", [(-1, "truth -1 outside 0..1"),
+                                          (5, "truth 5 outside 0..1"),
+                                          (0.5, "truth 0.5 is not an integer")])
+def test_prequential_run_refuses_a_bad_truth_before_any_prediction(bad, message, monkeypatch):
+    truth = np.tile([0.0, 1.0], 10)
+    truth[13] = bad
+    scenario = hand_built(truth, np.full(20, -1))
+    monkeypatch.setattr(StreamLearner, "predict", refuse_predict)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        prequential_run(RunConfig(seed=1), scenario)
+
+
+def test_prequential_run_refuses_a_bad_training_label_before_any_prediction(monkeypatch):
+    truth = np.tile([0, 1], 10)
+    labels = truth.copy()
+    labels[14] = 7
+    monkeypatch.setattr(StreamLearner, "predict", refuse_predict)
+    with pytest.raises(ValueError, match=re.escape("label 7 outside -1..1")):
+        prequential_run(RunConfig(seed=1), hand_built(truth, labels))
+
+
+def test_prequential_run_scores_a_whole_float_truth_as_its_integers():
+    truth = np.tile([0, 1], 10)
+    as_ints = prequential_run(RunConfig(seed=1), hand_built(truth, truth.copy()))
+    as_floats = prequential_run(RunConfig(seed=1),
+                                hand_built(truth.astype(float), truth.copy()))
+    assert as_floats.signature() == as_ints.signature()
+    assert int(as_floats.confusion.sum()) == 20
 
 
 def test_predict_still_rejects_non_finite_input():
@@ -465,7 +527,6 @@ def test_fully_labelled_stream_has_no_pseudo_labels():
     scenario_like = make_sporadic(batches, 0.99, np.random.default_rng(0))
     # force every label present: rebuild with full labels
     full = [Batch(b.features, b.truth.copy(), b.truth) for b in batches]
-    from parsnet.stream import StreamScenario
     scenario = StreamScenario(full, scenario_like.num_classes, 1.0)
     metrics = prequential_run(RunConfig(seed=1), scenario)
     assert metrics.pseudo_labels == 0
@@ -502,25 +563,8 @@ def test_pseudo_labels_fire_on_confident_separable_stream():
 
 # -- drift reactivity -----------------------------------------------------------------------
 
-def shifted_blob_batches(n_batches, size, shift_at, seed):
-    """Class-aligned blobs over a thin uniform background; the blob means jump
-    roughly nine sigma to the outer diagonal at the shift batch."""
-    rng = np.random.default_rng(seed)
-    pre = np.array([[0.4, 0.4], [0.6, 0.6]])
-    post = np.array([[0.12, 0.12], [0.88, 0.88]])
-    batches = []
-    for k in range(n_batches):
-        labels = rng.integers(0, 2, size=size)
-        means = post if k >= shift_at else pre
-        feats = means[labels] + rng.normal(0.0, 0.04, (size, 2))
-        stray = rng.random(size) < 0.06
-        feats[stray] = rng.random((int(stray.sum()), 2))
-        batches.append(Batch(feats, labels.copy(), labels))
-    return batches
-
-
 def test_mean_shift_triggers_mixture_insertion_and_growth():
-    batches = shifted_blob_batches(n_batches=10, size=200, shift_at=6, seed=7)
+    batches = drift_stream(n_batches=10, size=200, shift_at=6, seed=7)
     scenario = make_sporadic(batches, 0.5, np.random.default_rng(7))
     metrics = prequential_run(RunConfig(seed=7), scenario)
     shift_sample = 6 * 200

@@ -239,19 +239,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per option.  Every non-``bool`` flag collects its texts, converted
-    and checked like a config-file value; a flag not given parses as ``None``."""
+    """One flag per option.  Every flag collects its texts (a ``bool`` flag the
+    text ``true`` each time it is given), converted and checked like a
+    config-file value; a flag not given parses as ``None``."""
     # No prefix of a flag stands for it: a config key must be spelt in full too.
     parser = _Parser(prog="parsnet", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="flat key=value config file")
     for key, entry in _OPTIONS.items():
         meta = entry.metadata
-        if meta["type"] is bool:
-            how = {"action": "store_true", "default": None}
-        else:
-            choices = meta.get("choices")
-            how = {"action": "append",
-                   "metavar": "{" + ",".join(choices) + "}" if choices else None}
+        choices = meta.get("choices")
+        how = ({"action": "append_const", "const": "true"} if meta["type"] is bool else
+               {"action": "append", "metavar": "{" + ",".join(choices) + "}" if choices else None})
         parser.add_argument("--" + key.replace("_", "-"), help=meta["help"], **how)
     return parser
 
@@ -279,39 +277,33 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
-def _parse(name: str, kind, text: str):
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: malformed value {text!r}") from exc
-
-
 def _coerce(name: str, value):
     """Turn a config-file text, or a flag's texts (a list's items joined, a
-    scalar's only one), into the field's type; a float must be finite."""
-    if isinstance(value, list):  # a flag's texts, one each time it was given
-        if len(value) > 1 and _OPTIONS[name].default is not MISSING:  # not a list
-            raise ConfigError(f"{name} is set twice")
-        value = " ".join(value)
-    if isinstance(value, str):
-        value = _from_text(name, value)
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name}: value must be finite, got {value!r}")
-    return value
-
-
-def _from_text(name: str, value: str):
+    scalar's only one), into the field's type; a value of another kind is
+    taken as already typed.  A float must be finite."""
     entry = _OPTIONS[name]
     kind = entry.metadata["type"]
-    if entry.default is MISSING:  # a list
-        return [_parse(name, kind, p) for p in value.replace(",", " ").split()]
-    if kind is bool:
+    if isinstance(value, list):  # a flag's texts, one each time it was given
+        if len(value) > 1 and entry.default is not MISSING:  # not a list
+            raise ConfigError(f"{name} is set twice")
+        value = " ".join(value)
+    if isinstance(value, str) and kind is bool:
         word = value.lower()
         if word not in _TRUE_WORDS + _FALSE_WORDS:
             raise ConfigError(f"{name}: malformed value {value!r} "
                               f"(expected one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)})")
-        return word in _TRUE_WORDS
-    return _parse(name, kind, value)
+        value = word in _TRUE_WORDS
+    elif isinstance(value, str):
+        items = []
+        for text in value.replace(",", " ").split() if entry.default is MISSING else [value]:
+            try:
+                items.append(kind(text))
+            except ValueError as exc:
+                raise ConfigError(f"{name}: malformed value {text!r}") from exc
+        value = items if entry.default is MISSING else items[0]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}: value must be finite, got {value!r}")
+    return value
 
 
 def merge_config(file_values: dict, cli_values: dict) -> ExperimentConfig:

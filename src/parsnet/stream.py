@@ -11,8 +11,14 @@ the hedge pull.  Evaluation is strictly test-then-train: every batch is
 scored with the model state produced by the preceding batches only.
 
 Validation contract: each public entry point checks its input once, before
-any state changes, and private helpers trust their input; a label goes
-through :func:`~parsnet.network.check_label` (``-1``: no label, in every layer).
+any state changes, and private helpers trust their input.  Each check has one
+owner.  The scenario builders share one private builder, which owns the
+truth check (nonnegative integers) and the class count.  A label array or a
+truth array goes through ``_integer_labels``, one vectorised integer and
+range check (``-1``: no label, in every layer); a single label goes through
+:func:`~parsnet.network.check_label`, whose message the array check repeats.
+``normalize_batches`` owns "some row is finite".  ``prequential_run`` checks
+every batch's truth, labels and alignment before it predicts the first one.
 ``train_on_batch`` checks the shapes and every label of a batch up front and
 finds its non-finite rows with one vectorised mask (those rows are skipped and
 counted); ``train_on_sample`` checks its label, and leaves its sample to its
@@ -70,16 +76,25 @@ class StreamScenario:
     label_fraction: float
 
 
-def _integer_labels(labels, name: str = "label") -> np.ndarray:
-    """``labels`` as int64, or ``ValueError`` naming, as ``<name> <value>``, one
-    that is not an integer; a boolean is none, as in
-    :func:`~parsnet.network.check_label`."""
+def _integer_labels(labels, count: int | None = None, name: str = "label",
+                    low: int = -1) -> np.ndarray:
+    """``labels`` as int64, or ``ValueError`` naming, as ``<name> <value>``, the
+    first value that is not an integer (a boolean is none, as in
+    :func:`~parsnet.network.check_label`) or, given ``count``, the first that
+    lies outside ``low..count - 1``, worded for ``low`` -1 as ``check_label``
+    words it."""
     labels = np.asarray(labels)
     stray = (~(np.isfinite(labels) & (np.trunc(labels) == labels)) if labels.dtype.kind == "f"
              else np.full(labels.shape, labels.dtype.kind not in "iu"))
     if stray.any():
         raise ValueError(f"{name} {labels[stray][0].item()!r} is not an integer")
-    return labels.astype(np.int64, copy=False)
+    labels = labels.astype(np.int64, copy=False)
+    if count is not None:
+        stray = (labels < low) | (labels >= count)
+        if stray.any():
+            meaning = " (-1 means unlabelled)" if low == -1 else ""
+            raise ValueError(f"{name} {labels[stray][0]} outside {low}..{count - 1}{meaning}")
+    return labels
 
 
 def as_batches(features: np.ndarray, labels: np.ndarray, batch_size: int) -> list[Batch]:
@@ -106,41 +121,41 @@ def as_batches(features: np.ndarray, labels: np.ndarray, batch_size: int) -> lis
 def make_sporadic(batches: list[Batch], fraction: float,
                   rng: np.random.Generator) -> StreamScenario:
     """Keep exactly ``floor(fraction * n)`` labels per batch, chosen uniformly
-    with no regard for the class distribution; the scenario's
-    ``label_fraction`` is the share of samples that kept a label."""
+    with no regard for the class distribution; ``ValueError`` when that keeps
+    no label in any batch."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("label fraction must lie strictly between 0 and 1")
-    masked = []
-    for batch in batches:
-        n = batch.truth.shape[0]
-        keep = rng.choice(n, size=int(fraction * n), replace=False)
-        labels = np.full(n, -1, dtype=np.int64)
-        labels[keep] = batch.truth[keep]
-        masked.append(Batch(batch.features, labels, batch.truth))
-    kept = np.concatenate([batch.labels for batch in masked]) >= 0
-    return StreamScenario(masked, _class_count(batches), float(kept.mean()))
+    sizes = [batch.truth.shape[0] for batch in batches]
+    if int(fraction * max(sizes)) == 0:
+        raise ValueError(f"label fraction {fraction} keeps no label in any batch: "
+                         f"the largest holds {max(sizes)} samples")
+    return _withhold(batches, [rng.choice(n, size=int(fraction * n), replace=False)
+                               for n in sizes])
 
 
 def make_infinite_delay(batches: list[Batch]) -> StreamScenario:
     """Labels survive only in the first batch; everything after is unlabelled."""
     if len(batches) < 2:
         raise ValueError("infinite delay needs at least two batches")
-    masked = [Batch(batches[0].features, batches[0].truth.copy(), batches[0].truth)]
-    for batch in batches[1:]:
-        masked.append(Batch(batch.features,
-                            np.full(batch.truth.shape[0], -1, dtype=np.int64),
-                            batch.truth))
-    total = sum(b.truth.shape[0] for b in batches)
-    return StreamScenario(masked, _class_count(batches),
-                          batches[0].truth.shape[0] / total)
+    return _withhold(batches, [np.arange(batch.truth.shape[0] if index == 0 else 0)
+                               for index, batch in enumerate(batches)])
 
 
-def _class_count(batches: list[Batch]) -> int:
-    top = max(int(b.truth.max()) for b in batches)
-    low = min(int(b.truth.min()) for b in batches)
-    if low < 0:
+def _withhold(batches: list[Batch], keep: list[np.ndarray]) -> StreamScenario:
+    """The scenario in which batch ``k`` keeps the labels at the positions
+    ``keep[k]`` and withholds the rest as -1.  It owns the truth check, a
+    ``ValueError`` unless every truth is a nonnegative integer, and the class
+    count; its ``label_fraction`` is the share of samples that kept a label."""
+    truth = _integer_labels(np.concatenate([batch.truth for batch in batches]), name="truth")
+    if truth.min() < 0:
         raise ValueError("ground-truth labels must be nonnegative")
-    return max(top + 1, 2)
+    masked = []
+    for batch, kept in zip(batches, keep):
+        labels = np.full(batch.truth.shape[0], -1, dtype=np.int64)
+        labels[kept] = batch.truth[kept]
+        masked.append(Batch(batch.features, labels, batch.truth))
+    share = sum(int(np.count_nonzero(batch.labels >= 0)) for batch in masked) / truth.size
+    return StreamScenario(masked, max(int(truth.max()) + 1, 2), share)
 
 
 def normalize_batches(batches: list[Batch]) -> list[Batch]:
@@ -416,15 +431,12 @@ class StreamLearner:
         ``-1..n_classes - 1``.
         """
         features = np.asarray(features, dtype=float)
-        labels = _integer_labels(labels)
+        labels = _integer_labels(labels, self.net.n_classes)
         if features.ndim != 2 or features.shape[1] != self.net.n_inputs:
             raise ValueError(
                 f"expected features of shape (n, {self.net.n_inputs}), got {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must align with features")
-        if labels.size:
-            check_label(int(labels.min()), self.net.n_classes)
-            check_label(int(labels.max()), self.net.n_classes)
         finite = np.isfinite(features).all(axis=1)
         for x, label, ok in zip(features, labels.tolist(), finite.tolist()):
             if not ok:
@@ -440,19 +452,18 @@ def prequential_run(config: RunConfig, scenario: StreamScenario, log=None) -> Ru
     entry, and a stream of them raises ``ValueError``.
 
     Before the first batch is predicted, ``ValueError`` names a truth that is
-    not an integer in ``0..num_classes - 1`` or a training label that is not
-    one in ``-1..num_classes - 1``; a truth of whole-number floats is scored as
-    its integers."""
+    not an integer in ``0..num_classes - 1``, a training label that is not
+    one in ``-1..num_classes - 1``, or a batch whose labels or truth do not
+    align with its features; a truth of whole-number floats is scored as its
+    integers."""
     batches = normalize_batches(scenario.batches)
     n_classes = scenario.num_classes
-    truths = [_integer_labels(batch.truth, "truth") for batch in batches]
-    truth = np.concatenate(truths)
-    stray = (truth < 0) | (truth >= n_classes)
-    if stray.any():
-        raise ValueError(f"truth {truth[stray][0]} outside 0..{n_classes - 1}")
-    labels = _integer_labels(np.concatenate([batch.labels for batch in batches]))
-    check_label(int(labels.min()), n_classes)
-    check_label(int(labels.max()), n_classes)
+    truths, labels = [], []
+    for index, batch in enumerate(batches):
+        truths.append(_integer_labels(batch.truth, n_classes, "truth", low=0))
+        labels.append(_integer_labels(batch.labels, n_classes))
+        if not truths[-1].shape == labels[-1].shape == batch.features.shape[:1]:
+            raise ValueError(f"batch {index}: labels and truth must align with its features")
     learner = StreamLearner(batches[0].features.shape[1], n_classes, config, log)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     batch_accuracy, hidden, sizes, pseudo, cumtime = [], [], [], [], []
@@ -467,13 +478,11 @@ def prequential_run(config: RunConfig, scenario: StreamScenario, log=None) -> Ru
         batch_accuracy.append(float(np.mean(predictions == truth)))
         np.add.at(confusion, (truth, predictions), 1)
         if not (config.freeze_after_first and index >= 1):
-            learner.train_on_batch(features, batch.labels[finite])
+            learner.train_on_batch(features, labels[index][finite])
         hidden.append(learner.net.n_hidden)
         sizes.append(learner.mixture.size)
         pseudo.append(learner.counters["disc_pseudo_steps"])
         cumtime.append(time.perf_counter() - started)
-    if not cumtime:
-        raise ValueError("no batch holds a finite row")
     precision, recall = precision_recall(confusion)
     return RunMetrics(
         batch_accuracy=batch_accuracy,

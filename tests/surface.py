@@ -110,27 +110,36 @@ def reads(source: str) -> set[str]:
     return found
 
 
+def unread_symbols(package: pathlib.Path = PACKAGE) -> list[str]:
+    """The public symbols of ``package``, as ``module.name``, that no file of
+    the package or of the benchmark directory reads."""
+    public, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        public += [f"{path.stem}.{name}" for name in public_symbols(text)]
+        read |= reads(text)
+    for path in sorted((package.parents[1] / "perfbench").glob("*.py")):
+        read |= reads(path.read_text())
+    return [name for name in public if name.rsplit(".", 1)[-1] not in read]
+
+
 def main(package: pathlib.Path) -> None:
     lines = code = symbols = options = 0
-    configs, public, read = [], [], set()
+    configs = []
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         found = public_symbols(text)
         count, own_code = text.count("\n"), code_lines(text)
         lines, code, symbols = lines + count, code + own_code, symbols + len(found)
         configs += config_options(text)
-        public += [f"{path.stem}.{name}" for name in found]
-        read |= reads(text)
         print(f"{path.name:16} {count:6} lines {own_code:6} code lines "
               f"{len(found):5} public symbols")
-    for path in sorted((package.parents[1] / "perfbench").glob("*.py")):
-        read |= reads(path.read_text())
     print(f"{'total':16} {lines:6} lines {code:6} code lines {symbols:5} public symbols")
     for name, count in configs:
         options += count
         print(f"{name:16} {count:6} settable options")
     print(f"{'total':16} {options:6} settable options")
-    unread = [name for name in public if name.rsplit(".", 1)[-1] not in read]
+    unread = unread_symbols(package)
     print(f"{len(unread)} public symbols that nothing reads:")
     for name in unread:
         print(f"  {name}")

@@ -405,14 +405,15 @@ def test_config_key_set_twice_is_a_config_error(tmp_path, capsys):
 
 
 # A flag follows the config-file rule: a value given twice is refused, not
-# overwritten; only a list takes more items.
+# overwritten; only a list takes more items.  A boolean flag takes no text.
 @pytest.mark.parametrize("flag, first, second", [
     ("--lr-disc", "0.1", "0.2"), ("--gen-size", "600", "600"),
-    ("--scenario", "delay", "sporadic"), ("--gen-seed", "5", "6")])
+    ("--scenario", "delay", "sporadic"), ("--gen-seed", "5", "6"), ("--log", None, None)])
 def test_scalar_flag_given_twice_is_a_config_error(tmp_path, capsys, flag, first, second):
     out = tmp_path / "twice"
-    assert main(["--gen", "sea", "--batch", "300", "--seeds", "1", "--out", str(out),
-                 flag, first, flag, second]) == 1
+    twice = [word for word in (flag, first, flag, second) if word is not None]
+    assert main(["--gen", "sea", "--batch", "300", "--seeds", "1", "--out", str(out)]
+                + twice) == 1
     assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} is set twice\n"
     assert not out.exists()
 
@@ -553,6 +554,16 @@ def test_delay_with_one_batch_is_a_config_error_before_any_output(tmp_path, caps
     assert not out.exists()
 
 
+def test_sporadic_stream_that_keeps_no_label_is_a_config_error_before_any_output(
+        tmp_path, capsys):
+    out = tmp_path / "none"
+    assert main(["--gen", "sea", "--gen-size", "3000", "--batch", "3", "--label-frac", "0.3",
+                 "--seeds", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: label fraction 0.3 keeps no label in any "
+                                       "batch: the largest holds 3 samples\n")
+    assert not out.exists()
+
+
 def test_stream_that_scales_to_one_zero_row_is_a_config_error_before_any_output(
         tmp_path, capsys):
     out = tmp_path / "flat"
@@ -684,7 +695,7 @@ FLAGS = {
     "--batch": (None, True, "_AppendAction", "int"),
     "--seeds": (None, True, "_AppendAction", "int"),
     "--out": (None, True, "_AppendAction", "str"),
-    "--log": (None, False, "_StoreTrueAction", "bool"),
+    "--log": (None, False, "_AppendConstAction", "bool"),
 }
 
 

@@ -91,6 +91,16 @@ def test_sporadic_validates_fraction():
         make_sporadic(blob_batches(), 1.0, np.random.default_rng(0))
 
 
+# floor(0.3 * 3) is 0, so batches of 3 would train on no label at all.
+def test_sporadic_refuses_a_fraction_that_keeps_no_label_in_any_batch():
+    batches = gen_sea(3000, seed=99, batch_size=3)
+    with pytest.raises(ValueError, match=re.escape(
+            "label fraction 0.3 keeps no label in any batch: the largest holds 3 samples")):
+        make_sporadic(batches, 0.3, np.random.default_rng(1))
+    scenario = make_sporadic(batches, 0.34, np.random.default_rng(1))
+    assert scenario.label_fraction == pytest.approx(1 / 3)
+
+
 def test_infinite_delay_strips_all_but_first():
     batches = blob_batches(n_batches=4, size=100)
     scenario = make_infinite_delay(batches)
@@ -317,8 +327,25 @@ def test_prequential_run_refuses_a_bad_training_label_before_any_prediction(monk
     labels = truth.copy()
     labels[14] = 7
     monkeypatch.setattr(StreamLearner, "predict", refuse_predict)
-    with pytest.raises(ValueError, match=re.escape("label 7 outside -1..1")):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape('label 7 outside -1..1 (-1 means unlabelled)')}$"):
         prequential_run(RunConfig(seed=1), hand_built(truth, labels))
+
+
+# Each used to raise IndexError only after batch 0 had been trained on.
+@pytest.mark.parametrize("name, batch, size", [("labels", 1, 9), ("truth", 1, 9),
+                                               ("labels", 0, 11)])
+def test_prequential_run_refuses_a_misaligned_batch_before_any_prediction(
+        name, batch, size, monkeypatch):
+    truth = np.tile([0, 1], 10)
+    scenario = hand_built(truth, truth.copy())
+    old = scenario.batches[batch]
+    scenario.batches[batch] = dataclasses.replace(
+        old, **{name: np.resize(getattr(old, name), size)})
+    monkeypatch.setattr(StreamLearner, "predict", refuse_predict)
+    with pytest.raises(ValueError, match=re.escape(
+            f"batch {batch}: labels and truth must align with its features")):
+        prequential_run(RunConfig(seed=1), scenario)
 
 
 def test_prequential_run_scores_a_whole_float_truth_as_its_integers():
@@ -365,6 +392,18 @@ def test_out_of_range_label_rejected_before_any_state_change(bad, agmm_off):
     with pytest.raises(ValueError, match=f"label {bad} "):
         learner.train_on_sample(np.full(3, 0.5), bad)
     assert learner_state(learner) == before
+
+
+@pytest.mark.parametrize("bad", [2, 9, -2])
+def test_batch_and_sample_refuse_an_out_of_range_label_with_one_message(bad):
+    learner = warmed_learner()
+    messages = []
+    for call in (lambda: learner.train_on_sample(np.full(3, 0.5), bad),
+                 lambda: learner.train_on_batch(np.full((3, 3), 0.5), np.array([0, bad, 1]))):
+        with pytest.raises(ValueError) as caught:
+            call()
+        messages.append(str(caught.value))
+    assert messages == [f"label {bad} outside -1..1 (-1 means unlabelled)"] * 2
 
 
 @pytest.mark.parametrize("x", [np.array([0.5, np.nan, 0.5]), np.array([0.5, np.inf, 0.5]),

@@ -13,14 +13,9 @@ labelled streams.
 All operations are strictly single-pass: each sample is looked at once and
 never stored.
 
-Validation contract: every public method checks its input once, on entry
-(a sample through :func:`~parsnet.network.check_sample` and a label, ``-1``
-meaning "no label", through :func:`~parsnet.network.check_label`, the checks
-that the network and the stream learner share); the private helpers it calls
-(``_activations``, ``_insert``, ``_tune``, ``_observe_label``) trust their
-input.  A streaming step therefore pays for one check per sample, and a
-rejected sample leaves the mixture untouched.
-``update`` computes its insertion threshold on entry, through
+``update`` and ``class_posterior`` trust their sample and label (``-1``: no
+label); :mod:`parsnet.stream` states who checks them.  ``insert`` checks its
+sample.  ``update`` computes its insertion threshold on entry, through
 :func:`insertion_threshold` (the one owner of that formula and of its check
 on the confidence), and hands it to ``_should_insert``.
 
@@ -42,12 +37,7 @@ unlabelled sample.  The matrix is therefore kept in ``_conditionals`` and
 rebuilt on the next ``class_posterior`` after ``_insert``, ``_observe_label``
 or a ``prune_inactive`` that removes a component clears it.  Code that writes
 ``class_counts`` directly must clear it too.  A rebuild divides by the totals
-floored at 1, then makes the rows without a label uniform.  The per-state
-cache, ``_priors`` and ``_shrunk`` (read-only results of ``prior_weights`` and
-``shrunk_centers``), serves the posterior and both structural checks of one
-mixture state; ``_insert``, ``_tune`` and a removing ``prune_inactive`` clear
-it, as must code that writes ``centers``, ``spreads`` or ``support``.  A pure
-function of those arrays, it is no part of the learner's saved state.
+floored at 1, then makes the rows without a label uniform.
 
 One component: its prior weight is ``support / support``, exactly 1.0, and
 its scaled likelihood ``exp(log_lik - peak)`` is ``exp(0)``, exactly 1.0 (on
@@ -77,7 +67,7 @@ import math
 
 import numpy as np
 
-from .network import check_label, check_sample, constants
+from .network import check_sample, constants
 
 # Variance floor: tuning on a near-constant stream collapses the spread,
 # and both activation and likelihood divide by it.
@@ -89,10 +79,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 # The per-component arrays, by name; ``AgmmModel._new_row`` gives each one's entry.
 _ROWS = ("centers", "spreads", "support", "lifespan", "activity", "class_counts")
-
-
-class EmptyModelError(RuntimeError):
-    """An operation required at least one component."""
 
 
 def insertion_threshold(dim: int, confidence: float) -> float:
@@ -145,7 +131,7 @@ class AgmmModel:
         self.prune_grace = prune_grace
         for name, row in self._new_row(np.zeros(input_dim)).items():
             setattr(self, name, row[:0])
-        self._conditionals = self._priors = self._shrunk = None
+        self._conditionals = None
 
     # -- structure ---------------------------------------------------------
 
@@ -169,20 +155,12 @@ class AgmmModel:
         return np.exp(_MINUS_HALF * np.maximum.reduce(z * z, axis=1))
 
     def prior_weights(self) -> np.ndarray:
-        """Relative support of each component (sums to 1); read-only, cached."""
-        if self._priors is None:
-            if self.size == 0:
-                raise EmptyModelError("mixture has no components yet")
-            self._priors = self.support / sum(self.support.tolist())
-            self._priors.flags.writeable = False
-        return self._priors
+        """Relative support of each component (sums to 1)."""
+        return self.support / sum(self.support.tolist())
 
     def shrunk_centers(self) -> np.ndarray:
-        """Centres over ``sqrt(1 + PROBIT_SCALE * spreads**2)``; read-only, cached."""
-        if self._shrunk is None:
-            self._shrunk = self.centers / np.sqrt(_ONE + _PROBIT * self.spreads ** 2)
-            self._shrunk.flags.writeable = False
-        return self._shrunk
+        """Centres over ``sqrt(1 + PROBIT_SCALE * spreads**2)``."""
+        return self.centers / np.sqrt(_ONE + _PROBIT * self.spreads ** 2)
 
     def _log_likelihood(self, x: np.ndarray) -> np.ndarray:
         z = (x - self.centers) / self.spreads
@@ -206,13 +184,10 @@ class AgmmModel:
         """Class probabilities from per-component label frequency counts.
 
         Components that have never seen a label contribute a uniform class
-        conditional.  ``None`` while no label has been observed anywhere:
-        the mixture has no class evidence, and the caller skips
-        self-labelling.
+        conditional.  ``None`` while no label has been observed anywhere, an
+        empty mixture included: the mixture has no class evidence, and the
+        caller skips self-labelling.
         """
-        x = check_sample(x, self.input_dim)
-        if self.size == 0:
-            raise EmptyModelError("mixture has no components yet")
         conditionals = self._class_conditionals()
         if conditionals is None:
             return None
@@ -254,7 +229,7 @@ class AgmmModel:
         row = self._new_row(x)
         for name in _ROWS:
             setattr(self, name, np.concatenate((getattr(self, name), row[name])))
-        self._conditionals = self._priors = self._shrunk = None
+        self._conditionals = None
 
     def vigilance_passes(self, win: int) -> bool:
         """Whether the winner has run out of room to absorb more samples.
@@ -298,7 +273,6 @@ class AgmmModel:
         self.centers[win] = center
         self.spreads[win] = np.sqrt(variance)
         self.support[win] += 1
-        self._priors = self._shrunk = None
 
     def _observe_label(self, x: np.ndarray, label: int) -> None:
         """Credit ``label`` to the component that wins ``x``."""
@@ -327,7 +301,7 @@ class AgmmModel:
         keep = ~doomed
         for name in _ROWS:
             setattr(self, name, getattr(self, name)[keep])
-        self._conditionals = self._priors = self._shrunk = None
+        self._conditionals = None
         return removed.tolist()
 
     def update(self, x: np.ndarray, confidence: float,
@@ -335,11 +309,9 @@ class AgmmModel:
         """One full streaming step: age, insert-or-tune, prune, credit ``label`` (-1: none).
 
         Returns ``(inserted, pruned_indices)`` so callers can log structural
-        events.  The very first sample bootstraps the mixture.  The sample, the
-        label and ``confidence`` are checked before any state changes.
+        events.  The very first sample bootstraps the mixture.  ``confidence``
+        is checked before any state changes.
         """
-        x = check_sample(x, self.input_dim)
-        check_label(label, self.num_classes)
         threshold = insertion_threshold(self.input_dim, confidence)
         if self.size == 0:
             self._insert(x)

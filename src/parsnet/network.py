@@ -19,15 +19,10 @@ flat positions, so any vector in the layout follows with one index operation:
 ``new[carried] = old`` after ``carried = add_nodes(...)``, ``new = old[kept]``
 after ``kept = prune_nodes(...)``.
 
-Validation contract: the inference and step methods check their input once,
-on entry (batch, or sample with :func:`check_sample`, shape and finiteness,
-learning rate, target shape); ``generative_gradients``, which
-``generative_step`` calls, checks nothing and trusts its input.  The step
-methods run once or more per sample of a stream, so each check is made once
-and in its cheapest form.  :func:`check_label` is the label check of the
-mixture and the stream learner, kept here beside :func:`check_sample`.
+The per-sample methods (``predict_proba`` and the two steps) trust their
+input; :mod:`parsnet.stream` states who checks it.
 
-Forward reuse: ``predict_proba`` keeps its checked sample, hidden layer and
+Forward reuse: ``predict_proba`` keeps its sample, hidden layer and
 probabilities in ``_forward``; the next ``discriminative_step`` on that same
 sample object takes them instead of its own encoder and softmax pass.  Every
 method that writes parameters (``generative_step``, ``discriminative_step``,
@@ -45,8 +40,6 @@ reductions, NaN and infinities included.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -106,14 +99,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def mask_input(x: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Blank a uniformly random ``floor(fraction * len(x))``-subset of features."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("mask fraction must lie in [0, 1)")
+    """Blank a uniformly random ``floor(fraction * len(x))``-subset of features;
+    ``fraction`` lies in [0, 1), and ``rng`` is needed once a feature is masked."""
     count = int(fraction * x.shape[0])
     if count == 0:
         return x
-    if rng is None:
-        raise ValueError("masking requires a random generator")
     masked = x.copy()
     masked[rng.choice(x.shape[0], size=count, replace=False)] = 0.0
     return masked
@@ -121,23 +111,13 @@ def mask_input(x: np.ndarray, fraction: float, rng: np.random.Generator) -> np.n
 
 def check_sample(x, n_inputs: int) -> np.ndarray:
     """``x`` as a float vector of shape ``(n_inputs,)`` with finite entries,
-    or ``ValueError``: the sample check of the network, mixture and learner."""
+    or ``ValueError``: the sample check of the learner and ``AgmmModel.insert``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n_inputs,):
         raise ValueError(f"expected a sample of shape ({n_inputs},), got {x.shape}")
     if np.count_nonzero(np.isfinite(x)) != n_inputs:
         raise ValueError("sample contains non-finite values")
     return x
-
-
-def check_label(label, n_classes: int) -> None:
-    """``ValueError`` unless ``label`` is an integer in ``-1..n_classes - 1``,
-    ``-1`` meaning "no label": the label check of the mixture and learner."""
-    # type() first: the plain int of a stream's labels skips isinstance.
-    if type(label) is not int and not isinstance(label, np.integer):
-        raise ValueError(f"label {label!r} is not an integer")
-    if not -1 <= label < n_classes:
-        raise ValueError(f"label {label} outside -1..{n_classes - 1} (-1 means unlabelled)")
 
 
 def normalized_top2(probs: np.ndarray) -> float:
@@ -221,7 +201,6 @@ class Network:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities of one sample, kept for the next
         ``discriminative_step`` on the same sample (see the module docstring)."""
-        x = check_sample(x, self.n_inputs)
         hidden, probs = self._classify(x)
         self._forward = (x, hidden, probs)
         return probs
@@ -262,9 +241,6 @@ class Network:
                         rng: np.random.Generator | None = None) -> float:
         """One SGD step on the reconstruction of the clean input; returns the
         pre-update error."""
-        if not 0.0 <= lr < math.inf:  # false for NaN too
-            raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
-        x = check_sample(x, self.n_inputs)
         masked = mask_input(x, mask_fraction, rng)
         self._forward = None
         error, grads = self.generative_gradients(x, masked)
@@ -276,17 +252,12 @@ class Network:
 
     def discriminative_step(self, x: np.ndarray, target: np.ndarray, lr: float,
                             grad_addend: np.ndarray | None = None) -> np.ndarray:
-        """One SGD step on the classifier's cross-entropy; returns the data
-        gradient, a fresh flat vector in the layout of ``params`` (at ``lr=0.0``
-        nothing moves).  ``grad_addend``, a vector in the same layout, is added
-        to it before the step: the anchored importance pull of a pseudo label.
+        """One SGD step on the classifier's cross-entropy toward ``target``, a
+        one-hot float vector over the classes; returns the data gradient, a
+        fresh flat vector in the layout of ``params`` (at ``lr=0.0`` nothing
+        moves).  ``grad_addend``, a vector in the same layout, is added to it
+        before the step: the anchored importance pull of a pseudo label.
         """
-        if not 0.0 <= lr < math.inf:  # false for NaN too
-            raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
-        x = check_sample(x, self.n_inputs)
-        target = np.asarray(target, dtype=float)
-        if target.shape != (self.n_classes,):
-            raise ValueError("target must be a one-hot vector over the classes")
         forward, self._forward = self._forward, None
         hidden, probs = (forward[1:] if forward is not None and forward[0] is x
                          else self._classify(x))

@@ -10,22 +10,19 @@ discriminative structural checks) or an attempted self-labelled step under
 the hedge pull.  Evaluation is strictly test-then-train: every batch is
 scored with the model state produced by the preceding batches only.
 
-Validation contract: each public entry point checks its input once, before
-any state changes, and private helpers trust their input.  Each check has one
-owner.  The scenario builders share one private builder, which owns the
-truth check (nonnegative integers) and the class count.  A label array or a
-truth array goes through ``_integer_labels``, one vectorised integer and
-range check (``-1``: no label, in every layer); a single label goes through
-:func:`~parsnet.network.check_label`, whose message the array check repeats.
-``normalize_batches`` owns "some row is finite".  ``prequential_run`` checks
-every batch's truth, labels and alignment before it predicts the first one.
-``train_on_batch`` checks the shapes and every label of a batch up front and
-finds its non-finite rows with one vectorised mask (those rows are skipped and
-counted); ``train_on_sample`` checks its label, and leaves its sample to its
-first callee, ``Network.generative_step``, which checks it before any state
-changes.  A rejected input raises ``ValueError`` and leaves the learner
-untouched.  The network and mixture methods the learner calls are entry
-points of their own modules and keep their own single checks.
+Validation contract: input is checked once, at a boundary, before any state
+changes, and code past the boundary trusts it; a rejected input raises
+``ValueError`` and leaves the learner untouched.  The boundaries are the
+scenario builders (one private builder owns the truth check and the class
+count), ``normalize_batches`` ("some row is finite"), ``StreamLearner`` (every
+option, through :func:`check_options`), ``prequential_run`` (every batch's
+truth, labels and alignment, before it predicts the first), ``train_on_batch``
+(its shapes, and its labels through ``_integer_labels``, one vectorised integer
+and range check; non-finite rows are skipped and counted) and
+``train_on_sample``, the one per-sample check: :func:`check_label` (``-1``: no
+label, in every layer), then :func:`~parsnet.network.check_sample`.  The
+network's and mixture's per-sample methods check none of it again;
+``predict_batch``, ``AgmmModel.insert`` and ``prune_nodes`` check their own.
 
 An unlabelled sample is scored by the network only where the mixture side of
 the gate passes or a log is attached; the self-labelled step then passes
@@ -45,7 +42,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .agmm import AgmmModel
-from .network import Network, check_label, normalized_top2
+from .network import Network, check_sample, normalized_top2
 from .plasticity import PhaseMonitor, bias_variance, expected_hidden, prune_candidates
 from .slash import HedgeState, ReconScaler, augment, mixture_confidence, propose_label
 
@@ -76,18 +73,33 @@ class StreamScenario:
     label_fraction: float
 
 
+def check_label(label, n_classes: int) -> None:
+    """``ValueError`` unless ``label`` is an integer in ``-1..n_classes - 1``,
+    ``-1`` meaning "no label": the learner's check of one label."""
+    # type() first: the plain int of a stream's labels skips isinstance.
+    if type(label) is not int and not isinstance(label, np.integer):
+        raise ValueError(f"label {label!r} is not an integer")
+    if not -1 <= label < n_classes:
+        raise ValueError(f"label {label} outside -1..{n_classes - 1} (-1 means unlabelled)")
+
+
 def _integer_labels(labels, count: int | None = None, name: str = "label",
                     low: int = -1) -> np.ndarray:
     """``labels`` as int64, or ``ValueError`` naming, as ``<name> <value>``, the
     first value that is not an integer (a boolean is none, as in
-    :func:`~parsnet.network.check_label`) or, given ``count``, the first that
-    lies outside ``low..count - 1``, worded for ``low`` -1 as ``check_label``
-    words it."""
+    :func:`check_label`) or, given ``count``, the first that lies outside
+    ``low..count - 1``, worded for ``low`` -1 as ``check_label`` words it."""
     labels = np.asarray(labels)
-    stray = (~(np.isfinite(labels) & (np.trunc(labels) == labels)) if labels.dtype.kind == "f"
-             else np.full(labels.shape, labels.dtype.kind not in "iu"))
+    kind = labels.dtype.kind
+    if kind == "f":
+        stray = ~(np.isfinite(labels) & (np.trunc(labels) == labels))
+    elif kind == "O":  # Python objects, such as None: integers as check_label takes them
+        stray = np.array([type(value) is not int and not isinstance(value, np.integer)
+                          for value in labels.flat], dtype=bool).reshape(labels.shape)
+    else:
+        stray = np.full(labels.shape, kind not in "iu")
     if stray.any():
-        raise ValueError(f"{name} {labels[stray][0].item()!r} is not an integer")
+        raise ValueError(f"{name} {labels[stray][:1].tolist()[0]!r} is not an integer")
     labels = labels.astype(np.int64, copy=False)
     if count is not None:
         stray = (labels < low) | (labels >= count)
@@ -369,11 +381,10 @@ class StreamLearner:
         integer in ``-1..n_classes - 1``.
         """
         check_label(label, self.net.n_classes)
-        x = np.asarray(x, dtype=float)  # the one array that every step below reads
+        x = check_sample(x, self.net.n_inputs)  # the one array that every step below reads
         cfg, counters = self.config, self.counters
 
-        # Generative phase: every sample, masked input, clean target.  The step
-        # checks the sample before it changes any state.
+        # Generative phase: every sample, masked input, clean target.
         recon_error = self.net.generative_step(x, cfg.lr_gen, cfg.mask_frac, self.rng)
         counters["samples"] += 1
         counters["gen_steps"] += 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from parsnet.agmm import AgmmModel
+from parsnet.agmm import PROBIT_SCALE, AgmmModel
 from parsnet.network import Network, sigmoid, softmax
 from parsnet.plasticity import (PhaseMonitor, RunningStat, bias_variance,
                                 expected_hidden, prune_candidates)
@@ -199,9 +199,12 @@ def test_expected_hidden_equals_the_prior_blend_bit_for_bit(centers, spread_exp,
     # One component takes its row as it is (weight 1.0); two read the priors.
     net = Network(3, 2, hidden, np.random.default_rng(seed))
     mixture = build_mixture(centers[:size], 10.0 ** spread_exp[:size], support[:size])
+    read = []
+    mixture.prior_weights = lambda: read.append(1) or AgmmModel.prior_weights(mixture)
     e_hidden = expected_hidden(net, mixture)
-    assert (mixture._priors is not None) == (size == 2)
-    per_component = sigmoid(mixture.shrunk_centers().dot(net.w_in.T) + net.b_in)
+    assert bool(read) == (size == 2)
+    shrunk = mixture.centers / np.sqrt(1.0 + PROBIT_SCALE * mixture.spreads ** 2)
+    per_component = sigmoid(shrunk.dot(net.w_in.T) + net.b_in)
     blended = mixture.prior_weights().dot(per_component)
     assert e_hidden.tobytes() == blended.tobytes()
 

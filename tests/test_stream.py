@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import pathlib
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from parsnet import slash
 from parsnet import stream as stream_module
 from parsnet.agmm import AgmmModel
 from parsnet.cli import gen_sea
-from parsnet.network import Network
+from parsnet.network import Network, check_sample
 from parsnet.stream import (Batch, RunConfig, StreamLearner, StreamScenario, as_batches,
-                            make_infinite_delay, make_sporadic,
+                            check_label, make_infinite_delay, make_sporadic,
                             normalize_batches, precision_recall,
                             prequential_run)
 
@@ -406,15 +408,59 @@ def test_batch_and_sample_refuse_an_out_of_range_label_with_one_message(bad):
     assert messages == [f"label {bad} outside -1..1 (-1 means unlabelled)"] * 2
 
 
+# The learner is the one per-sample check: the network and mixture methods it
+# calls trust the sample.
 @pytest.mark.parametrize("x", [np.array([0.5, np.nan, 0.5]), np.array([0.5, np.inf, 0.5]),
-                               np.full(4, 0.5), np.full((1, 3), 0.5)])
+                               np.full(4, 0.5), np.full((1, 3), 0.5), np.full((3, 3), 0.5),
+                               np.float64(0.5), [0.5, -np.inf, 0.5], np.ones(2, dtype=np.int64)])
 def test_bad_sample_rejected_before_counters_move(x):
     learner = warmed_learner()
     before = learner_state(learner)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"non-finite|^expected a sample of shape \(3,\), got "):
         learner.train_on_sample(x, 1)
     assert learner_state(learner) == before
     assert learner.counters["samples"] == 60
+
+
+@pytest.mark.parametrize("label", [1, -1])
+def test_an_integer_or_list_sample_trains_like_its_float_copy(label):
+    learners = [warmed_learner() for _ in range(3)]
+    for learner, x in zip(learners, (np.array([0.0, 1.0, 1.0]), np.array([0, 1, 1]),
+                                     [0, 1.0, 1])):
+        learner.train_on_sample(x, label)
+    assert learner_state(learners[1]) == learner_state(learners[0])
+    assert learner_state(learners[2]) == learner_state(learners[0])
+
+
+@pytest.mark.parametrize("ablate", [[], ["agmm"], ["evolve"], ["slash"]],
+                         ids=["full", "agmm", "evolve", "slash"])
+def test_each_training_step_checks_its_sample_and_label_once(ablate, monkeypatch):
+    # Labelled, unlabelled and self-labelled samples each pass one check_sample
+    # and one check_label, wherever the package imports them.
+    checks = {"check_sample": check_sample, "check_label": check_label}
+    calls = []
+    for name, check in checks.items():
+        def counted(*args, _check=check, _name=name):
+            calls.append(_name)
+            return _check(*args)
+        for module in [module for key, module in sys.modules.items()
+                       if key == "parsnet" or key.startswith("parsnet.")]:
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, counted)
+    per_step, train = [], StreamLearner.train_on_sample
+
+    def counted_train(self, x, label):
+        calls.clear()
+        train(self, x, label)
+        per_step.append(sorted(calls))
+
+    monkeypatch.setattr(StreamLearner, "train_on_sample", counted_train)
+    scenario = make_sporadic(blob_batches(n_batches=8, size=250, seed=2), 0.5,
+                             np.random.default_rng(6))
+    metrics = prequential_run(RunConfig(seed=4, ablate=ablate), scenario)
+    assert per_step == [["check_label", "check_sample"]] * metrics.counters["samples"]
+    assert 0 < metrics.counters["disc_label_steps"] < metrics.counters["samples"]
+    assert (metrics.counters["disc_pseudo_steps"] > 0) == (ablate in ([], ["evolve"]))
 
 
 @pytest.mark.parametrize("flag", [True, False])
@@ -440,18 +486,41 @@ def test_whole_float_batch_labels_train_as_integers():
     assert learner_state(learners[0]) == learner_state(learners[1])
 
 
-# A float, even a whole one, is no label, nor is None: -1 means "no label".
-@pytest.mark.parametrize("label", [2, 9, -2, 1.5, 1.0, np.float64(0.0), None, "1"])
-def test_learner_and_mixture_refuse_a_label_with_one_message(label):
+# A float is no label, nor is None: -1 means "no label".
+@pytest.mark.parametrize("label", [2, 9, -2, 1.5, None, "1"])
+def test_sample_and_batch_refuse_a_label_with_one_message(label):
     learner = warmed_learner()
     before = learner_state(learner)
     messages = []
     for call in (lambda: learner.train_on_sample(np.full(3, 0.5), label),
-                 lambda: learner.mixture.update(np.full(3, 0.5), 1.0, label)):
+                 lambda: learner.train_on_batch(np.full((3, 3), 0.5), np.array([label, 0, 1]))):
         with pytest.raises(ValueError) as caught:
             call()
         messages.append(str(caught.value))
     assert messages[0] == messages[1] and messages[0].startswith(f"label {label!r} ")
+    assert learner_state(learner) == before
+
+
+def test_a_label_array_of_python_objects_is_checked_item_by_item():
+    learners = [warmed_learner(), warmed_learner()]
+    before = learner_state(learners[0])
+    with pytest.raises(ValueError, match="^label None is not an integer$"):
+        learners[0].train_on_batch(np.full((3, 3), 0.5), [0, None, 1])
+    assert learner_state(learners[0]) == before
+    features = np.random.default_rng(4).random((3, 3))
+    learners[0].train_on_batch(features, np.array([0, -1, 1], dtype=object))
+    learners[1].train_on_batch(features, np.array([0, -1, 1]))
+    assert learner_state(learners[0]) == learner_state(learners[1])
+
+
+# A whole float is no label either, but a label array of whole floats trains
+# as its integers (see test_whole_float_batch_labels_train_as_integers).
+@pytest.mark.parametrize("label", [1.0, np.float64(0.0)])
+def test_a_sample_refuses_a_whole_float_label(label):
+    learner = warmed_learner()
+    before = learner_state(learner)
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r} is not an integer")):
+        learner.train_on_sample(np.full(3, 0.5), label)
     assert learner_state(learner) == before
 
 
@@ -474,8 +543,13 @@ def test_library_callers_get_the_option_checks(monkeypatch):
     monkeypatch.setattr(stream_module, "Network", unbuilt)
     scenario = make_sporadic(gen_sea(600, seed=1, batch_size=200), 0.5,
                              np.random.default_rng(1))
-    for change, key in (({"mask_frac": -0.5}, "mask_frac"),
-                        ({"ablate": ["evolv"]}, "ablate")):
+    # The network's steps and mask take the rates and the fraction as given.
+    changes = [{"mask_frac": -0.5}, {"mask_frac": 1.0}, {"mask_frac": math.nan},
+               {"ablate": ["evolv"]}]
+    changes += [{key: value} for key in ("lr_gen", "lr_disc")
+                for value in (math.nan, math.inf, -math.inf, -0.1)]
+    for change in changes:
+        (key,) = change
         config = RunConfig(seed=1, **change)
         with pytest.raises(ValueError, match=f"^{key}: "):
             StreamLearner(3, 2, config)
@@ -694,7 +768,7 @@ def test_logs_do_not_change_learning(workload, monkeypatch):
 # once marked stale); the held ones are state.  A new cache fails the test
 # below until ``clear_caches`` drops it and it is listed here.
 DERIVED = {"learner": [], "net": ["_forward"],
-           "mixture": ["_conditionals", "_priors", "_shrunk"],
+           "mixture": ["_conditionals"],
            "hedge": ["_importance", "_stale"]}
 HELD = {"learner": ["_eye", "_last_growth"],
         "net": [], "mixture": [], "hedge": ["_anchor", "_loss_drop", "_movement"]}
@@ -703,8 +777,7 @@ HELD = {"learner": ["_eye", "_last_growth"],
 def clear_caches(learner):
     """Drop every derived cache of ``learner``: each is rebuilt from its state."""
     learner.net._forward = None
-    mixture = learner.mixture
-    mixture._conditionals = mixture._priors = mixture._shrunk = None
+    learner.mixture._conditionals = None
     learner.hedge._stale = True
 
 

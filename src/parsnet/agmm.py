@@ -13,9 +13,9 @@ labelled streams.
 All operations are strictly single-pass: each sample is looked at once and
 never stored.
 
-``update`` and ``class_posterior`` trust their sample and label (``-1``: no
-label); :mod:`parsnet.stream` states who checks them.  ``insert`` checks its
-sample.  ``update`` computes its insertion threshold on entry, through
+``update``, ``insert`` and ``class_posterior`` trust their sample and label
+(``-1``: no label); :mod:`parsnet.stream` states who checks them.
+``update`` computes its insertion threshold on entry, through
 :func:`insertion_threshold` (the one owner of that formula and of its check
 on the confidence), and hands it to ``_should_insert``.
 
@@ -24,7 +24,7 @@ component, and ``_new_row`` gives a fresh component's entries keyed by those
 names, each with its dtype spelt out (the centres take the float dtype of a
 checked sample, and an integer ``init_spread`` still gives float spreads).
 A new mixture's empty arrays are those entries cut to no row, and
-``_insert`` and ``prune_inactive`` walk that list by name, so an array
+``insert`` and ``prune_inactive`` walk that list by name, so an array
 listed there follows every structural change.
 
 Cached class conditionals: ``class_posterior`` needs, per component, the
@@ -34,7 +34,7 @@ no class evidence, and the posterior is ``None``).  They depend on
 ``class_counts`` alone, which changes only when a label is credited or a
 component is added or removed, while the posterior is asked for on every
 unlabelled sample.  The matrix is therefore kept in ``_conditionals`` and
-rebuilt on the next ``class_posterior`` after ``_insert``, ``_observe_label``
+rebuilt on the next ``class_posterior`` after ``insert``, ``_observe_label``
 or a ``prune_inactive`` that removes a component clears it.  Code that writes
 ``class_counts`` directly must clear it too.  A rebuild divides by the totals
 floored at 1, then makes the rows without a label uniform.
@@ -67,7 +67,7 @@ import math
 
 import numpy as np
 
-from .network import check_sample, constants
+from .network import constants
 
 # Variance floor: tuning on a near-constant stream collapses the spread,
 # and both activation and likelihood divide by it.
@@ -88,8 +88,6 @@ def insertion_threshold(dim: int, confidence: float) -> float:
     insert a component for every sample; ``confidence`` shifts the coverage
     band in the same way a sigma-rule confidence level would.
     """
-    if dim < 1:
-        raise ValueError("insertion_threshold: dim must be >= 1")
     if not confidence > 0.0:  # false for NaN too
         raise ValueError(f"insertion_threshold: confidence must be positive, got {confidence}")
     return math.exp(-(dim * confidence) / (4.0 - 2.0 * math.exp(-dim / 20.0)))
@@ -142,15 +140,13 @@ class AgmmModel:
     # -- scoring -----------------------------------------------------------
 
     def _activations(self, x: np.ndarray) -> np.ndarray:
-        """Activation of every component for ``x`` (empty array when size is 0).
+        """Activation of every component for ``x``.
 
         A component's activation is its worst per-dimension Gaussian kernel,
         a value in (0, 1] that reaches 1 exactly when ``x`` sits on the
         centre in every dimension.  The winner is the most activated
         component, the first one on a tie.
         """
-        if self.size == 0:
-            return np.empty(0)
         z = (x - self.centers) / self.spreads
         return np.exp(_MINUS_HALF * np.maximum.reduce(z * z, axis=1))
 
@@ -194,10 +190,7 @@ class AgmmModel:
         # One component weighs exactly 1.0 (see the module docstring).
         scores = (conditionals[0] if self.centers.shape[0] == 1
                   else self._weighted_likelihoods(x).dot(conditionals))
-        posterior = scores / np.add.reduce(scores)
-        if abs(np.add.reduce(posterior) - 1.0) > 1e-9:
-            raise AssertionError("class posterior lost the partition of unity")
-        return posterior
+        return scores / np.add.reduce(scores)
 
     def _class_conditionals(self) -> np.ndarray | None:
         """Per-component class frequencies, cached until ``class_counts`` changes;
@@ -213,10 +206,6 @@ class AgmmModel:
 
     # -- adaptation --------------------------------------------------------
 
-    def insert(self, x: np.ndarray) -> None:
-        """Add a component centred on ``x`` with the initial spread."""
-        self._insert(check_sample(x, self.input_dim))
-
     def _new_row(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """A fresh component centred on ``x``: a one-row array for each of :data:`_ROWS`."""
         return {"centers": x[None, :],
@@ -225,7 +214,8 @@ class AgmmModel:
                 "activity": np.zeros(1, dtype=float),
                 "class_counts": np.zeros((1, self.num_classes), dtype=np.int64)}
 
-    def _insert(self, x: np.ndarray) -> None:
+    def insert(self, x: np.ndarray) -> None:
+        """Add a component centred on ``x`` with the initial spread."""
         row = self._new_row(x)
         for name in _ROWS:
             setattr(self, name, np.concatenate((getattr(self, name), row[name])))
@@ -314,7 +304,7 @@ class AgmmModel:
         """
         threshold = insertion_threshold(self.input_dim, confidence)
         if self.size == 0:
-            self._insert(x)
+            self.insert(x)
             inserted, pruned = True, []
         else:
             # Aging leaves centres and spreads as they are, so these activations
@@ -324,7 +314,7 @@ class AgmmModel:
             self.activity += acts
             inserted = self._should_insert(acts, threshold)
             if inserted:
-                self._insert(x)
+                self.insert(x)
             else:
                 self._tune(int(acts.argmax()), x)
             pruned = self.prune_inactive()

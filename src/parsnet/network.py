@@ -111,7 +111,7 @@ def mask_input(x: np.ndarray, fraction: float, rng: np.random.Generator) -> np.n
 
 def check_sample(x, n_inputs: int) -> np.ndarray:
     """``x`` as a float vector of shape ``(n_inputs,)`` with finite entries,
-    or ``ValueError``: the sample check of the learner and ``AgmmModel.insert``."""
+    or ``ValueError``: the learner's sample check."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n_inputs,):
         raise ValueError(f"expected a sample of shape ({n_inputs},), got {x.shape}")
@@ -126,7 +126,6 @@ def normalized_top2(probs: np.ndarray) -> float:
     Maps any probability vector to [0.5, 1]: 0.5 when the two strongest
     classes tie, 1 for a one-hot prediction.  Invariant to permutations.
     """
-    probs = np.asarray(probs, dtype=float)
     if probs.shape[-1] < 2:
         raise ValueError("need at least two classes")
     # A Python sort of a handful of floats beats np.partition's call overhead.
@@ -280,8 +279,6 @@ class Network:
     def add_nodes(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Append ``count`` freshly initialised hidden units, old units untouched;
         returns where the old entries now sit in ``params``."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
         old, total = self.n_hidden, self.n_hidden + count
         new_w_in = self._xavier(rng, (count, self.n_inputs), self.n_inputs, total)
         new_w_out = self._xavier(rng, (count, self.n_classes), total, self.n_classes)

@@ -132,13 +132,10 @@ def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,
 def prune_candidates(e_hidden: np.ndarray) -> list[int]:
     """Hidden units whose expected activation falls half a sigma under the mean.
 
-    Empty below two units; never returns every unit (the strongest one is
-    kept when the rule catches the whole layer, which only happens in the
-    all-equal degenerate case).
+    Never returns every unit: the strongest one is kept when the rule catches
+    the whole layer, which happens in the all-equal case and so always for a
+    single unit, whose cutoff is its own value.
     """
-    e_hidden = np.asarray(e_hidden, dtype=float)
-    if e_hidden.shape[0] < 2:
-        return []
     cutoff = e_hidden.mean() - 0.5 * e_hidden.std()
     doomed = e_hidden <= cutoff
     if doomed.all():

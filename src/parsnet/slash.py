@@ -62,9 +62,9 @@ def propose_label(net_probs: np.ndarray | None, agmm_probs: np.ndarray | None,
     net_conf = None if net_probs is None else normalized_top2(net_probs)
     if agmm_conf is None or net_conf < net_threshold:
         return None, LOW_CONFIDENCE
-    # asarray(...).argmax() is np.argmax without its Python-level wrapper.
-    net_class = int(np.asarray(net_probs).argmax())
-    if net_class != int(np.asarray(agmm_probs).argmax()):
+    # ndarray.argmax() is np.argmax without its Python-level wrapper.
+    net_class = int(net_probs.argmax())
+    if net_class != int(agmm_probs.argmax()):
         return None, DISAGREEMENT
     return net_class, ACCEPTED
 

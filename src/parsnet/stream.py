@@ -15,14 +15,28 @@ changes, and code past the boundary trusts it; a rejected input raises
 ``ValueError`` and leaves the learner untouched.  The boundaries are the
 scenario builders (one private builder owns the truth check and the class
 count), ``normalize_batches`` ("some row is finite"), ``StreamLearner`` (every
-option, through :func:`check_options`), ``prequential_run`` (every batch's
-truth, labels and alignment, before it predicts the first), ``train_on_batch``
-(its shapes, and its labels through ``_integer_labels``, one vectorised integer
-and range check; non-finite rows are skipped and counted) and
-``train_on_sample``, the one per-sample check: :func:`check_label` (``-1``: no
-label, in every layer), then :func:`~parsnet.network.check_sample`.  The
-network's and mixture's per-sample methods check none of it again;
-``predict_batch``, ``AgmmModel.insert`` and ``prune_nodes`` check their own.
+option, through :func:`check_options`, which the command line calls too),
+``prequential_run`` (every batch's truth, labels and alignment, before it
+predicts the first), ``train_on_batch`` (its shapes, and its labels through
+``_integer_labels``, one vectorised integer and range check; non-finite rows
+are skipped and counted) and ``train_on_sample``, the one per-sample check:
+:func:`check_label` (``-1``: no label, in every layer), then
+:func:`~parsnet.network.check_sample`.  The network's and mixture's
+per-sample methods, ``AgmmModel.insert`` among them, check none of it again.
+Past the boundaries only these checks stay, each for its own reason:
+
+- each constructor refuses a size or spread it cannot build with, once per object;
+- ``predict_batch`` checks its batch, as the boundary of ``StreamLearner.predict``;
+- ``prune_nodes`` checks its indexes (integers, in range, not every unit),
+  since numpy would read a negative one from the end and cut a unit nobody
+  named;
+- ``normalized_top2`` refuses fewer than two classes, which have no top-2
+  confidence, and ``bias_variance`` names a phase it does not know;
+- the fault detectors catch a bug or a diverged run, not bad input:
+  ``theta_bounds`` refuses a vector that is no classifier layout,
+  ``HedgeState.pull`` a hedge not resized after a structural change, and
+  ``insertion_threshold`` a confidence that is not positive (NaN from a
+  diverged network).
 
 An unlabelled sample is scored by the network only where the mixture side of
 the gate passes or a log is attached; the self-labelled step then passes
@@ -87,9 +101,11 @@ def _integer_labels(labels, count: int | None = None, name: str = "label",
                     low: int = -1) -> np.ndarray:
     """``labels`` as int64, or ``ValueError`` naming, as ``<name> <value>``, the
     first value that is not an integer (a boolean is none, as in
-    :func:`check_label`) or, given ``count``, the first that lies outside
-    ``low..count - 1``, worded for ``low`` -1 as ``check_label`` words it."""
-    labels = np.asarray(labels)
+    :func:`check_label`) or the first that lies outside ``low..count - 1``,
+    worded for ``low`` -1 as ``check_label`` words it; without ``count`` the
+    range is int64's.  A list's items are taken as ``check_label`` takes them,
+    so ``[True, 1]`` is refused where an array of it would be cast."""
+    labels = np.array(labels, dtype=object) if isinstance(labels, list) else np.asarray(labels)
     kind = labels.dtype.kind
     if kind == "f":
         stray = ~(np.isfinite(labels) & (np.trunc(labels) == labels))
@@ -100,13 +116,15 @@ def _integer_labels(labels, count: int | None = None, name: str = "label",
         stray = np.full(labels.shape, kind not in "iu")
     if stray.any():
         raise ValueError(f"{name} {labels[stray][:1].tolist()[0]!r} is not an integer")
-    labels = labels.astype(np.int64, copy=False)
-    if count is not None:
-        stray = (labels < low) | (labels >= count)
-        if stray.any():
-            meaning = " (-1 means unlabelled)" if low == -1 else ""
-            raise ValueError(f"{name} {labels[stray][0]} outside {low}..{count - 1}{meaning}")
-    return labels
+    if count is None:  # so that the cast below cannot wrap, as uint64 or float would
+        low, count = -2 ** 63, 2 ** 63
+    # Compared before the cast, so the message names the value as given.
+    stray = np.asarray((labels < low) | (labels >= count), dtype=bool)
+    if stray.any():
+        meaning = " (-1 means unlabelled)" if low == -1 else ""
+        raise ValueError(f"{name} {int(labels[stray][:1].tolist()[0])} outside "
+                         f"{low}..{count - 1}{meaning}")
+    return labels.astype(np.int64, copy=False)
 
 
 def as_batches(features: np.ndarray, labels: np.ndarray, batch_size: int) -> list[Batch]:

@@ -60,19 +60,26 @@ def _defined(body: list[ast.stmt]) -> list[tuple[str, ast.stmt]]:
     return out
 
 
-def code_lines(source: str) -> int:
-    """The lines of one module that are not blank, not only a comment and not
-    part of a module, class or function docstring."""
-    docstrings = set()
-    for node in ast.walk(ast.parse(source)):
+def docstrings(tree: ast.Module) -> list[ast.Expr]:
+    """The module, class and function docstrings of a parsed module."""
+    found = []
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
-                docstrings.update(range(first.lineno, first.end_lineno + 1))
+                found.append(first)
+    return found
+
+
+def code_lines(source: str) -> int:
+    """The lines of one module that are not blank, not only a comment and not
+    part of a module, class or function docstring."""
+    skipped = {number for doc in docstrings(ast.parse(source))
+               for number in range(doc.lineno, doc.end_lineno + 1)}
     return sum(1 for number, line in enumerate(source.splitlines(), start=1)
                if line.strip() and not line.lstrip().startswith("#")
-               and number not in docstrings)
+               and number not in skipped)
 
 
 def public_symbols(source: str) -> list[str]:

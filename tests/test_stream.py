@@ -46,11 +46,15 @@ def test_as_batches_shapes_and_tail():
     assert np.array_equal(batches[-1].truth, [4])
 
 
+# An unsigned label beyond int64 is out of range, where the cast would wrap it to -1.
 @pytest.mark.parametrize("truth", [[0.4, 1.9, 2.2], [0.0, 1.0, np.nan], [0.0, np.inf, 1.0],
-                                   ["0", "1", "2"]])
+                                   ["0", "1", "2"], np.array([0, 1, 2**64 - 1], dtype=np.uint64)])
 def test_as_batches_refuses_a_label_that_is_not_an_integer(truth):
-    with pytest.raises(ValueError, match="is not an integer$"):
-        as_batches(np.ones((3, 2)), np.asarray(truth), 2)
+    truth = np.asarray(truth)
+    message = ("^label 18446744073709551615 outside " if truth.dtype.kind == "u"
+               else "is not an integer$")
+    with pytest.raises(ValueError, match=message):
+        as_batches(np.ones((3, 2)), truth, 2)
 
 
 def test_as_batches_takes_whole_float_labels_as_integers():
@@ -472,6 +476,11 @@ def test_boolean_labels_are_refused_alike_by_sample_batch_and_batching(flag):
         learner.train_on_sample(np.full(3, 0.5), flag)
     with pytest.raises(ValueError, match=message):
         learner.train_on_batch(np.full((2, 3), 0.5), np.array([flag, not flag]))
+    for labels in ([flag, 1], [1, flag]):  # a list is checked item by item, not cast
+        with pytest.raises(ValueError, match=message):
+            learner.train_on_batch(np.full((2, 3), 0.5), labels)
+        with pytest.raises(ValueError, match=message):
+            as_batches(np.ones((2, 3)), labels, 2)
     assert learner_state(learner) == before
     with pytest.raises(ValueError, match=message):
         as_batches(np.ones((2, 3)), np.array([flag, not flag]), 2)
@@ -498,6 +507,19 @@ def test_sample_and_batch_refuse_a_label_with_one_message(label):
             call()
         messages.append(str(caught.value))
     assert messages[0] == messages[1] and messages[0].startswith(f"label {label!r} ")
+    assert learner_state(learner) == before
+
+
+def test_an_unsigned_label_beyond_int64_is_out_of_range_not_wrapped():
+    # Cast to int64, 2**64 - 1 would wrap to -1 and train as "no label".  An
+    # array that mixes it with Python ints is float64, so it stands alone here.
+    learner = warmed_learner()
+    before = learner_state(learner)
+    labels = np.array([1, 2**64 - 1], dtype=np.uint64)
+    for call in (lambda: learner.train_on_sample(np.full(3, 0.5), labels[1]),
+                 lambda: learner.train_on_batch(np.full((2, 3), 0.5), labels)):
+        with pytest.raises(ValueError, match=r"^label 18446744073709551615 outside -1\.\.1 "):
+            call()
     assert learner_state(learner) == before
 
 

@@ -34,10 +34,13 @@ no class evidence, and the posterior is ``None``).  They depend on
 ``class_counts`` alone, which changes only when a label is credited or a
 component is added or removed, while the posterior is asked for on every
 unlabelled sample.  The matrix is therefore kept in ``_conditionals`` and
-rebuilt on the next ``class_posterior`` after ``insert``, ``_observe_label``
-or a ``prune_inactive`` that removes a component clears it.  Code that writes
+rebuilt on the next ``class_posterior`` after ``insert`` or a
+``prune_inactive`` that removes a component clears it.  Code that writes
 ``class_counts`` directly must clear it too.  A rebuild divides by the totals
-floored at 1, then makes the rows without a label uniform.
+floored at 1, then makes the rows without a label uniform.  A credited label
+changes one row, so ``_observe_label`` re-divides that row of a filled matrix
+by its own total, which is at least 1: each row is divided by its own total,
+so the bits are those of a rebuild.
 
 One component: its prior weight is ``support / support``, exactly 1.0, and
 its scaled likelihood ``exp(log_lik - peak)`` is ``exp(0)``, exactly 1.0 (on
@@ -265,10 +268,13 @@ class AgmmModel:
         self.support[win] += 1
 
     def _observe_label(self, x: np.ndarray, label: int) -> None:
-        """Credit ``label`` to the component that wins ``x``."""
+        """Credit ``label`` to the component that wins ``x``, and refresh its
+        row of a filled ``_conditionals``."""
         win = 0 if self.centers.shape[0] == 1 else int(self._activations(x).argmax())
-        self.class_counts[win, label] += 1
-        self._conditionals = None
+        counts = self.class_counts[win]
+        counts[label] += 1
+        if self._conditionals is not None:
+            self._conditionals[win] = counts / sum(counts.tolist())
 
     def prune_inactive(self) -> list[int]:
         """Retire components whose lifetime activity rate fell off the population.

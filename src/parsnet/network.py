@@ -34,7 +34,12 @@ two calls must clear ``_forward`` too.
 Call overhead: a sample's arrays are tiny, so numpy's dispatch outweighs the
 arithmetic.  Products are ``a.dot(b)`` (the BLAS call and bits of ``a @ b``,
 without the ``matmul`` ufunc machinery), and Python-float operands read-only
-0-d arrays (:func:`constants`).  ``_classify`` takes a 1-d softmax: the peak
+0-d arrays (:func:`constants`).  The rank-1 products of the gradients are BLAS
+calls too, ``a[:, None].dot(b[None, :])``, about half the time of the
+broadcast ``a[:, None] * b``: each entry is the one product ``a[i] * b[j]``,
+so the bits agree, except that a zero product comes out as ``+0.0`` where the
+broadcast gives ``-0.0`` (a zero times a negative factor).  The two compare
+equal, and subtracting either from a nonzero parameter leaves it as it is.  ``_classify`` takes a 1-d softmax: the peak
 ``z[z.argmax()]`` and a plain sum give the bits of :func:`softmax`'s keepdims
 reductions, NaN and infinities included.
 """
@@ -230,7 +235,8 @@ class Network:
         delta_out = diff * recon * (_ONE - recon)
         delta_hidden = self.w_in.dot(delta_out) * hidden * (_ONE - hidden)
         grads = {
-            "w_in": hidden[:, None] * delta_out + delta_hidden[:, None] * masked,
+            "w_in": (hidden[:, None].dot(delta_out[None, :])
+                     + delta_hidden[:, None].dot(masked[None, :])),
             "b_in": delta_hidden,
             "d": delta_out,
         }
@@ -262,8 +268,8 @@ class Network:
                          else self._classify(x))
         delta_logits = probs - target
         delta_hidden = self.w_out.dot(delta_logits) * hidden * (_ONE - hidden)
-        grads = flatten_theta(delta_hidden[:, None] * x, delta_hidden,
-                              hidden[:, None] * delta_logits, delta_logits)
+        grads = flatten_theta(delta_hidden[:, None].dot(x[None, :]), delta_hidden,
+                              hidden[:, None].dot(delta_logits[None, :]), delta_logits)
         if lr > 0.0:
             self.params -= lr * (grads if grad_addend is None else grads + grad_addend)
         return grads

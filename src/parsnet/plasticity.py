@@ -99,10 +99,10 @@ def expected_hidden(net: Network, mixture) -> np.ndarray:
     A one-component mixture returns its one row: its weight is exactly 1.0
     (the identity the :mod:`parsnet.agmm` docstring states).
     """
-    per_component = sigmoid(mixture.shrunk_centers().dot(net.w_in.T) + net.b_in)
-    if per_component.shape[0] == 1:
-        return per_component[0]
-    return mixture.prior_weights().dot(per_component)
+    product = mixture.shrunk_centers().dot(net.w_in.T)
+    if product.shape[0] == 1:
+        return sigmoid(product[0] + net.b_in)
+    return mixture.prior_weights().dot(sigmoid(product + net.b_in))
 
 
 def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,
@@ -121,8 +121,10 @@ def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,
         raise ValueError(f"unknown phase {phase!r}")
     # One squash for both moments; the two products stay apart, because a
     # stacked product could sum in another order.
-    first, second = squash(np.array((e_hidden.dot(weight) + offset,
-                                     (e_hidden * e_hidden).dot(weight) + offset)))
+    moments = np.empty((2, offset.shape[0]))
+    np.add(e_hidden.dot(weight), offset, out=moments[0])
+    np.add((e_hidden * e_hidden).dot(weight), offset, out=moments[1])
+    first, second = squash(moments)
     diff = first - target
     bias_sq = float(diff.dot(diff))
     variance = float(np.add.reduce(second - first * first))

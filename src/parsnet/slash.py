@@ -9,7 +9,9 @@ confidence it returned.  Training on a pseudo label carries a safety pull
 back toward the parameters anchored at the last true label, weighted per
 parameter by how much that parameter mattered while learning from real
 labels, and scaled by how badly the current sample reconstructs.  Real
-labels are additionally echoed once as a noise-augmented copy.
+labels are additionally echoed once as a noise-augmented copy.  The
+per-parameter importance is computed by the pull that reads it, so the
+unlabelled samples that the gate rejects never pay for it.
 
 The hedge keeps its stores in the flat layout of ``Network.params``: the
 gradients that ``record_step`` folds in, the parameters that ``set_anchor``
@@ -37,7 +39,7 @@ AUGMENT_NOISE_STD = math.sqrt(1e-3)
 
 _ZERO, _ONE = constants(0.0, 1.0)
 
-_STORES = ("_anchor", "_importance", "_loss_drop", "_movement")
+_STORES = ("_anchor", "_loss_drop", "_movement")
 
 
 def mixture_confidence(agmm_probs: np.ndarray | None, agmm_threshold: float) -> float | None:
@@ -97,24 +99,26 @@ class HedgeState:
     normalising jointly to unit length yields the importance weights; the
     anchor is the parameter snapshot taken after the last true-label update.
 
-    The four stores (``_anchor``, ``_importance``, ``_loss_drop``, ``_movement``)
-    are flat vectors in the layout of ``Network.params``, so ``record_step``,
-    ``pull`` and ``set_anchor`` each work on whole vectors, and a structural
-    change resizes each with the positions that the network returned.
+    The three stores of :data:`_STORES` (``_anchor``, ``_loss_drop``,
+    ``_movement``) are flat vectors in the layout of ``Network.params``, so
+    ``record_step``, ``pull`` and ``set_anchor`` each work on whole vectors,
+    and a structural change resizes each with the positions that the network
+    returned.
 
-    The importance weights are a pure function of the accumulators, so they
-    are recomputed only after a method that changes the accumulators marks
-    them stale; unlabelled stretches of a stream then reuse them as they are.
+    The importance weights, ``_importance``, are a pure function of the
+    accumulators and are read by ``pull`` alone, so ``pull`` computes them.
+    A method that changes the accumulators or the layout drops them (``None``)
+    rather than resizing them, and the next ``pull`` recomputes them; pulls in
+    between reuse them as they are.
     """
 
     def __init__(self, theta: dict[str, np.ndarray], eps: float = 1e-8):
         self.eps = eps
-        self._stale = True
         self.n_inputs = theta["w_in"].shape[1]
         self.n_classes = theta["c_out"].shape[0]
         self._anchor = flatten_theta(**theta)
-        self._importance, self._loss_drop, self._movement = (
-            np.zeros_like(self._anchor) for _ in range(3))
+        self._importance = None
+        self._loss_drop, self._movement = (np.zeros_like(self._anchor) for _ in range(2))
 
     # -- accumulation (real labels only) ------------------------------------
 
@@ -127,18 +131,17 @@ class HedgeState:
         delta = (-lr) * grads
         self._loss_drop -= delta * grads
         self._movement += np.abs(delta)
-        self._stale = True
+        self._importance = None
 
     def refresh_importance(self) -> None:
-        """Recompute normalised importance from the accumulators.
+        """Compute the normalised importance from the accumulators, as a fresh
+        vector, unless it is already there.
 
-        Left at zero while no real-label step has been recorded, which keeps
-        the pull inert.  Returns at once when nothing changed since the last
-        recomputation.
+        All zero while no real-label step has been recorded, which keeps the
+        pull inert.
         """
-        if not self._stale:
+        if self._importance is not None:
             return
-        self._stale = False
         raw = self._loss_drop / (self._movement ** 2 + self.eps)
         # The squared norm is summed segment by segment, in THETA_KEYS order:
         # one reduction over the whole vector would add in another order.
@@ -147,10 +150,7 @@ class HedgeState:
         for start, stop in zip((0,) + bounds, bounds):
             total_sq += float(np.add.reduce(squares[start:stop]))
         norm = math.sqrt(total_sq)
-        if norm == 0.0:
-            self._importance.fill(0.0)
-        else:
-            self._importance = raw / norm
+        self._importance = np.zeros_like(raw) if norm == 0.0 else raw / norm
 
     def set_anchor(self, params: np.ndarray) -> None:
         """Snapshot the current flat parameters as the pull-back target."""
@@ -159,10 +159,12 @@ class HedgeState:
     # -- the pull ------------------------------------------------------------
 
     def pull(self, params: np.ndarray, strength: float) -> np.ndarray:
-        """Flat gradient addend ``strength * importance * (params - anchor)``."""
+        """Flat gradient addend ``strength * importance * (params - anchor)``,
+        computing the importance first where it was dropped."""
         if params.shape != self._anchor.shape:
             raise ValueError("hedge state is stale after a structural change; "
                              "resize it first")
+        self.refresh_importance()
         return strength * self._importance * (params - self._anchor)
 
     # -- structural resizes ----------------------------------------------------
@@ -175,7 +177,7 @@ class HedgeState:
             grown = params.copy() if name == "_anchor" else np.zeros_like(params)
             grown[carried] = getattr(self, name)
             setattr(self, name, grown)
-        self._stale = True
+        self._importance = None
 
     def prune_hidden(self, kept: np.ndarray) -> None:
         """Keep the ``kept`` positions that ``Network.prune_nodes`` returned,
@@ -183,7 +185,7 @@ class HedgeState:
         for name in _STORES:
             setattr(self, name, getattr(self, name)[kept])
         # Dropping entries changes the joint norm, so the survivors renormalise.
-        self._stale = True
+        self._importance = None
 
 
 def augment(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -193,4 +195,4 @@ def augment(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Features are expected on the normalised [0, 1] scale; the result is
     clipped back into [0, 1].
     """
-    return np.minimum(np.maximum(x + rng.normal(0.0, AUGMENT_NOISE_STD, x.shape), _ZERO), _ONE)
+    return np.minimum(np.maximum(x + rng.normal(0.0, AUGMENT_NOISE_STD, x.shape[0]), _ZERO), _ONE)

@@ -178,7 +178,8 @@ def _withhold(batches: list[Batch], keep: list[np.ndarray]) -> StreamScenario:
     count; its ``label_fraction`` is the share of samples that kept a label."""
     truth = _integer_labels(np.concatenate([batch.truth for batch in batches]), name="truth")
     if truth.min() < 0:
-        raise ValueError("ground-truth labels must be nonnegative")
+        raise ValueError(f"truth {truth[truth < 0][0]} is negative: "
+                         "ground-truth labels must be nonnegative")
     masked = []
     for batch, kept in zip(batches, keep):
         labels = np.full(batch.truth.shape[0], -1, dtype=np.int64)
@@ -432,7 +433,6 @@ class StreamLearner:
             # Structural checks run on originally labelled samples only.
             self._evolve(self.disc_monitor, target, "discriminative")
         elif "slash" not in cfg.ablate:
-            self.hedge.refresh_importance()
             agmm_probs = self.mixture.class_posterior(x)
             agmm_conf = mixture_confidence(agmm_probs, cfg.agmm_conf)
             # Scored only where the mixture side can pass, or for the log.

@@ -52,7 +52,7 @@ def _named_state(learner: StreamLearner):
         yield f"net.{key}", getattr(net, key)
     for key in agmm._ROWS:
         yield f"mixture.{key}", getattr(mixture, key)
-    for store in (store for store in slash._STORES if store != "_importance"):
+    for store in slash._STORES:
         named = theta_views(getattr(hedge, store), net.n_inputs, net.n_classes)
         for key in THETA_KEYS:
             yield f"hedge.{store.lstrip('_')}.{key}", named[key]

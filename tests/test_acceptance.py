@@ -72,8 +72,8 @@ def test_criterion_1_gradient_correctness():
 
         # classifier gradients, without and with the anchored pull
         hedge = HedgeState(net.theta())
-        for part in stored(hedge, "importance").values():
-            part[...] = rng.normal(0.0, 0.3, part.shape)
+        # A filled importance is the pull's cache, so the pull takes it as set.
+        hedge._importance = rng.normal(0.0, 0.3, net.params.shape)
         for key, part in stored(hedge, "anchor").items():
             part[...] = net.theta()[key] + rng.normal(0.0, 0.2, part.shape)
         strength = 0.7

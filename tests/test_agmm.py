@@ -861,7 +861,7 @@ def test_one_component_credits_its_label_to_row_zero(center, spread_exp, x, far,
     expected = [1, 2, 3]
     expected[label] += 1
     assert model.class_counts.tolist() == [expected]
-    assert model._conditionals is None
+    assert model._conditionals.tobytes() == reference_conditionals(model).tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 2])

@@ -284,6 +284,32 @@ def test_weight_gradients_equal_outer_products():
                           np.outer(hidden, grads["d"]) + np.outer(grads["b_in"], masked))
 
 
+def test_rank1_gradients_equal_the_broadcast_products_on_samples_with_zeros():
+    # The weight gradients are BLAS rank-1 products.  They equal the broadcast
+    # products under ==, and bit for bit wherever the product is not zero; a
+    # zero product may come out as +0.0 where the broadcast gives -0.0.
+    rng = np.random.default_rng(34)
+    net = random_net(rng, n_hidden=6)
+    zeros = 0
+    for _ in range(50):
+        x = rng.random(5) * (rng.random(5) < 0.6)
+        masked = x * (rng.random(5) < 0.7)
+        hidden = sigmoid(net.w_in.dot(x) + net.b_in)
+        grads = named(net, net.discriminative_step(x, np.eye(3)[rng.integers(3)], 0.05))
+        _, generative = net.generative_gradients(x, masked)
+        masked_hidden = sigmoid(net.w_in.dot(masked) + net.b_in)
+        pairs = [(grads["w_in"], grads["b_in"][:, None] * x),
+                 (grads["w_out"], hidden[:, None] * grads["c_out"]),
+                 (generative["w_in"], masked_hidden[:, None] * generative["d"]
+                  + generative["b_in"][:, None] * masked)]
+        for found, broadcast in pairs:
+            assert (found == broadcast).all()
+            nonzero = broadcast != 0.0
+            assert found[nonzero].tobytes() == broadcast[nonzero].tobytes()
+            zeros += int(np.count_nonzero(~nonzero))
+    assert zeros > 200
+
+
 @pytest.mark.parametrize("between", ["nothing", "generative_step", "add_nodes", "prune_nodes",
                                      "another sample"])
 def test_step_after_predict_proba_equals_the_step_on_a_fresh_copy(between):

@@ -263,19 +263,33 @@ def test_importance_norm_over_flat_slices_equals_the_per_key_sums():
 
 def test_pull_zero_at_anchor():
     hedge = HedgeState(tiny_theta(0.7))
-    for part in stored(hedge, "importance").values():
-        part[...] = 1.0
+    hedge.record_step(0.1, tiny_params(1.0))
     hedge.set_anchor(tiny_params(0.7))
     assert not hedge.pull(tiny_params(0.7), strength=1.0).any()
+    assert stored(hedge, "importance")["w_in"].all()
 
 
 def test_pull_arithmetic():
+    # The pull computes its own importance: 1.0 on the one entry with history.
     hedge = HedgeState(tiny_theta(0.0))
-    for part in stored(hedge, "importance").values():
-        part[...] = 0.5
-    pull = theta_views(hedge.pull(tiny_params(2.0), strength=1.0), 3, 2)
-    assert pull["w_out"][0, 0] == pytest.approx(1.0)
+    stored(hedge, "loss_drop")["w_out"][0, 0] = 2.0
+    stored(hedge, "movement")["w_out"][0, 0] = 1.0
+    addend = hedge.pull(tiny_params(2.0), strength=0.5)
+    assert theta_views(addend, 3, 2)["w_out"][0, 0] == pytest.approx(1.0)
+    assert np.count_nonzero(addend) == 1
     assert not hedge.pull(tiny_params(2.0), strength=0.0).any()
+
+
+def test_pull_computes_the_importance_once_per_change():
+    hedge = HedgeState(tiny_theta())
+    refreshes = []
+    refresh = hedge.refresh_importance
+    hedge.refresh_importance = lambda: refreshes.append(hedge._importance is None) or refresh()
+    for _ in range(2):
+        hedge.record_step(0.1, tiny_params(1.0))
+        hedge.pull(tiny_params(2.0), strength=1.0)
+        hedge.pull(tiny_params(2.0), strength=1.0)
+    assert refreshes == [True, False, True, False]
 
 
 def test_pull_demands_resize_after_structural_change():
@@ -313,11 +327,12 @@ def test_grow_hidden_anchors_fresh_units_at_initial_values():
     hedge.grow_hidden(net.params, carried)
     assert stored(hedge, "anchor")["w_in"].shape == (4, 3)
     assert np.array_equal(stored(hedge, "anchor")["w_in"][2:], net.w_in[2:])
-    assert not stored(hedge, "importance")["w_in"][2:].any()
     assert not stored(hedge, "loss_drop")["w_in"][2:].any()
     assert stored(hedge, "loss_drop")["w_in"][:2].all()
-    # pull works again after the resize
+    # pull works again after the resize, with importance only where there is history
     hedge.pull(net.params, strength=1.0)
+    assert not stored(hedge, "importance")["w_in"][2:].any()
+    assert stored(hedge, "importance")["w_in"][:2].all()
 
 
 def test_prune_hidden_drops_matching_rows():
@@ -375,7 +390,6 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
     hedge = HedgeState(net.theta())
     ref = {key: value.copy() for key, value in net.theta().items()}
     anchor = {key: value.copy() for key, value in ref.items()}
-    importance = {key: np.zeros_like(value) for key, value in ref.items()}
     loss_drop = {key: np.zeros_like(value) for key, value in ref.items()}
     movement = {key: np.zeros_like(value) for key, value in ref.items()}
     hidden_keys = ("w_in", "b_in", "w_out")
@@ -398,7 +412,6 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
             anchor = {key: value.copy() for key, value in ref.items()}
         elif op == "pseudo":
             strength = float(rng.random())
-            hedge.refresh_importance()
             net.predict_proba(x)
             addend = hedge.pull(net.params, strength)
             flat = net.discriminative_step(x, target, lr, grad_addend=addend)
@@ -424,14 +437,14 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
                 fresh = net.theta()[key][prev:]
                 ref[key] = np.concatenate([ref[key], fresh])
                 anchor[key] = np.concatenate([anchor[key], fresh])
-                for store in (importance, loss_drop, movement):
+                for store in (loss_drop, movement):
                     store[key] = np.concatenate([store[key], np.zeros_like(fresh)])
         elif op == "prune" and net.n_hidden > 1:
             doomed = [int(rng.integers(net.n_hidden))]
             keep = np.setdiff1d(np.arange(net.n_hidden), doomed)
             hedge.prune_hidden(net.prune_nodes(doomed))
             for key in hidden_keys:
-                for store in (ref, anchor, importance, loss_drop, movement):
+                for store in (ref, anchor, loss_drop, movement):
                     store[key] = store[key][keep]
         else:
             continue

@@ -12,7 +12,7 @@ from parsnet import slash
 from parsnet import stream as stream_module
 from parsnet.agmm import AgmmModel
 from parsnet.cli import gen_sea
-from parsnet.network import Network, check_sample
+from parsnet.network import Network, check_sample, theta_views
 from parsnet.stream import (Batch, RunConfig, StreamLearner, StreamScenario, as_batches,
                             check_label, make_infinite_delay, make_sporadic,
                             normalize_batches, precision_recall,
@@ -131,6 +131,16 @@ def test_infinite_delay_two_batches_minimum():
                for batch in make_infinite_delay(batches).batches[1:])
     with pytest.raises(ValueError):
         make_infinite_delay(batches[:1])
+
+
+@pytest.mark.parametrize("build", [lambda batches: make_sporadic(batches, 0.5,
+                                                                 np.random.default_rng(0)),
+                                   make_infinite_delay], ids=["sporadic", "infinite_delay"])
+def test_scenario_builders_name_a_negative_truth(build):
+    batches = as_batches(np.zeros((4, 2)), np.array([0, -5, 1, -7]), 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "truth -5 is negative: ground-truth labels must be nonnegative")):
+        build(batches)
 
 
 def test_infinite_delay_small_label_share():
@@ -785,13 +795,75 @@ def test_logs_do_not_change_learning(workload, monkeypatch):
     assert any(row["agmm_confidence"] < stream.config.agmm_conf for row in scored)
 
 
+def rebuilt_conditionals(mixture):
+    """The class conditionals rebuilt from ``class_counts`` on a copy."""
+    probe = AgmmModel(mixture.input_dim, mixture.num_classes)
+    probe.class_counts = mixture.class_counts.copy()
+    return probe._class_conditionals()
+
+
+@pytest.mark.parametrize("workload", ["hyperplane-sporadic", "clusters-sporadic"])
+def test_filled_class_conditionals_equal_a_rebuild_after_every_sample(workload, monkeypatch):
+    # A credited label re-divides one row of a filled cache; the whole cache
+    # must still hold the bits of a full rebuild, sample after sample.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    (stream,) = workloads.build_streams(workload, seed=1, streams=1)
+    train = StreamLearner.train_on_sample
+    checked = []
+
+    def checking_train(self, x, label):
+        train(self, x, label)
+        cached = self.mixture._conditionals
+        if cached is not None:
+            assert cached.tobytes() == rebuilt_conditionals(self.mixture).tobytes()
+            checked.append(label >= 0)
+
+    monkeypatch.setattr(StreamLearner, "train_on_sample", checking_train)
+    prequential_run(stream.config, stream.scenario)
+    # Both kinds of sample met a filled cache, the credited ones many times.
+    assert checked.count(True) > 500 and checked.count(False) > 500
+
+
+def importance_from_accumulators(hedge):
+    """The normalised importance, recomputed from the hedge's accumulators."""
+    raw = hedge._loss_drop / (hedge._movement ** 2 + hedge.eps)
+    total_sq = 0.0
+    for part in theta_views(raw * raw, hedge.n_inputs, hedge.n_classes).values():
+        total_sq += float(np.add.reduce(part, axis=None))
+    norm = math.sqrt(total_sq)
+    return np.zeros_like(raw) if norm == 0.0 else raw / norm
+
+
+@pytest.mark.parametrize("workload", ["sea-delay", "clusters-sporadic"])
+def test_each_pull_uses_the_importance_of_the_current_accumulators(workload, monkeypatch):
+    # The pull computes the importance where a label step or a resize dropped
+    # it, and reuses it otherwise; either way it is that of the accumulators.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    (stream,) = workloads.build_streams(workload, seed=1, streams=1)
+    pull = slash.HedgeState.pull
+    computed = []
+
+    def checking_pull(self, params, strength):
+        computed.append(self._importance is None)
+        addend = pull(self, params, strength)
+        assert self._importance.tobytes() == importance_from_accumulators(self).tobytes()
+        return addend
+
+    monkeypatch.setattr(slash.HedgeState, "pull", checking_pull)
+    prequential_run(stream.config, stream.scenario)
+    assert True in computed and False in computed
+
+
 # Every underscore attribute of the learner and its parts.  The derived ones
-# are caches that ``clear_caches`` drops (the hedge's importance is recomputed
-# once marked stale); the held ones are state.  A new cache fails the test
+# are caches that ``clear_caches`` drops; the held ones are state.  A new cache fails the test
 # below until ``clear_caches`` drops it and it is listed here.
 DERIVED = {"learner": [], "net": ["_forward"],
            "mixture": ["_conditionals"],
-           "hedge": ["_importance", "_stale"]}
+           "hedge": ["_importance"]}
 HELD = {"learner": ["_eye", "_last_growth"],
         "net": [], "mixture": [], "hedge": ["_anchor", "_loss_drop", "_movement"]}
 
@@ -800,7 +872,7 @@ def clear_caches(learner):
     """Drop every derived cache of ``learner``: each is rebuilt from its state."""
     learner.net._forward = None
     learner.mixture._conditionals = None
-    learner.hedge._stale = True
+    learner.hedge._importance = None
 
 
 @pytest.mark.parametrize("workload", ["sea-delay", "hyperplane-sporadic", "clusters-sporadic"])

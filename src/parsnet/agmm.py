@@ -38,9 +38,9 @@ rebuilt on the next ``class_posterior`` after ``insert`` or a
 ``prune_inactive`` that removes a component clears it.  Code that writes
 ``class_counts`` directly must clear it too.  A rebuild divides by the totals
 floored at 1, then makes the rows without a label uniform.  A credited label
-changes one row, so ``_observe_label`` re-divides that row of a filled matrix
-by its own total, which is at least 1: each row is divided by its own total,
-so the bits are those of a rebuild.
+changes one row, so ``_observe_label`` re-divides only that row of a filled
+matrix by its total, at least 1 after the credit; a rebuild divides each row
+by its own total too, so the bits are the same.
 
 One component: its prior weight is ``support / support``, exactly 1.0, and
 its scaled likelihood ``exp(log_lik - peak)`` is ``exp(0)``, exactly 1.0 (on

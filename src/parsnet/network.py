@@ -34,14 +34,15 @@ two calls must clear ``_forward`` too.
 Call overhead: a sample's arrays are tiny, so numpy's dispatch outweighs the
 arithmetic.  Products are ``a.dot(b)`` (the BLAS call and bits of ``a @ b``,
 without the ``matmul`` ufunc machinery), and Python-float operands read-only
-0-d arrays (:func:`constants`).  The rank-1 products of the gradients are BLAS
-calls too, ``a[:, None].dot(b[None, :])``, about half the time of the
-broadcast ``a[:, None] * b``: each entry is the one product ``a[i] * b[j]``,
-so the bits agree, except that a zero product comes out as ``+0.0`` where the
-broadcast gives ``-0.0`` (a zero times a negative factor).  The two compare
-equal, and subtracting either from a nonzero parameter leaves it as it is.  ``_classify`` takes a 1-d softmax: the peak
+0-d arrays (:func:`constants`).  ``_classify`` takes a 1-d softmax: the peak
 ``z[z.argmax()]`` and a plain sum give the bits of :func:`softmax`'s keepdims
-reductions, NaN and infinities included.
+reductions, NaN and infinities included.  The rank-1 products of the gradients
+are BLAS calls too, ``a[:, None].dot(b[None, :])``, in about half the time of
+the broadcast ``a[:, None] * b``.  Each entry is the one product
+``a[i] * b[j]``, so the bits agree, except that a zero product comes out as
+``+0.0`` where the broadcast gives ``-0.0`` (a zero times a negative factor).
+The two compare equal, and subtracting either from a nonzero parameter leaves
+it as it is.
 """
 
 from __future__ import annotations

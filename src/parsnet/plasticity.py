@@ -121,10 +121,8 @@ def bias_variance(e_hidden: np.ndarray, target: np.ndarray, net: Network,
         raise ValueError(f"unknown phase {phase!r}")
     # One squash for both moments; the two products stay apart, because a
     # stacked product could sum in another order.
-    moments = np.empty((2, offset.shape[0]))
-    np.add(e_hidden.dot(weight), offset, out=moments[0])
-    np.add((e_hidden * e_hidden).dot(weight), offset, out=moments[1])
-    first, second = squash(moments)
+    first, second = squash(np.array((e_hidden.dot(weight) + offset,
+                                     (e_hidden * e_hidden).dot(weight) + offset)))
     diff = first - target
     bias_sq = float(diff.dot(diff))
     variance = float(np.add.reduce(second - first * first))

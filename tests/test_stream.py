@@ -859,8 +859,9 @@ def test_each_pull_uses_the_importance_of_the_current_accumulators(workload, mon
 
 
 # Every underscore attribute of the learner and its parts.  The derived ones
-# are caches that ``clear_caches`` drops; the held ones are state.  A new cache fails the test
-# below until ``clear_caches`` drops it and it is listed here.
+# are caches that ``clear_caches`` drops; the held ones are state.  A new
+# cache fails the test below until ``clear_caches`` drops it and it is listed
+# here.
 DERIVED = {"learner": [], "net": ["_forward"],
            "mixture": ["_conditionals"],
            "hedge": ["_importance"]}

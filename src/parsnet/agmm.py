@@ -17,7 +17,8 @@ never stored.
 (``-1``: no label); :mod:`parsnet.stream` states who checks them.
 ``update`` computes its insertion threshold on entry, through
 :func:`insertion_threshold` (the one owner of that formula and of its check
-on the confidence), and hands it to ``_should_insert``.
+on the confidence), and hands it, with the winner of the sample's
+activations, to ``_should_insert``.
 
 Component rows: :data:`_ROWS` names the per-component arrays, one row per
 component, and ``_new_row`` gives a fresh component's entries keyed by those
@@ -118,8 +119,8 @@ class AgmmModel:
     ``lifespan``, so ``0 <= activity <= lifespan`` always holds.
     """
 
-    def __init__(self, input_dim: int, num_classes: int,
-                 init_spread: float = 0.1, prune_grace: int = 40):
+    def __init__(self, input_dim: int, num_classes: int, init_spread: float,
+                 prune_grace: int = 40):
         if input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if num_classes < 1:
@@ -242,10 +243,10 @@ class AgmmModel:
         span = np.add.reduce(self.spreads, axis=1) / self.input_dim
         return bool(span[win] >= rho * (np.add.reduce(span) - span[win]))
 
-    def _should_insert(self, acts: np.ndarray, threshold: float) -> bool:
-        """Insertion gate: every activation below ``threshold`` (see
-        :func:`insertion_threshold`) AND vigilance passes."""
-        win = int(acts.argmax())
+    def _should_insert(self, acts: np.ndarray, win: int, threshold: float) -> bool:
+        """Insertion gate: the winner ``win``'s activation, the largest of
+        ``acts``, below ``threshold`` (see :func:`insertion_threshold`) AND
+        vigilance passes."""
         if acts[win] >= threshold:
             return False
         return self.vigilance_passes(win)
@@ -314,15 +315,16 @@ class AgmmModel:
             inserted, pruned = True, []
         else:
             # Aging leaves centres and spreads as they are, so these activations
-            # also drive the insertion gate.
+            # and their winner also drive the insertion gate and the tuning.
             acts = self._activations(x)
+            win = int(acts.argmax())
             self.lifespan += 1
             self.activity += acts
-            inserted = self._should_insert(acts, threshold)
+            inserted = self._should_insert(acts, win, threshold)
             if inserted:
                 self.insert(x)
             else:
-                self._tune(int(acts.argmax()), x)
+                self._tune(win, x)
             pruned = self.prune_inactive()
         if label >= 0:
             # The winner is taken after the step above, which moved the mixture.

@@ -23,6 +23,8 @@ from .stream import (Batch, RunConfig, as_batches, check_options, make_infinite_
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)  # concept per quartile of the stream
 GENERATOR_SIZES = {"sea": 120_000, "hyperplane": 25_000}
+# The defaults of the generators' keywords and of the options that set them.
+_BATCH_SIZE, _LABEL_NOISE, _DRIFT = 1000, 0.0, 2e-5
 
 
 class ConfigError(ValueError):
@@ -35,8 +37,7 @@ class ExperimentConfig(RunConfig):
     its own.
 
     Each seed of ``seeds`` runs the config with ``seed`` set to it and every
-    other field as given (no flag or key sets ``freeze_after_first``, so the
-    CLI runs it at ``False``).  ``log`` makes each seed's run write
+    other field as given.  ``log`` makes each seed's run write
     ``log_seed<k>.jsonl`` into ``out``: one JSON object per record the learner
     logs, its kind under ``"kind"``.
     """
@@ -46,12 +47,12 @@ class ExperimentConfig(RunConfig):
                              choices=tuple(GENERATOR_SIZES))
     gen_size: int | None = option(None, "samples to generate", type=int, range="[1, inf)")
     gen_seed: int = option(99, "generator seed (dataset identity)", range="[0, inf)")
-    label_noise: float = option(0.0, "sea label flip probability", range="[0, 1]")
-    drift: float = option(2e-5, "hyperplane weight drift per sample")
+    label_noise: float = option(_LABEL_NOISE, "sea label flip probability", range="[0, 1]")
+    drift: float = option(_DRIFT, "hyperplane weight drift per sample")
     scenario: str = option("sporadic", "labels in a fraction of each batch, or the first only",
                            choices=("sporadic", "delay"))
     label_frac: float = option(0.5, "labelled fraction per batch", range="(0, 1)")
-    batch: int = option(1000, "batch size", range="[1, inf)")
+    batch: int = option(_BATCH_SIZE, "batch size", range="[1, inf)")
     seeds: list[int] = option([1, 2, 3, 4, 5], "comma-separated run seeds", type=int,
                               range="[0, inf)")
     out: str = option("runs", "output directory")
@@ -104,8 +105,8 @@ def load_csv(path: str, batch_size: int) -> list[Batch]:
     return as_batches(np.asarray(features), np.asarray(labels, dtype=np.int64), batch_size)
 
 
-def gen_sea(n: int, seed: int, batch_size: int = 1000,
-            label_noise: float = 0.0) -> list[Batch]:
+def gen_sea(n: int, seed: int, batch_size: int = _BATCH_SIZE,
+            label_noise: float = _LABEL_NOISE) -> list[Batch]:
     """Three uniform features on [0, 10]; the class is decided by whether the
     first two sum under a threshold that jumps at each quartile of the stream
     (abrupt drift).  Optional label noise flips the class uniformly."""
@@ -121,8 +122,8 @@ def gen_sea(n: int, seed: int, batch_size: int = 1000,
     return as_batches(features, labels, batch_size)
 
 
-def gen_hyperplane(n: int, seed: int, batch_size: int = 1000,
-                   drift: float = 2e-5) -> list[Batch]:
+def gen_hyperplane(n: int, seed: int, batch_size: int = _BATCH_SIZE,
+                   drift: float = _DRIFT) -> list[Batch]:
     """Four uniform features on [0, 1]; the class is the side of a weighted
     hyperplane through the feature-space centre, with the weights drifting
     linearly per sample (gradual drift).  Class prior stays at one half."""

@@ -146,15 +146,14 @@ class Network:
     squared error.
     """
 
-    def __init__(self, n_inputs: int, n_classes: int, n_hidden: int = 1,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, n_inputs: int, n_classes: int, n_hidden: int,
+                 rng: np.random.Generator):
         if n_inputs < 1:
             raise ValueError("n_inputs must be >= 1")
         if n_classes < 2:
             raise ValueError("n_classes must be >= 2")
         if n_hidden < 1:
             raise ValueError("n_hidden must be >= 1")
-        rng = rng if rng is not None else np.random.default_rng()
         self.n_inputs = n_inputs
         self.n_classes = n_classes
         w_in = self._xavier(rng, (n_hidden, n_inputs), n_inputs, n_hidden)
@@ -243,8 +242,8 @@ class Network:
         }
         return error, grads
 
-    def generative_step(self, x: np.ndarray, lr: float, mask_fraction: float = 0.0,
-                        rng: np.random.Generator | None = None) -> float:
+    def generative_step(self, x: np.ndarray, lr: float, mask_fraction: float,
+                        rng: np.random.Generator) -> float:
         """One SGD step on the reconstruction of the clean input; returns the
         pre-update error."""
         masked = mask_input(x, mask_fraction, rng)

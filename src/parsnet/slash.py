@@ -41,6 +41,9 @@ _ZERO, _ONE = constants(0.0, 1.0)
 
 _STORES = ("_anchor", "_loss_drop", "_movement")
 
+# Guards the importance's division where a parameter has not moved.
+_EPS = 1e-8
+
 
 def mixture_confidence(agmm_probs: np.ndarray | None, agmm_threshold: float) -> float | None:
     """The posterior's top-2 confidence, or ``None`` where it is missing or below
@@ -112,8 +115,7 @@ class HedgeState:
     between reuse them as they are.
     """
 
-    def __init__(self, theta: dict[str, np.ndarray], eps: float = 1e-8):
-        self.eps = eps
+    def __init__(self, theta: dict[str, np.ndarray]):
         self.n_inputs = theta["w_in"].shape[1]
         self.n_classes = theta["c_out"].shape[0]
         self._anchor = flatten_theta(**theta)
@@ -142,7 +144,7 @@ class HedgeState:
         """
         if self._importance is not None:
             return
-        raw = self._loss_drop / (self._movement ** 2 + self.eps)
+        raw = self._loss_drop / (self._movement ** 2 + _EPS)
         # The squared norm is summed segment by segment, in THETA_KEYS order:
         # one reduction over the whole vector would add in another order.
         squares, total_sq = raw * raw, 0.0

@@ -261,7 +261,7 @@ def _within(value, interval: str) -> bool:
 @dataclass
 class RunConfig:
     """Options (each an :func:`option`) for one prequential run, plus its
-    ``seed`` and the frozen-baseline switch."""
+    ``seed``."""
 
     seed: int = 0
     agmm_conf: float = option(0.55, "mixture top-2 confidence gate for self-labelling",
@@ -275,7 +275,6 @@ class RunConfig:
     # hidden-unit structural changes; slash: no pseudo labels, hedge or augmentation.
     ablate: list[str] = option([], "learner piece to switch off (repeatable)",
                                choices=("agmm", "evolve", "slash"))
-    freeze_after_first: bool = False  # baseline: stop all training after the first batch
 
 
 @dataclass
@@ -334,7 +333,7 @@ class StreamLearner:
         self.config = config
         self.log = log
         self.rng = np.random.default_rng(config.seed)
-        self.net = Network(n_inputs, n_classes, rng=self.rng)
+        self.net = Network(n_inputs, n_classes, 1, self.rng)  # one unit: growth adds the rest
         if "agmm" in config.ablate:
             # Frozen stand-in: one standard-normal component, never updated,
             # never labelled, so growth falls back to one unit at a time and
@@ -506,8 +505,7 @@ def prequential_run(config: RunConfig, scenario: StreamScenario, log=None) -> Ru
         predictions = learner.predict(features)
         batch_accuracy.append(float(np.mean(predictions == truth)))
         np.add.at(confusion, (truth, predictions), 1)
-        if not (config.freeze_after_first and index >= 1):
-            learner.train_on_batch(features, labels[index][finite])
+        learner.train_on_batch(features, labels[index][finite])
         hidden.append(learner.net.n_hidden)
         sizes.append(learner.mixture.size)
         pseudo.append(learner.counters["disc_pseudo_steps"])

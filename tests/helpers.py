@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from parsnet.network import theta_views
-from parsnet.stream import Batch
+from parsnet.stream import Batch, StreamLearner, normalize_batches
 
 
 def fd_gradient(loss_fn, param, eps=1e-6):
@@ -37,6 +37,24 @@ def anchor_gap(net, anchor):
     """Euclidean distance of the network's classifier parameters from ``anchor``."""
     return math.sqrt(sum(float(np.sum((net.theta()[k] - anchor[k]) ** 2))
                          for k in anchor))
+
+
+def frozen_after_first(config, scenario):
+    """Batch accuracies of a learner that is trained on the first batch only.
+
+    A fresh :class:`StreamLearner` on the :func:`normalize_batches` output
+    predicts the first batch, trains on it, then only predicts: the
+    frozen-after-warm-up baseline, scored test-then-train like
+    ``prequential_run``.  The batches must hold finite rows only.
+    """
+    batches = normalize_batches(scenario.batches)
+    learner = StreamLearner(batches[0].features.shape[1], scenario.num_classes, config)
+    accuracies = []
+    for index, batch in enumerate(batches):
+        accuracies.append(float(np.mean(learner.predict(batch.features) == batch.truth)))
+        if index == 0:
+            learner.train_on_batch(batch.features, batch.labels)
+    return accuracies
 
 
 def drift_stream(n_batches, size, shift_at, seed):

@@ -1,5 +1,6 @@
 """Line count, public-symbol count and settable-option count of the package,
-and the public symbols that nothing reads.
+the public symbols that nothing reads, and the config fields that nothing
+sets.
 
     python3 tests/surface.py [PACKAGE_DIR]
 
@@ -9,7 +10,8 @@ blank, not only a comment and not part of a docstring) and its public
 symbols, then the totals;
 then the settable options of each config class, then their total; then the
 public symbols that no file of the package or of the benchmark directory
-(``perfbench`` next to the package's ``src``) reads.
+(``perfbench`` next to the package's ``src``) reads; then the config-class
+fields that no such file sets.
 A public symbol is a module-level function, class or constant whose name does
 not start with an underscore, or such a member of a public class: a method,
 property or class attribute, dataclass fields included.  A config class is a
@@ -18,7 +20,11 @@ its own body declares, so a subclass does not count its base's again.  A
 read is a name or an attribute in load context (``x``, ``obj.x``, not
 ``obj.x = ...``), an entry of ``__all__`` or an entry of the benchmark's span
 ``TARGETS``; a member counts as read where any attribute of its name is, so
-the list errs toward missing an unread symbol.  The files are parsed, not
+the list errs toward missing an unread symbol.  A config-class field is set
+where it is an option (its default is a call of ``option``), where a keyword
+argument of its name is passed (``RunConfig(seed=1)``, ``replace(cfg,
+seed=1)``) or where an attribute of its name is assigned (``cfg.seed = 1``),
+so a field that only the tests set is listed.  The files are parsed, not
 imported.
 """
 
@@ -95,12 +101,17 @@ def public_symbols(source: str) -> list[str]:
     return found
 
 
-def config_options(source: str) -> list[tuple[str, int]]:
-    """``(class name, own field count)`` for each config class of one module."""
-    return [(node.name, sum(isinstance(item, ast.AnnAssign) for item in node.body))
+def _config_fields(source: str) -> list[tuple[str, list[ast.AnnAssign]]]:
+    """``(class name, own fields)`` for each config class of one module."""
+    return [(node.name, [item for item in node.body if isinstance(item, ast.AnnAssign)])
             for node in ast.parse(source).body
             if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
             and any("dataclass" in ast.unparse(deco) for deco in node.decorator_list)]
+
+
+def config_options(source: str) -> list[tuple[str, int]]:
+    """``(class name, own field count)`` for each config class of one module."""
+    return [(name, len(found)) for name, found in _config_fields(source)]
 
 
 def reads(source: str) -> set[str]:
@@ -117,6 +128,21 @@ def reads(source: str) -> set[str]:
     return found
 
 
+def sets(source: str) -> set[str]:
+    """The names one module sets: keyword arguments and assigned attributes."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            found.add(node.arg)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return found
+
+
+def _benchmark_files(package: pathlib.Path) -> list[pathlib.Path]:
+    return sorted((package.parents[1] / "perfbench").glob("*.py"))
+
+
 def unread_symbols(package: pathlib.Path = PACKAGE) -> list[str]:
     """The public symbols of ``package``, as ``module.name``, that no file of
     the package or of the benchmark directory reads."""
@@ -125,9 +151,30 @@ def unread_symbols(package: pathlib.Path = PACKAGE) -> list[str]:
         text = path.read_text()
         public += [f"{path.stem}.{name}" for name in public_symbols(text)]
         read |= reads(text)
-    for path in sorted((package.parents[1] / "perfbench").glob("*.py")):
+    for path in _benchmark_files(package):
         read |= reads(path.read_text())
     return [name for name in public if name.rsplit(".", 1)[-1] not in read]
+
+
+def _is_option(value: ast.expr | None) -> bool:
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "option")
+
+
+def unset_fields(package: pathlib.Path = PACKAGE) -> list[str]:
+    """The config-class fields of ``package``, as ``module.Class.field``, that
+    are no option and that no file of the package or of the benchmark
+    directory sets."""
+    unset, found = [], set()
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        for name, entries in _config_fields(text):
+            unset += [(f"{path.stem}.{name}.{entry.target.id}", entry.target.id)
+                      for entry in entries if not _is_option(entry.value)]
+        found |= sets(text)
+    for path in _benchmark_files(package):
+        found |= sets(path.read_text())
+    return [qualified for qualified, name in unset if name not in found]
 
 
 def main(package: pathlib.Path) -> None:
@@ -149,6 +196,10 @@ def main(package: pathlib.Path) -> None:
     unread = unread_symbols(package)
     print(f"{len(unread)} public symbols that nothing reads:")
     for name in unread:
+        print(f"  {name}")
+    unset = unset_fields(package)
+    print(f"{len(unset)} config fields that nothing sets:")
+    for name in unset:
         print(f"  {name}")
 
 

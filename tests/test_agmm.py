@@ -13,7 +13,7 @@ from parsnet.agmm import _ROWS, AgmmModel, _activity_cutoff, insertion_threshold
 def build(centers, spreads, support=None, num_classes=2, **kw):
     """Model with hand-picked component state."""
     centers = np.atleast_2d(np.asarray(centers, float))
-    model = AgmmModel(centers.shape[1], num_classes, **kw)
+    model = AgmmModel(centers.shape[1], num_classes, init_spread=0.1, **kw)
     for row in centers:
         model.insert(row)
     model.spreads = np.atleast_2d(np.asarray(spreads, float)).copy()
@@ -105,7 +105,7 @@ def test_winner_tie_breaks_low_index():
 
 def test_winner_empty_model_errors():
     # An empty mixture has no winner, so no class evidence: ``None``.
-    assert AgmmModel(2, 2).class_posterior(np.zeros(2)) is None
+    assert AgmmModel(2, 2, init_spread=0.1).class_posterior(np.zeros(2)) is None
 
 
 def test_prior_weights_equal_the_ufunc_sum_form_bit_for_bit():
@@ -150,14 +150,14 @@ def test_insertion_gate_keeps_the_bits_of_the_precomputed_denominator():
     # confidences across the range of ``PhaseMonitor.bias_level``.
     confidences = np.append(np.random.default_rng(5).uniform(0.8, 2.0, 6), [0.8 + 1e-12, 2.0])
     for dim in range(1, 785):
-        model = AgmmModel(dim, 2)
+        model = AgmmModel(dim, 2, init_spread=0.1)
         denominator = 4.0 - 2.0 * math.exp(-dim / 20.0)
         for confidence in confidences.tolist():
             old = math.exp(-(dim * confidence) / denominator)
             threshold = insertion_threshold(dim, confidence)
-            assert not model._should_insert(np.array([old]), threshold), (dim, confidence)
+            assert not model._should_insert(np.array([old]), 0, threshold), (dim, confidence)
             below = np.array([np.nextafter(old, 0.0)])
-            assert model._should_insert(below, threshold), (dim, confidence)
+            assert model._should_insert(below, 0, threshold), (dim, confidence)
 
 
 # -- vigilance & insertion gate ---------------------------------------------------
@@ -188,7 +188,8 @@ def test_vigilance_half_overlap_equal_spans():
 
 
 def should_insert(model, x, confidence):
-    return model._should_insert(model._activations(np.asarray(x, float)),
+    acts = model._activations(np.asarray(x, float))
+    return model._should_insert(acts, int(acts.argmax()),
                                 insertion_threshold(model.input_dim, confidence))
 
 
@@ -257,7 +258,7 @@ def test_insert_first_sample():
 
 
 def test_insert_no_dedup():
-    model = AgmmModel(1, 2)
+    model = AgmmModel(1, 2, init_spread=0.1)
     model.insert(np.array([1.0]))
     model.insert(np.array([1.0]))
     assert model.size == 2
@@ -265,7 +266,7 @@ def test_insert_no_dedup():
 
 
 def test_insert_then_activation_is_one():
-    model = AgmmModel(2, 2)
+    model = AgmmModel(2, 2, init_spread=0.1)
     x = np.array([0.7, -0.1])
     model.insert(x)
     assert model._activations(x).tolist() == [1.0]
@@ -488,7 +489,7 @@ def test_every_per_component_array_is_a_listed_row():
     # An array with one row per component that ``_ROWS`` does not name would
     # miss inserts, prunes and the state digest.
     rng = np.random.default_rng(3)
-    model = AgmmModel(2, 3, prune_grace=5)
+    model = AgmmModel(2, 3, init_spread=0.1, prune_grace=5)
     inserts = prunes = 0
     for step in range(300):
         # three clusters in turn, then the third falls silent
@@ -592,7 +593,7 @@ def test_prune_equals_the_reference_rule(data, m, case):
 # -- update orchestration ---------------------------------------------------------------
 
 def test_update_bootstraps_from_first_sample():
-    model = AgmmModel(2, 2)
+    model = AgmmModel(2, 2, init_spread=0.1)
     inserted, pruned = model.update(np.array([0.3, 0.4]), 1.0, label=1)
     assert inserted and not pruned
     assert model.size == 1
@@ -609,7 +610,7 @@ def test_update_ages_all_components():
 
 def test_update_stationary_stream_stays_small():
     rng = np.random.default_rng(42)
-    model = AgmmModel(2, 2)
+    model = AgmmModel(2, 2, init_spread=0.1)
     for _ in range(1000):
         model.update(rng.normal(0.5, 0.1, size=2), 2.0)
     assert model.size <= 3
@@ -617,7 +618,7 @@ def test_update_stationary_stream_stays_small():
 
 def test_update_mean_shift_triggers_insertion():
     rng = np.random.default_rng(7)
-    model = AgmmModel(2, 2)
+    model = AgmmModel(2, 2, init_spread=0.1)
     for _ in range(600):
         model.update(rng.normal(0.0, 0.3, size=2), 2.0)
     size_before = model.size
@@ -636,7 +637,7 @@ def test_update_two_clusters_matches_kmeans_oracle():
     means = np.array([[0.0, 0.0], [5.0, 5.0]])
     samples = means[which] + rng.normal(0.0, 0.5, size=(2000, 2))
 
-    model = AgmmModel(2, 2)
+    model = AgmmModel(2, 2, init_spread=0.1)
     for row in samples:
         model.update(row, 2.0)
 
@@ -658,7 +659,8 @@ def composed_update(model, x, confidence, label):
     acts = model._activations(x)
     model.lifespan += 1
     model.activity += acts
-    inserted = model._should_insert(model._activations(x),
+    fresh = model._activations(x)
+    inserted = model._should_insert(fresh, int(fresh.argmax()),
                                     insertion_threshold(model.input_dim, confidence))
     if inserted:
         model.insert(x)
@@ -673,7 +675,7 @@ def composed_update(model, x, confidence, label):
 def test_update_equals_public_method_composition():
     # a drifting 3-class stream: the centre walks and jumps, labels come and go
     rng = np.random.default_rng(12)
-    fast, reference = AgmmModel(3, 3), AgmmModel(3, 3)
+    fast, reference = AgmmModel(3, 3, init_spread=0.1), AgmmModel(3, 3, init_spread=0.1)
     inserts = prunes = 0
     for step in range(3000):
         centre = np.full(3, 0.2 + step / 6000.0) + (0.4 if (step // 700) % 2 else 0.0)
@@ -699,7 +701,7 @@ def test_class_posterior_equals_recomputation_after_every_update():
     # A fresh model given the same state computes the class conditionals from
     # scratch, so a stale cache on the streaming model shows as a mismatch.
     rng = np.random.default_rng(21)
-    model = AgmmModel(3, 3)
+    model = AgmmModel(3, 3, init_spread=0.1)
     unlabelled_inserts = unlabelled_prunes = labels = 0
     for step in range(3000):
         centre = np.full(3, 0.2 + step / 6000.0) + (0.4 if (step // 700) % 2 else 0.0)
@@ -731,7 +733,7 @@ def test_observe_label_refreshes_the_class_posterior():
 def test_update_rejects_bad_confidence_before_any_change(size, confidence):
     # Checked on entry: the mixture neither ages nor, empty or with a
     # component on the sample, inserts.
-    model = AgmmModel(1, 2)
+    model = AgmmModel(1, 2, init_spread=0.1)
     for center in [0.0, 5.0][:size]:
         model.update(np.array([center]), 2.0)
     before = {name: getattr(model, name).copy() for name in _ROWS}

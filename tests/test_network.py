@@ -15,6 +15,7 @@ import parsnet
 from parsnet import agmm, network, slash
 from parsnet.network import (THETA_KEYS, Network, check_sample, flatten_theta, mask_input,
                              normalized_top2, sigmoid, softmax, theta_views)
+from parsnet.stream import RunConfig, StreamLearner
 
 from helpers import fd_gradient, relative_gap
 
@@ -37,7 +38,7 @@ def random_net(rng, n_inputs=5, n_classes=3, n_hidden=3, jitter=0.5):
 # -- initialisation ------------------------------------------------------------
 
 def test_init_shapes_start_with_one_hidden_unit():
-    net = Network(784, 10, rng=np.random.default_rng(0))
+    net = StreamLearner(784, 10, RunConfig()).net
     assert net.w_in.shape == (1, 784)
     assert net.w_out.shape == (1, 10)
     assert net.b_in.shape == (1,) and net.d.shape == (784,) and net.c_out.shape == (10,)
@@ -56,10 +57,11 @@ def test_init_seed_determinism():
 
 
 def test_init_validates():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        Network(0, 2)
+        Network(0, 2, 1, rng)
     with pytest.raises(ValueError):
-        Network(3, 1)
+        Network(3, 1, 1, rng)
 
 
 # -- masking ---------------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_generative_step_zero_lr_keeps_parameters():
     rng = np.random.default_rng(2)
     net = random_net(rng)
     before = copy.deepcopy(net.__dict__)
-    error = net.generative_step(rng.random(5), lr=0.0)
+    error = net.generative_step(rng.random(5), 0.0, 0.0, rng)
     assert error > 0.0
     for key in ("w_in", "b_in", "d", "w_out", "c_out"):
         assert np.array_equal(before[key], getattr(net, key))
@@ -203,7 +205,7 @@ def test_generative_training_reduces_error():
     x = rng.random(6)
     checkpoints = []
     for step in range(1000):
-        err = net.generative_step(x, lr=0.05)
+        err = net.generative_step(x, 0.05, 0.0, rng)
         if step % 100 == 0:
             checkpoints.append(err)
     assert all(b < a for a, b in zip(checkpoints, checkpoints[1:]))
@@ -215,9 +217,9 @@ def test_memorized_pattern_reconstructs_better_than_orthogonal():
     pattern = np.array([1.0, 0.0, 1.0, 0.0])
     other = np.array([0.0, 1.0, 0.0, 1.0])
     for _ in range(500):
-        net.generative_step(pattern, lr=0.1)
-    err_pattern = net.generative_step(pattern, lr=0.0)
-    err_other = net.generative_step(other, lr=0.0)
+        net.generative_step(pattern, 0.1, 0.0, rng)
+    err_pattern = net.generative_step(pattern, 0.0, 0.0, rng)
+    err_other = net.generative_step(other, 0.0, 0.0, rng)
     assert err_pattern < err_other
 
 

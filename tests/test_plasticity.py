@@ -14,7 +14,7 @@ from parsnet.plasticity import (PhaseMonitor, RunningStat, bias_variance,
 
 def build_mixture(centers, spreads, support):
     centers = np.atleast_2d(np.asarray(centers, float))
-    model = AgmmModel(centers.shape[1], 2)
+    model = AgmmModel(centers.shape[1], 2, init_spread=0.1)
     for row in centers:
         model.insert(row)
     model.spreads = np.atleast_2d(np.asarray(spreads, float)).copy()

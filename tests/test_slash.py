@@ -6,8 +6,8 @@ import pytest
 
 from parsnet.network import (THETA_KEYS, Network, flatten_theta,
                              normalized_top2, theta_views)
-from parsnet.slash import (ACCEPTED, AUGMENT_NOISE_STD, DISAGREEMENT, LOW_CONFIDENCE,
-                           UNAVAILABLE, HedgeState, ReconScaler, augment,
+from parsnet.slash import (_EPS, ACCEPTED, AUGMENT_NOISE_STD, DISAGREEMENT,
+                           LOW_CONFIDENCE, UNAVAILABLE, HedgeState, ReconScaler, augment,
                            mixture_confidence, propose_label)
 from parsnet.stream import RunConfig
 
@@ -253,7 +253,7 @@ def test_importance_norm_over_flat_slices_equals_the_per_key_sums():
         hedge.refresh_importance()
         loss_drop = flatten_theta(**stored(hedge, "loss_drop"))
         movement = flatten_theta(**stored(hedge, "movement"))
-        raw = loss_drop / (movement ** 2 + hedge.eps)
+        raw = loss_drop / (movement ** 2 + _EPS)
         total_sq = 0.0
         for part in theta_views(raw * raw, u, c).values():
             total_sq += float(np.add.reduce(part, axis=None))
@@ -349,7 +349,7 @@ def importance_from_scratch(hedge):
     raw, total_sq = {}, 0.0
     for key in THETA_KEYS:
         movement = stored(hedge, "movement")[key].copy()
-        value = stored(hedge, "loss_drop")[key].copy() / (movement ** 2 + hedge.eps)
+        value = stored(hedge, "loss_drop")[key].copy() / (movement ** 2 + _EPS)
         raw[key] = value
         total_sq += float(np.sum(value * value))
     norm = math.sqrt(total_sq)
@@ -415,7 +415,7 @@ def test_flat_steps_and_hedge_equal_their_per_key_forms():
             net.predict_proba(x)
             addend = hedge.pull(net.params, strength)
             flat = net.discriminative_step(x, target, lr, grad_addend=addend)
-            raw = {key: loss_drop[key] / (movement[key] ** 2 + hedge.eps) for key in THETA_KEYS}
+            raw = {key: loss_drop[key] / (movement[key] ** 2 + _EPS) for key in THETA_KEYS}
             total_sq = 0.0
             for key in THETA_KEYS:
                 total_sq += float(np.sum(raw[key] * raw[key]))

@@ -222,15 +222,6 @@ def test_prequential_scores_before_training():
     assert metrics.batch_accuracy[1] > metrics.batch_accuracy[0] + 0.2
 
 
-def test_frozen_after_first_batch_is_constant():
-    base = blob_batches(n_batches=1, size=300, seed=5)[0]
-    clones = [Batch(base.features, base.labels.copy(), base.truth) for _ in range(4)]
-    scenario = make_sporadic(clones, 0.5, np.random.default_rng(0))
-    metrics = prequential_run(RunConfig(seed=2, freeze_after_first=True), scenario)
-    assert len(set(metrics.batch_accuracy[1:])) == 1
-    assert len(set(metrics.hidden_nodes)) == 1
-
-
 def test_single_pass_counters():
     scenario = make_sporadic(blob_batches(n_batches=5, size=200), 0.5,
                              np.random.default_rng(1))
@@ -278,11 +269,10 @@ def without_row(scenario, row=5, batch=1):
 @pytest.mark.parametrize("value, batch", [(np.nan, 1), (np.inf, 1), (-np.inf, 1),
                                           (np.nan, 0), (np.inf, 0), (-np.inf, 0)],
                          ids=["nan", "inf", "-inf", "nan-first", "inf-first", "-inf-first"])
-@pytest.mark.parametrize("frozen", [False, True])
-def test_prequential_run_skips_and_counts_a_non_finite_row(frozen, value, batch):
+def test_prequential_run_skips_and_counts_a_non_finite_row(value, batch):
     # An infinite feature is not clipped into [0, 1]: it stays non-finite.  In
     # the first batch it also stays out of the scaling ranges.
-    config = RunConfig(seed=1, freeze_after_first=frozen)
+    config = RunConfig(seed=1)
     scenario = make_sporadic(sea_with(value, batch=batch), 0.5, np.random.default_rng(0))
     metrics = prequential_run(config, scenario)
     assert metrics.counters["skipped"] == 1
@@ -797,7 +787,7 @@ def test_logs_do_not_change_learning(workload, monkeypatch):
 
 def rebuilt_conditionals(mixture):
     """The class conditionals rebuilt from ``class_counts`` on a copy."""
-    probe = AgmmModel(mixture.input_dim, mixture.num_classes)
+    probe = AgmmModel(mixture.input_dim, mixture.num_classes, mixture.init_spread)
     probe.class_counts = mixture.class_counts.copy()
     return probe._class_conditionals()
 
@@ -828,7 +818,7 @@ def test_filled_class_conditionals_equal_a_rebuild_after_every_sample(workload, 
 
 def importance_from_accumulators(hedge):
     """The normalised importance, recomputed from the hedge's accumulators."""
-    raw = hedge._loss_drop / (hedge._movement ** 2 + hedge.eps)
+    raw = hedge._loss_drop / (hedge._movement ** 2 + slash._EPS)
     total_sq = 0.0
     for part in theta_views(raw * raw, hedge.n_inputs, hedge.n_classes).values():
         total_sq += float(np.add.reduce(part, axis=None))

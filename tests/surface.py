@@ -169,12 +169,12 @@ def unset_fields(package: pathlib.Path = PACKAGE) -> list[str]:
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         for name, entries in _config_fields(text):
-            unset += [(f"{path.stem}.{name}.{entry.target.id}", entry.target.id)
+            unset += [f"{path.stem}.{name}.{entry.target.id}"
                       for entry in entries if not _is_option(entry.value)]
         found |= sets(text)
     for path in _benchmark_files(package):
         found |= sets(path.read_text())
-    return [qualified for qualified, name in unset if name not in found]
+    return [name for name in unset if name.rsplit(".", 1)[-1] not in found]
 
 
 def main(package: pathlib.Path) -> None:

@@ -76,6 +76,8 @@ from .network import constants
 # Variance floor: tuning on a near-constant stream collapses the spread,
 # and both activation and likelihood divide by it.
 VARIANCE_FLOOR = 1e-8
+# Samples a component lives through before ``prune_inactive`` may retire it.
+PRUNE_GRACE = 40
 PROBIT_SCALE = math.pi / 8.0  # of the probit approximation in ``shrunk_centers``
 _MINUS_HALF, _FLOOR, _ONE, _PROBIT = constants(-0.5, VARIANCE_FLOOR, 1.0, PROBIT_SCALE)
 
@@ -119,8 +121,7 @@ class AgmmModel:
     ``lifespan``, so ``0 <= activity <= lifespan`` always holds.
     """
 
-    def __init__(self, input_dim: int, num_classes: int, init_spread: float,
-                 prune_grace: int = 40):
+    def __init__(self, input_dim: int, num_classes: int, init_spread: float):
         if input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if num_classes < 1:
@@ -130,7 +131,6 @@ class AgmmModel:
         self.input_dim = input_dim
         self.num_classes = num_classes
         self.init_spread = init_spread
-        self.prune_grace = prune_grace
         for name, row in self._new_row(np.zeros(input_dim)).items():
             setattr(self, name, row[:0])
         self._conditionals = None
@@ -280,15 +280,15 @@ class AgmmModel:
     def prune_inactive(self) -> list[int]:
         """Retire components whose lifetime activity rate fell off the population.
 
-        Components younger than ``prune_grace`` samples are protected, and at
+        Components younger than :data:`PRUNE_GRACE` samples are protected, and at
         least one component always survives (the most active one is kept when
         the rule would empty the model).  Returns the removed indices.
         """
         # With every component inside its grace period nothing can be doomed.
-        if self.size < 2 or self.lifespan[self.lifespan.argmax()] < self.prune_grace:
+        if self.size < 2 or self.lifespan[self.lifespan.argmax()] < PRUNE_GRACE:
             return []
         rate = self.activity / np.maximum(self.lifespan, 1)
-        doomed = (self.lifespan >= self.prune_grace) & (rate <= _activity_cutoff(rate))
+        doomed = (self.lifespan >= PRUNE_GRACE) & (rate <= _activity_cutoff(rate))
         count = np.count_nonzero(doomed)
         if count == 0:
             return []

@@ -47,16 +47,15 @@ class RunningStat:
             self.min_mean = self.mean
             self.min_std = self.std
 
-    def reset_min(self) -> None:
-        self.min_mean = self.mean
-        self.min_std = self.std
-
     def fires(self, factor: float) -> bool:
         """Whether ``mean + std`` reached ``min_mean + factor * min_std``, from the
-        second value on; a firing check re-arms the minima."""
-        fire = self.n >= 2 and self.mean + self.std >= self.min_mean + factor * self.min_std
+        second value on; a firing check re-arms the minima at the current mean
+        and std."""
+        std = self.std
+        fire = self.n >= 2 and self.mean + std >= self.min_mean + factor * self.min_std
         if fire:
-            self.reset_min()
+            self.min_mean = self.mean
+            self.min_std = std
         return fire
 
 

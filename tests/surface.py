@@ -1,6 +1,6 @@
 """Line count, public-symbol count and settable-option count of the package,
-the public symbols that nothing reads, and the config fields that nothing
-sets.
+the public symbols that nothing reads, the config fields that nothing sets
+and the constructor defaults that nothing passes.
 
     python3 tests/surface.py [PACKAGE_DIR]
 
@@ -11,7 +11,8 @@ symbols, then the totals;
 then the settable options of each config class, then their total; then the
 public symbols that no file of the package or of the benchmark directory
 (``perfbench`` next to the package's ``src``) reads; then the config-class
-fields that no such file sets.
+fields that no such file sets; then the constructor parameters with a default
+that no such file passes.
 A public symbol is a module-level function, class or constant whose name does
 not start with an underscore, or such a member of a public class: a method,
 property or class attribute, dataclass fields included.  A config class is a
@@ -24,13 +25,19 @@ the list errs toward missing an unread symbol.  A config-class field is set
 where it is an option (its default is a call of ``option``), where a keyword
 argument of its name is passed (``RunConfig(seed=1)``, ``replace(cfg,
 seed=1)``) or where an attribute of its name is assigned (``cfg.seed = 1``),
-so a field that only the tests set is listed.  The files are parsed, not
-imported.
+so a field that only the tests set is listed.  A constructor is the
+``__init__`` of a module-level class, or the generated one of a dataclass that
+is no config class, whose parameters are its fields in order.  A parameter is
+passed by a call of its class's name (``Box(1)``, ``shapes.Box(1)``) that
+gives it by position or by keyword; a ``*`` argument passes every positional
+parameter and a ``**`` argument every parameter, so the list errs toward
+missing one.  The files are parsed, not imported.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import pathlib
 import sys
 
@@ -101,12 +108,16 @@ def public_symbols(source: str) -> list[str]:
     return found
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(deco) for deco in node.decorator_list)
+
+
 def _config_fields(source: str) -> list[tuple[str, list[ast.AnnAssign]]]:
     """``(class name, own fields)`` for each config class of one module."""
     return [(node.name, [item for item in node.body if isinstance(item, ast.AnnAssign)])
             for node in ast.parse(source).body
             if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
-            and any("dataclass" in ast.unparse(deco) for deco in node.decorator_list)]
+            and _is_dataclass(node)]
 
 
 def config_options(source: str) -> list[tuple[str, int]]:
@@ -177,6 +188,62 @@ def unset_fields(package: pathlib.Path = PACKAGE) -> list[str]:
     return [name for name in unset if name.rsplit(".", 1)[-1] not in found]
 
 
+def _constructor_defaults(source: str) -> list[tuple[str, float, str]]:
+    """``(class name, position, parameter)`` for each constructor parameter
+    with a default of one module: ``self`` is not counted, and a keyword-only
+    parameter has no position (infinite)."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        init = next((item for item in node.body if isinstance(item, ast.FunctionDef)
+                     and item.name == "__init__"), None)
+        if init is not None:
+            args = init.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, index - 1, positional[index].arg)
+                      for index in range(first, len(positional))]
+            found += [(node.name, math.inf, arg.arg)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+        elif _is_dataclass(node) and not node.name.endswith("Config"):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            found += [(node.name, index, entry.target.id)
+                      for index, entry in enumerate(fields) if entry.value is not None]
+    return found
+
+
+def calls(source: str) -> list[tuple[str, float, set[str]]]:
+    """``(callee name, positional argument count, keywords)`` for each call of
+    a name or an attribute in one module: the count is infinite after a
+    ``*``, and a ``**`` passes the keyword ``"**"``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            count = (math.inf if any(isinstance(arg, ast.Starred) for arg in node.args)
+                     else len(node.args))
+            found.append((name, count, {keyword.arg or "**" for keyword in node.keywords}))
+    return found
+
+
+def unpassed_defaults(package: pathlib.Path = PACKAGE) -> list[str]:
+    """The constructor parameters with a default of ``package``, as
+    ``module.Class.__init__.parameter``, that no file of the package or of
+    the benchmark directory passes."""
+    defaults, found = [], []
+    for path in sorted(package.glob("*.py")) + _benchmark_files(package):
+        text = path.read_text()
+        if path.parent == package:
+            defaults += [(f"{path.stem}.{name}.__init__.{param}", name, position, param)
+                         for name, position, param in _constructor_defaults(text)]
+        found += calls(text)
+    return [label for label, name, position, param in defaults
+            if not any(callee == name and (position < count or {param, "**"} & keywords)
+                       for callee, count, keywords in found)]
+
+
 def main(package: pathlib.Path) -> None:
     lines = code = symbols = options = 0
     configs = []
@@ -200,6 +267,10 @@ def main(package: pathlib.Path) -> None:
     unset = unset_fields(package)
     print(f"{len(unset)} config fields that nothing sets:")
     for name in unset:
+        print(f"  {name}")
+    unpassed = unpassed_defaults(package)
+    print(f"{len(unpassed)} constructor defaults that nothing passes:")
+    for name in unpassed:
         print(f"  {name}")
 
 

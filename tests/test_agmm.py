@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.cluster.vq import kmeans2
 
+from parsnet import agmm
 from parsnet.agmm import _ROWS, AgmmModel, _activity_cutoff, insertion_threshold
 
 
-def build(centers, spreads, support=None, num_classes=2, **kw):
+def build(centers, spreads, support=None, num_classes=2):
     """Model with hand-picked component state."""
     centers = np.atleast_2d(np.asarray(centers, float))
-    model = AgmmModel(centers.shape[1], num_classes, init_spread=0.1, **kw)
+    model = AgmmModel(centers.shape[1], num_classes, init_spread=0.1)
     for row in centers:
         model.insert(row)
     model.spreads = np.atleast_2d(np.asarray(spreads, float)).copy()
@@ -485,11 +486,12 @@ def test_prune_removes_dormant_component():
     assert model.size == 2
 
 
-def test_every_per_component_array_is_a_listed_row():
+def test_every_per_component_array_is_a_listed_row(monkeypatch):
     # An array with one row per component that ``_ROWS`` does not name would
     # miss inserts, prunes and the state digest.
     rng = np.random.default_rng(3)
-    model = AgmmModel(2, 3, init_spread=0.1, prune_grace=5)
+    monkeypatch.setattr(agmm, "PRUNE_GRACE", 5)
+    model = AgmmModel(2, 3, init_spread=0.1)
     inserts = prunes = 0
     for step in range(300):
         # three clusters in turn, then the third falls silent
@@ -529,7 +531,7 @@ def test_prune_never_empties_model():
         model = build(rng.normal(size=(m, 2)), np.full((m, 2), 0.5))
         model.lifespan[:] = rng.integers(0, 60, size=m)
         model.activity[:] = rng.random(m) * model.lifespan
-        before_grace = model.lifespan < model.prune_grace
+        before_grace = model.lifespan < agmm.PRUNE_GRACE
         removed = model.prune_inactive()
         assert model.size >= 1
         assert not any(before_grace[i] for i in removed)
@@ -553,7 +555,7 @@ def reference_prune(model):
     if model.size < 2:
         return []
     rate = model.activity / np.maximum(model.lifespan, 1)
-    doomed = (model.lifespan >= model.prune_grace) & (rate <= abs(rate.mean() - 0.5 * rate.std()))
+    doomed = (model.lifespan >= agmm.PRUNE_GRACE) & (rate <= abs(rate.mean() - 0.5 * rate.std()))
     if doomed.all():
         doomed[int(rate.argmax())] = False
     return np.flatnonzero(doomed).tolist()
@@ -568,7 +570,7 @@ def test_prune_equals_the_reference_rule(data, m, case):
     # a multiple of 1/8 so that the mean is exact: the rule catches every
     # component, and the most active one must be kept.
     model = build(np.arange(m, dtype=float)[:, None], np.ones((m, 1)))
-    grace = model.prune_grace
+    grace = agmm.PRUNE_GRACE
     if case == "all_doomed":
         model.lifespan[:] = data.draw(st.integers(grace, 2 * grace))
         model.activity[:] = data.draw(st.integers(0, 8)) / 8 * model.lifespan
@@ -711,7 +713,7 @@ def test_class_posterior_equals_recomputation_after_every_update():
         unlabelled_inserts += inserted and label < 0
         unlabelled_prunes += bool(pruned) and label < 0
         labels += label >= 0
-        fresh = AgmmModel(3, 3, model.init_spread, model.prune_grace)
+        fresh = AgmmModel(3, 3, model.init_spread)
         for name in ("centers", "spreads", "support", "lifespan", "activity", "class_counts"):
             setattr(fresh, name, getattr(model, name).copy())
         probe = x + rng.normal(0.0, 0.05, 3)

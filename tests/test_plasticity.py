@@ -53,10 +53,12 @@ def test_running_stat_min_trackers_follow_smallest_mean():
 
 
 def test_running_stat_reset_min():
+    # A firing check re-arms the minima at the current mean and std.
     stat = RunningStat()
     for v in (1.0, 3.0, 8.0):
         stat.update(v)
-    stat.reset_min()
+    assert (stat.min_mean, stat.min_std) != (stat.mean, stat.std)
+    assert stat.fires(1.0)
     assert stat.min_mean == stat.mean
     assert stat.min_std == stat.std
 
